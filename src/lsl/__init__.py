@@ -26,6 +26,7 @@ from .lattices import (
     make_construction_a_pair,
     make_cubic_pair,
     mod_lattice,
+    nearest_coords,
     quantize,
     sample_dither,
     second_moment,
@@ -65,6 +66,7 @@ from .representation import (
     certify_sum,
     mod_sum,
     reconstruct_sum,
+    window_index,
 )
 from .simulate import (
     CampaignReport,

@@ -48,7 +48,7 @@ from .leakage import (
 )
 from .rates import SystemConfig, rate_report
 from .representation import certify_sum, reconstruct_sum
-from .simulate import Scheme, run_campaign, wilson_interval
+from .simulate import Scheme, run_campaign
 
 #: Margin applied to the very-strong-interference threshold when sweeps
 #: choose symmetric cross gains automatically.
@@ -363,12 +363,12 @@ def cmd_simulate(cfg: RunConfig) -> int:
               "mean_eff_noise_power,predicted_eff_noise_var,"
               "mean_residual_power")
     cells = [cfg.hash(), str(campaign.trials), str(cfg.seed)]
-    for count in (campaign.e1_count, campaign.e2_count, campaign.e3_count):
-        lo, hi = wilson_interval(count, campaign.trials)
-        cells += [str(count), _fmt_prob(count / campaign.trials),
-                  _fmt_prob(lo), _fmt_prob(hi)]
-    direct_ci = [wilson_interval(c, campaign.trials)
-                 for c in campaign.direct_error_counts]
+    for count, rate, (lo, hi) in (
+            (campaign.e1_count, campaign.e1_rate, campaign.e1_interval),
+            (campaign.e2_count, campaign.e2_rate, campaign.e2_interval),
+            (campaign.e3_count, campaign.e3_rate, campaign.e3_interval)):
+        cells += [str(count), _fmt_prob(rate), _fmt_prob(lo), _fmt_prob(hi)]
+    direct_ci = campaign.direct_error_intervals
     cells += [
         ";".join(str(c) for c in campaign.direct_error_counts),
         ";".join(_fmt_prob(r) for r in campaign.direct_error_rates),
@@ -405,6 +405,10 @@ def cmd_leakage(cfg: RunConfig) -> int:
 
 
 def cmd_repr_check(cfg: RunConfig) -> int:
+    if cfg.family != CUBIC:
+        raise UsageError(
+            "repr-check certifies sums on the coarse lattice, which is "
+            "cubic for every family; use --family cubic")
     pair = cfg.pair()
     lattice = pair.coarse
     rng = np.random.default_rng(cfg.seed)

@@ -51,10 +51,11 @@ def _centered_mod(v, q):
 
 
 def _check_vector(lat, x):
+    """``x`` as a float array of shape (..., N), rejecting non-finite entries."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (lat.dimension,):
+    if x.ndim < 1 or x.shape[-1] != lat.dimension:
         raise ValueError(
-            f"expected a length-{lat.dimension} vector, got shape {x.shape}")
+            f"expected length-{lat.dimension} vectors, got shape {x.shape}")
     # Non-finite entries always poison the sum; the elementwise re-check
     # only runs to acquit huge-but-finite vectors whose sum overflowed.
     if not np.isfinite(np.sum(x)) and not np.all(np.isfinite(x)):
@@ -274,45 +275,57 @@ def make_construction_a_pair(q: int, dimension: int, generator,
                       rate_per_dim=k * math.log2(q) / dimension)
 
 
-def quantize(lat: Lattice, x) -> LatticePoint:
-    """Nearest lattice point to ``x``; ties go to the lexicographically
-    smallest coordinate vector.
+def nearest_coords(lat: Lattice, x) -> np.ndarray:
+    """Integer coordinates of the lattice points nearest to ``x``.
 
-    Cubic lattices quantize per coordinate.  Construction-A searches all
-    q^k cosets exhaustively, taking the best coset representative from
-    each, so the result is globally nearest.
+    ``x`` has shape (..., N) and so does the result.  Ties go to the
+    lexicographically smallest coordinate vector.  Cubic lattices round
+    per coordinate.  Construction-A scans the q^k codeword cosets, takes
+    the best representative of each, and keeps a running best, so the
+    result is globally nearest and memory stays at a few (..., N) arrays.
+    Within an ulp of a coset boundary, float rounding may pick a point an
+    ulp farther than the exact nearest; every row gets the same answer
+    whatever batch it is in.
     """
-    x = _check_vector(lat, x)
-    u = x / lat.scale
+    u = _check_vector(lat, x) / lat.scale
     if lat.family == CUBIC:
-        n = _round_half_down(u)
-        return LatticePoint(tuple(int(c) for c in n), lat)
+        return _round_half_down(u)
     q = lat.modulus
-    best = None
+    best = np.zeros(u.shape, dtype=np.int64)
+    best_d2 = np.full(u.shape[:-1], np.inf)
     for c in lat.codewords:
         carr = np.asarray(c, dtype=np.int64)
-        z = _round_half_down((u - carr) / q)
-        v = carr + q * z
-        d2 = float(np.sum((u - v) ** 2))
-        key = (d2, tuple(int(i) for i in v))
-        if best is None or key < best:
-            best = key
-    return LatticePoint(best[1], lat)
+        v = carr + q * _round_half_down((u - carr) / q)
+        d2 = np.sum((u - v) ** 2, axis=-1)
+        differs = v != best
+        first = np.argmax(differs, axis=-1)[..., None]
+        lex_smaller = np.take_along_axis(v < best, first, axis=-1)[..., 0]
+        better = (d2 < best_d2) | ((d2 == best_d2) & lex_smaller)
+        best = np.where(better[..., None], v, best)
+        best_d2 = np.where(better, d2, best_d2)
+    return best
+
+
+def quantize(lat: Lattice, x) -> LatticePoint:
+    """Nearest lattice point to the vector ``x`` (see ``nearest_coords``)."""
+    coords = nearest_coords(lat, x)
+    if coords.ndim != 1:
+        raise ValueError(f"expected one vector, got shape {coords.shape}")
+    return LatticePoint(tuple(int(c) for c in coords), lat)
 
 
 def mod_lattice(lat: Lattice, x) -> np.ndarray:
-    """``x`` minus its nearest lattice point; lands in the half-open cell."""
+    """Rows of ``x`` minus their nearest lattice points, in the half-open cell."""
     x = _check_vector(lat, x)
     if lat.family == CUBIC:
-        # Same arithmetic as quantize, without materializing the point.
+        # Same arithmetic as nearest_coords, without the integer cast.
         s = lat.scale
         return x - s * np.ceil(x / s - 0.5)
-    pt = quantize(lat, x)
-    return x - lat.scale * np.asarray(pt.coords, dtype=float)
+    return x - lat.scale * nearest_coords(lat, x)
 
 
-def in_voronoi(lat: Lattice, x, tol: float = BOUNDARY_TOL) -> bool:
-    """Membership in the half-open fundamental cell.
+def in_voronoi(lat: Lattice, x, tol: float = BOUNDARY_TOL):
+    """Membership in the half-open fundamental cell, per (..., N) row.
 
     For cubic lattices the closed upper boundary is accepted with ``tol``
     slack so that exact-coordinate points survive float embedding; the
@@ -321,8 +334,8 @@ def in_voronoi(lat: Lattice, x, tol: float = BOUNDARY_TOL) -> bool:
     x = _check_vector(lat, x)
     if lat.family == CUBIC:
         u = x / lat.scale
-        return bool(np.all(u <= 0.5 + tol) and np.all(u > -0.5))
-    return all(c == 0 for c in quantize(lat, x).coords)
+        return np.all((u <= 0.5 + tol) & (u > -0.5), axis=-1)
+    return np.all(nearest_coords(lat, x) == 0, axis=-1)
 
 
 def sample_dither(lat: Lattice, rng: np.random.Generator) -> np.ndarray:

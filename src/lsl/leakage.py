@@ -16,8 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import CapacityError
-from .lattices import NestedPair, codebook
+from .lattices import NestedPair, _centered_mod, codebook
+from .representation import window_index
 
 DEFAULT_STATE_CAP = 10_000_000
 
@@ -152,27 +155,6 @@ def chain_conditional_entropy(ens: DiscreteEnsemble, j: int) -> float:
     return _entropy_bits(joint) - _entropy_bits(s_marginal)
 
 
-def _certificate_label(ens: DiscreteEnsemble, raw_sum) -> tuple:
-    """(folded coords, candidate index) for one integer coordinate sum.
-
-    Integer-exact mirror of the sum-certificate construction: candidates
-    for coordinate j are the K-1 consecutive integers w with m_j + q*w
-    in the half-open dilated window (-(K-1)*q/2, (K-1)*q/2].
-    """
-    k = ens.num_senders
-    q = ens.q
-    folded = tuple(ens._centered(v) for v in raw_sum)
-    index = 0
-    for m_j, v_j in zip(folded, raw_sum):
-        w = (v_j - m_j) // q
-        w_lo = (-k * q - 2 * m_j) // (2 * q) + 1
-        offset = w - w_lo
-        if not 0 <= offset < k:
-            raise AssertionError("candidate window missed the true sum")
-        index = index * k + offset
-    return folded, index + 1
-
-
 @dataclass(frozen=True)
 class LeakageCheck:
     """Exact leakage of the (folded sum, index) observation vs. its bound."""
@@ -195,15 +177,21 @@ def leakage_bound_check(ens: DiscreteEnsemble) -> LeakageCheck:
     """
     ens._check_cap(ens.num_senders)
     raw_counts = ens._integer_sum_counts(ens.num_senders)
+    raw = np.array(list(raw_counts), dtype=np.int64)
+    folded = _centered_mod(raw, ens.q)
+    # In coarse-cell units the folded sum is folded/q and the removed
+    # coarse point has integer coordinates (raw - folded)/q.
+    indices = window_index(folded / ens.q, (raw - folded) // ens.q,
+                           ens.num_senders)
     label_counts: dict = {}
     index_counts: dict = {}
     folded_counts: dict = {}
-    for raw, c in raw_counts.items():
-        folded, index = _certificate_label(ens, raw)
-        key = (folded, index)
+    for fold, index, c in zip(map(tuple, folded.tolist()),
+                              indices.tolist(), raw_counts.values()):
+        key = (fold, index)
         label_counts[key] = label_counts.get(key, 0) + c
         index_counts[index] = index_counts.get(index, 0) + c
-        folded_counts[folded] = folded_counts.get(folded, 0) + c
+        folded_counts[fold] = folded_counts.get(fold, 0) + c
     n = ens.dimension
     leakage = _entropy_bits(label_counts)
     bound = n * ens.rate_per_dim + n * math.log2(ens.num_senders)

@@ -49,9 +49,8 @@ def mod_sum(points, lat: Lattice) -> np.ndarray:
     arrs = [np.asarray(p, dtype=float) for p in points]
     if not arrs:
         raise ValueError("need at least one point")
-    for p in arrs:
-        if not in_voronoi(lat, p):
-            raise ValueError("input point lies outside the fundamental cell")
+    if not np.all(in_voronoi(lat, arrs)):
+        raise ValueError("input point lies outside the fundamental cell")
     return mod_lattice(lat, np.sum(arrs, axis=0))
 
 
@@ -68,16 +67,36 @@ def _snap_half_units(u, tol=BOUNDARY_TOL):
                     nearest / 2.0, u)
 
 
-def _cubic_window_lows(lat, folded, num_points):
-    """Per-coordinate smallest candidate coordinate for a cubic lattice.
+def _window_lows(u, num_points):
+    """Per-coordinate smallest candidate coordinate, cubic windows.
 
+    ``u`` is the folded vector in cell-side units, shape (..., N).
     Candidates for coordinate j are the ``num_points`` consecutive
-    integers n with folded_j + n*s in the half-open dilated window
-    (-K*s/2, K*s/2].
+    integers n with u_j + n in the half-open dilated window
+    (-K/2, K/2].
     """
-    u = _snap_half_units(np.asarray(folded, dtype=float) / lat.scale)
-    lows = np.floor(-0.5 * num_points - u).astype(np.int64) + 1
-    return lows
+    return np.floor(-0.5 * num_points - _snap_half_units(u)).astype(
+        np.int64) + 1
+
+
+def window_index(u, coords, num_points: int) -> np.ndarray:
+    """1-based position of ``coords`` in the cubic candidate list of ``u``.
+
+    ``u`` (folded vectors in cell-side units) and ``coords`` (integer
+    lattice coordinates) have shape (..., N); the result has shape (...).
+    A coordinate outside its window is an invariant violation.  Indices
+    are Python ints when K^N does not fit in int64.
+    """
+    offsets = np.asarray(coords, dtype=np.int64) - _window_lows(u, num_points)
+    if np.any(offsets < 0) or np.any(offsets >= num_points):
+        raise InvariantViolationError(
+            "removed lattice point escaped the candidate window")
+    n = offsets.shape[-1]
+    dtype = np.int64 if num_points ** n <= np.iinfo(np.int64).max else object
+    index = np.zeros(offsets.shape[:-1], dtype=dtype)
+    for j in range(n):
+        index = index * num_points + offsets[..., j].astype(dtype)
+    return index + 1
 
 
 def candidate_set(folded, num_points: int, lat: Lattice) -> list[LatticePoint]:
@@ -95,7 +114,7 @@ def candidate_set(folded, num_points: int, lat: Lattice) -> list[LatticePoint]:
     if not in_voronoi(lat, folded):
         raise ValueError("folded vector lies outside the fundamental cell")
     if lat.family == CUBIC:
-        lows = _cubic_window_lows(lat, folded, num_points)
+        lows = _window_lows(folded / lat.scale, num_points)
         ranges = [range(int(lo), int(lo) + num_points) for lo in lows]
         return [LatticePoint(c, lat) for c in itertools.product(*ranges)]
     # Generic path: enumerate codeword cosets inside a safe box.  The
@@ -106,14 +125,13 @@ def candidate_set(folded, num_points: int, lat: Lattice) -> list[LatticePoint]:
     reach = num_points * q * math.sqrt(n) / 2 + q  # fine-coordinate units
     u = folded / lat.scale
     zmax = int(math.ceil((reach + float(np.max(np.abs(u)))) / q)) + 1
+    shifts = q * np.array(list(itertools.product(range(-zmax, zmax + 1),
+                                                 repeat=n)), dtype=np.int64)
     found = []
     for c in lat.codewords:
-        carr = np.asarray(c, dtype=np.int64)
-        for z in itertools.product(range(-zmax, zmax + 1), repeat=n):
-            v = carr + q * np.asarray(z, dtype=np.int64)
-            shifted = (folded + lat.scale * v) / num_points
-            if in_voronoi(lat, shifted):
-                found.append(tuple(int(i) for i in v))
+        v = np.asarray(c, dtype=np.int64) + shifts
+        inside = in_voronoi(lat, (folded + lat.scale * v) / num_points)
+        found += map(tuple, v[inside].tolist())
     return [LatticePoint(c, lat) for c in sorted(found)]
 
 
@@ -133,15 +151,7 @@ def certify_sum(points, lat: Lattice) -> SumCertificate:
         raise InvariantViolationError(
             "difference between sum and its reduction is not a lattice point")
     if lat.family == CUBIC:
-        lows = _cubic_window_lows(lat, folded, num_points)
-        offsets = coords - lows
-        if np.any(offsets < 0) or np.any(offsets >= num_points):
-            raise InvariantViolationError(
-                "removed lattice point escaped the candidate window")
-        index = 0
-        for off in offsets:
-            index = index * num_points + int(off)
-        index += 1
+        index = int(window_index(folded / lat.scale, coords, num_points))
     else:
         target = tuple(int(c) for c in coords)
         candidates = [p.coords for p in candidate_set(folded, num_points, lat)]
@@ -164,13 +174,11 @@ def reconstruct_sum(cert: SumCertificate) -> np.ndarray:
         if not 1 <= cert.index <= count:
             raise InvalidCertificateError(
                 f"index {cert.index} outside 1..{count}")
-        lows = _cubic_window_lows(lat, folded, k)
-        offsets = np.empty(lat.dimension, dtype=np.int64)
-        rem = cert.index - 1
-        for j in range(lat.dimension - 1, -1, -1):
-            offsets[j] = rem % k
-            rem //= k
-        coords = lows + offsets
+        # Mixed-radix digits of index - 1, most significant first.
+        offsets = [(cert.index - 1) // k ** j % k
+                   for j in reversed(range(lat.dimension))]
+        coords = _window_lows(folded / lat.scale, k) + np.array(
+            offsets, dtype=np.int64)
         return folded + lat.scale * coords.astype(float)
     candidates = candidate_set(folded, k, lat)
     if not 1 <= cert.index <= len(candidates):

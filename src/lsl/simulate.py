@@ -17,16 +17,19 @@ against them and never assert achievability at desk scale.
 
 Reproducibility: per-trial seeds are SHA-256 hashes of
 ``"{master_seed}:{trial_index}"`` (first 8 big-endian digest bytes).
-``run_trial`` is the single-trial reference implementation;
-``run_campaign`` runs a vectorized engine that replicates the reference
-draw sequence and arithmetic trial for trial, so reports are identical
-across worker counts and bit-identical to folding ``run_trial``.
+``run_trial`` is the single-trial reference implementation, built from
+the scalar stage functions.  ``run_campaign`` runs one vectorized engine
+for cubic and Construction-A pairs alike: it replicates the reference
+draw sequence, then runs the same ``lsl.lattices`` primitives on
+(trials, N) arrays, so reports are identical across worker counts and
+bit-identical to folding ``run_trial``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -34,12 +37,13 @@ import numpy as np
 
 from .errors import InvariantViolationError
 from .lattices import (
-    BOUNDARY_TOL,
     LatticePoint,
     NestedPair,
+    _centered_mod,
     codebook,
     in_voronoi,
     mod_lattice,
+    nearest_coords,
     quantize,
     sample_dither,
     second_moment,
@@ -232,8 +236,9 @@ def encode_user_k(scheme: Scheme, point: LatticePoint,
 def _received_interference(scheme: Scheme, interferer_signals):
     """Cross-gain-weighted interference sum at receiver K.
 
-    Explicit left-to-right accumulation; the batch engine mirrors this
-    order so the two paths agree bit for bit.
+    Explicit left-to-right accumulation.  Each signal may also be a
+    (trials, N) array, which is how the batch engine shares this order
+    with the reference path bit for bit.
     """
     acc = np.zeros(scheme.dimension)
     for g, x in zip(scheme.config.a, interferer_signals):
@@ -404,20 +409,23 @@ def _batch_trial_arrays(scheme: Scheme, seeds, noiseless: bool) -> dict:
     """
     cfg = scheme.config
     pair = scheme.interferer_pair
+    pair_k = scheme.user_k_pair
+    coarse = pair.coarse
+    coarse_k = pair_k.coarse
     n = scheme.dimension
     k1 = cfg.K - 1
     t_count = len(seeds)
     m = len(scheme.interferer_points)
     m_k = len(scheme.user_k_points)
-    s_coarse = pair.coarse.scale
-    s_coarse_k = scheme.user_k_pair.coarse.scale
+    s_coarse = coarse.scale
+    s_coarse_k = coarse_k.scale
 
     leaders = np.array([p.coords for p in scheme.interferer_points],
                        dtype=np.int64)
     leaders_emb = leaders * pair.fine.scale
     leaders_k = np.array([p.coords for p in scheme.user_k_points],
                          dtype=np.int64)
-    leaders_k_emb = leaders_k * scheme.user_k_pair.fine.scale
+    leaders_k_emb = leaders_k * pair_k.fine.scale
 
     idx = np.empty((t_count, k1), dtype=np.int64)
     idx_k = np.empty(t_count, dtype=np.int64)
@@ -437,64 +445,48 @@ def _batch_trial_arrays(scheme: Scheme, seeds, noiseless: bool) -> dict:
                 noise[i, j] = rng.standard_normal(n)
             noise_k[i] = rng.standard_normal(n)
 
-    def fold(x, s):
-        return x - s * np.ceil(x / s - 0.5)
+    def decode(folded, nested):
+        # Batched ``nested.reduce(quantize(nested.fine, folded))``.
+        return _centered_mod(nearest_coords(nested.fine, folded), nested.q)
 
-    def quantize_reduce(x, fine_scale, q):
-        v = np.ceil(x / fine_scale - 0.5).astype(np.int64)
-        r = np.mod(v, q)
-        return np.where(2 * r > q, r - q, r)
+    dithers = mod_lattice(coarse, dither_box)
+    dither_k = mod_lattice(coarse_k, dither_k_box)
 
-    dithers = fold(dither_box, s_coarse)
-    dither_k = fold(dither_k_box, s_coarse_k)
-
-    t_emb = leaders_emb[idx]
-    u = fold(t_emb + dithers, s_coarse)
+    u = mod_lattice(coarse, leaders_emb[idx] + dithers)
     amps = np.asarray(scheme.interferer_amplitudes)
     signals = amps[None, :, None] * u
-    u_k = fold(leaders_k_emb[idx_k] + dither_k, s_coarse_k)
+    u_k = mod_lattice(coarse_k, leaders_k_emb[idx_k] + dither_k)
     signal_k = math.sqrt(cfg.p_k) * u_k
 
     direct_y = signals + noise
-    received = np.zeros((t_count, n))
-    for j in range(k1):
-        received = received + math.sqrt(cfg.a[j]) * signals[:, j, :]
+    received = _received_interference(scheme, np.moveaxis(signals, 1, 0))
     y_k = received + signal_k + noise_k
 
-    q = pair.q
-    fine_scale = pair.fine.scale
     direct_errors = np.empty((t_count, k1), dtype=bool)
     for j in range(k1):
         snr = scheme.interferer_amplitudes[j] ** 2
         alpha = snr / (snr + 1.0)
-        folded = fold(alpha * direct_y[:, j, :] / math.sqrt(snr)
-                      - dithers[:, j, :], s_coarse)
-        decoded = quantize_reduce(folded, fine_scale, q)
+        folded = mod_lattice(coarse, alpha * direct_y[:, j, :]
+                             / math.sqrt(snr) - dithers[:, j, :])
+        decoded = decode(folded, pair)
         direct_errors[:, j] = np.any(decoded != leaders[idx[:, j]], axis=1)
 
     dither_sum = np.sum(dithers, axis=1)
     scaled = scheme.alpha_mod_sum * y_k / math.sqrt(scheme.aligned_power)
-    folded = fold(scaled - dither_sum, s_coarse)
-    s_hat = quantize_reduce(folded, fine_scale, q)
-    true_sums = np.sum(leaders[idx], axis=1)
-    r = np.mod(true_sums, q)
-    s_true = np.where(2 * r > q, r - q, r)
+    s_hat = decode(mod_lattice(coarse, scaled - dither_sum), pair)
+    s_true = _centered_mod(np.sum(leaders[idx], axis=1), pair.q)
     e1 = np.any(s_hat != s_true, axis=1)
 
     z_k = y_k - received - signal_k
     z_prime = z_k / math.sqrt(scheme.aligned_power)
     unwrapped = scheme.gamma * u_k + z_prime
-    u_cell = unwrapped / s_coarse
-    wrapped = ~np.all((u_cell <= 0.5 + BOUNDARY_TOL) & (u_cell > -0.5),
-                      axis=1)
-    e2 = ~e1 & wrapped
+    e2 = ~e1 & ~in_voronoi(coarse, unwrapped)
 
     normalized = y_k / math.sqrt(scheme.aligned_power)
-    residual = fold(normalized - s_hat * fine_scale - dither_sum, s_coarse)
+    residual = mod_lattice(coarse,
+                           normalized - s_hat * pair.fine.scale - dither_sum)
     scaled_k = scheme.alpha_user_k * residual / scheme.gamma
-    folded_k = fold(scaled_k - dither_k, s_coarse_k)
-    t_k_hat = quantize_reduce(folded_k, scheme.user_k_pair.fine.scale,
-                              scheme.user_k_pair.q)
+    t_k_hat = decode(mod_lattice(coarse_k, scaled_k - dither_k), pair_k)
     e3 = ~e1 & ~e2 & np.any(t_k_hat != leaders_k[idx_k], axis=1)
 
     u_sum = np.sum(u, axis=1)
@@ -518,33 +510,25 @@ def run_campaign(scheme: Scheme, trials: int, master_seed: int,
     Trials are independent given their derived seeds, so any number of
     worker threads produces the identical report: workers own contiguous
     index chunks and results are concatenated in index order before the
-    single final aggregation.
+    single final aggregation.  There are at most ``trials`` chunks and
+    ``os.cpu_count()`` threads, whatever ``jobs`` asks for.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    if jobs < 1:
+        raise ValueError("jobs must be positive")
     seeds = [derive_trial_seed(master_seed, i) for i in range(trials)]
-    if (scheme.interferer_pair.fine.family != "cubic"
-            or scheme.user_k_pair.fine.family != "cubic"):
-        # Coded fine lattices need the coset-search quantizer; run the
-        # reference implementation trial by trial.
-        outcomes = [run_trial(scheme, s, noiseless=noiseless) for s in seeds]
-        parts = [{
-            "direct_errors": np.array([o.direct_errors for o in outcomes]),
-            "e1": np.array([o.e1 for o in outcomes]),
-            "e2": np.array([o.e2 for o in outcomes]),
-            "e3": np.array([o.e3 for o in outcomes]),
-            "eff_power": np.array([o.effective_noise_power for o in outcomes]),
-            "residual_power": np.array([o.residual_power for o in outcomes]),
-        }]
-    elif jobs == 1:
+    chunks = min(jobs, trials)
+    if chunks == 1:
         parts = [_batch_trial_arrays(scheme, seeds, noiseless)]
     else:
-        bounds = np.linspace(0, trials, jobs + 1).astype(int)
-        chunks = [seeds[bounds[i]:bounds[i + 1]] for i in range(jobs)
-                  if bounds[i] < bounds[i + 1]]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        bounds = [i * trials // chunks for i in range(chunks + 1)]
+        with ThreadPoolExecutor(
+                max_workers=min(chunks, os.cpu_count() or 1)) as pool:
             parts = list(pool.map(
-                lambda c: _batch_trial_arrays(scheme, c, noiseless), chunks))
+                lambda lo, hi: _batch_trial_arrays(scheme, seeds[lo:hi],
+                                                   noiseless),
+                bounds[:-1], bounds[1:]))
     merged = {key: np.concatenate([p[key] for p in parts])
               for key in parts[0]}
     direct_counts = tuple(

@@ -180,6 +180,16 @@ class TestReprCheck:
         assert cells["passed"] == "1"
         assert int(cells["max_index"]) <= int(cells["index_bound"])
 
+    def test_rejects_coded_family(self, tmp_path, capsys):
+        # certificates live on the coarse lattice, which is cubic for
+        # every family, so a coded run would silently repeat a cubic one
+        out = tmp_path / "repr.csv"
+        assert main(["repr-check", "--family", "construction-a",
+                     "--generator", "1,1", "--trials", "5",
+                     "--out", str(out)]) == 1
+        assert "--family cubic" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestLatticeInfo:
     def test_prints_diagnostics(self, capsys):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from lsl.errors import CapacityError, InvalidCodeError
@@ -22,6 +24,7 @@ from lsl.lattices import (
     make_construction_a_pair,
     make_cubic_pair,
     mod_lattice,
+    nearest_coords,
     quantize,
     sample_dither,
     second_moment,
@@ -161,6 +164,95 @@ class TestQuantize:
             quantize(lat, [np.nan, 0.0])
         with pytest.raises(ValueError):
             quantize(lat, [np.inf, 0.0])
+
+
+# Unit-scale lattices, so lattice coordinates equal real coordinates.
+PROPERTY_LATTICES = (
+    Lattice(dimension=2, family=CUBIC, scale_sq=1.0),
+    Lattice(dimension=2, family=CONSTRUCTION_A, scale_sq=1.0, modulus=2,
+            generator=((1, 1),), codewords=((0, 0), (1, 1))),
+    Lattice(dimension=3, family=CONSTRUCTION_A, scale_sq=1.0, modulus=3,
+            generator=((1, 1, 1),),
+            codewords=((0, 0, 0), (1, 1, 1), (2, 2, 2))),
+    Lattice(dimension=3, family=CONSTRUCTION_A, scale_sq=1.0, modulus=2,
+            generator=((1, 1, 0), (0, 1, 1)),
+            codewords=((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))),
+)
+
+
+def brute_force_nearest(lat, x):
+    """Independent oracle: scan every coset representative in a box that
+    covers the nearest point of any |x_j| <= 4, sort by (squared
+    distance, coordinates) and take the first."""
+    q = lat.modulus or 1
+    codewords = lat.codewords or ((0,) * lat.dimension,)
+    shifts = q * np.array(list(itertools.product(range(-5, 6),
+                                                 repeat=lat.dimension)))
+    cands = np.concatenate([np.array(c) + shifts for c in codewords])
+    d2 = np.sum((x - cands) ** 2, axis=1)
+    order = np.lexsort([cands[:, j] for j in reversed(range(lat.dimension))]
+                       + [d2])
+    return tuple(int(i) for i in cands[order[0]])
+
+
+# Multiples of 1/16 in [-4, 4] keep every step of the coset search
+# exact, so the brute force is a true oracle on them; half-integers put
+# many points on cell boundaries, where only the lexicographic tie rule
+# decides.
+EXACT_ENTRY = st.one_of(st.integers(-8, 8).map(lambda h: h / 2),
+                        st.integers(-64, 64).map(lambda k: k / 16))
+ANY_ENTRY = st.floats(-4.0, 4.0, allow_nan=False)
+
+
+@st.composite
+def lattice_and_batch(draw, entry):
+    lat = draw(st.sampled_from(PROPERTY_LATTICES))
+    rows = draw(st.lists(st.lists(entry, min_size=lat.dimension,
+                                  max_size=lat.dimension),
+                         min_size=1, max_size=8))
+    return lat, np.array(rows)
+
+
+class TestNearestCoords:
+    @settings(max_examples=200, deadline=None)
+    @given(lattice_and_batch(EXACT_ENTRY))
+    def test_batch_equals_row_by_row_brute_force(self, case):
+        lat, batch = case
+        got = nearest_coords(lat, batch)
+        assert got.shape == batch.shape
+        for x, coords in zip(batch, got):
+            assert tuple(int(c) for c in coords) == \
+                brute_force_nearest(lat, x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lattice_and_batch(ANY_ENTRY))
+    def test_batch_equals_its_rows_for_any_floats(self, case):
+        # Within an ulp of a coset boundary the rounded (u - c)/q can
+        # pick a point an ulp farther than the exact nearest, as the
+        # scalar quantizer always did; a batch must still equal its rows
+        # bit for bit, which is what keeps the engine equal to run_trial.
+        lat, batch = case
+        rows = np.array([nearest_coords(lat, x) for x in batch])
+        assert np.array_equal(nearest_coords(lat, batch), rows)
+
+    def test_leading_axes_are_kept(self):
+        lat = PROPERTY_LATTICES[1]
+        x = np.random.default_rng(4).uniform(-3, 3, size=(5, 4, 2))
+        got = nearest_coords(lat, x)
+        assert got.shape == (5, 4, 2)
+        assert np.array_equal(got.reshape(-1, 2),
+                              nearest_coords(lat, x.reshape(-1, 2)))
+        assert np.array_equal(mod_lattice(lat, x), x - got)
+        assert np.array_equal(in_voronoi(lat, x), np.all(got == 0, axis=-1))
+
+    def test_rejects_bad_batches(self):
+        lat = PROPERTY_LATTICES[1]
+        with pytest.raises(ValueError):
+            nearest_coords(lat, np.zeros((4, 3)))
+        with pytest.raises(ValueError):
+            nearest_coords(lat, np.array([[0.0, 0.0], [np.nan, 1.0]]))
+        with pytest.raises(ValueError):
+            quantize(lat, np.zeros((2, 2)))
 
 
 class TestMod:

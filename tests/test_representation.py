@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from lsl.errors import InvalidCertificateError
+from lsl.errors import InvalidCertificateError, InvariantViolationError
 from lsl.lattices import (
     CONSTRUCTION_A,
     CUBIC,
@@ -19,6 +19,7 @@ from lsl.representation import (
     certify_sum,
     mod_sum,
     reconstruct_sum,
+    window_index,
 )
 
 INT_LAT = Lattice(dimension=1, family=CUBIC, scale_sq=1.0)
@@ -194,3 +195,33 @@ class TestConstructionAPath:
             cert = certify_sum(pts, lat)
             assert np.allclose(reconstruct_sum(cert), np.sum(pts, axis=0),
                                atol=1e-9)
+
+
+class TestWindowIndex:
+    def test_matches_candidate_positions(self):
+        lat = make_cubic_pair(3, 2).coarse
+        rng = np.random.default_rng(6)
+        folded = np.array([sample_dither(lat, rng) for _ in range(20)])
+        for k in (1, 2, 3):
+            for m in folded:
+                cands = [c.coords for c in candidate_set(m, k, lat)]
+                got = window_index(np.tile(m / lat.scale, (len(cands), 1)),
+                                   np.array(cands), k)
+                assert got.tolist() == list(range(1, len(cands) + 1))
+
+    def test_out_of_window_coordinate_is_an_invariant_violation(self):
+        # u = 0.3 with K = 2: u + n must lie in (-1, 1], so the window
+        # holds coordinates -1 and 0 only
+        assert window_index(np.array([[0.3], [0.3]]),
+                            np.array([[-1], [0]]), 2).tolist() == [1, 2]
+        with pytest.raises(InvariantViolationError):
+            window_index(np.array([[0.3], [0.3]]), np.array([[0], [1]]), 2)
+        with pytest.raises(InvariantViolationError):
+            window_index(np.array([0.3]), np.array([-2]), 2)
+
+    def test_exact_past_int64(self):
+        # 3^41 > 2^63: the last candidate's index needs a Python int
+        n = 41
+        index = window_index(np.zeros((1, n)), np.ones((1, n)), 3)
+        assert index.tolist() == [3 ** n]
+        assert int(window_index(np.zeros(n), np.ones(n), 3)) == 3 ** n

@@ -37,6 +37,19 @@ def default_scheme(q=2, dim=2):
     return Scheme.for_config(cfg, make_cubic_pair(q, dim))
 
 
+def coded_benchmark_scheme():
+    # the campaign-coded benchmark workload: q=3, N=4, k=2
+    cfg = SystemConfig(K=3, P=(10, 10, 10), a=(12, 12))
+    pair = make_construction_a_pair(3, 4, [(1, 0, 1, 1), (0, 1, 1, 2)])
+    return Scheme.for_config(cfg, pair)
+
+
+def coded_wrap_scheme():
+    # criterion 07 at mu = 1.2, where residual wraps (e2) do occur
+    cfg = SystemConfig(K=3, P=(10, 10, 1.5), a=(0.3, 0.3))
+    return Scheme.for_config(cfg, make_construction_a_pair(2, 3, [(1, 1, 1)]))
+
+
 class TestEncoding:
     def test_zero_codeword_zero_dither(self):
         scheme = default_scheme()
@@ -324,11 +337,16 @@ class TestReproducibility:
         assert a == b == c
 
     def test_campaign_matches_reference_trials(self):
-        # the vectorized engine must reproduce run_trial bit for bit
-        for scheme in (default_scheme(q=2, dim=2), default_scheme(q=3, dim=3)):
+        # the vectorized engine must reproduce run_trial bit for bit, on
+        # cubic and Construction-A pairs alike
+        wrap = coded_wrap_scheme()
+        for scheme in (default_scheme(q=2, dim=2), default_scheme(q=3, dim=3),
+                       coded_benchmark_scheme(), wrap):
             seeds = [derive_trial_seed(31, i) for i in range(400)]
             outcomes = [run_trial(scheme, s) for s in seeds]
             rep = run_campaign(scheme, 400, 31)
+            if scheme is wrap:
+                assert rep.e2_count > 0
             assert rep.e1_count == sum(o.e1 for o in outcomes)
             assert rep.e2_count == sum(o.e2 for o in outcomes)
             assert rep.e3_count == sum(o.e3 for o in outcomes)
@@ -340,14 +358,31 @@ class TestReproducibility:
                 np.mean([o.residual_power for o in outcomes]))
 
     def test_noiseless_campaign_all_clean(self):
+        for scheme in (default_scheme(), coded_benchmark_scheme()):
+            rep = run_campaign(scheme, 300, 77, noiseless=True)
+            assert rep.e1_count == rep.e2_count == rep.e3_count == 0
+            assert rep.direct_error_counts == (0, 0)
+
+    def test_job_count_is_bounded_by_trials(self, monkeypatch):
+        import lsl.simulate
+        workers = []
+
+        class RecordingPool(lsl.simulate.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(lsl.simulate, "ThreadPoolExecutor", RecordingPool)
         scheme = default_scheme()
-        rep = run_campaign(scheme, 300, 77, noiseless=True)
-        assert rep.e1_count == rep.e2_count == rep.e3_count == 0
-        assert rep.direct_error_counts == (0, 0)
+        assert run_campaign(scheme, 3, 12, jobs=10**9) == \
+            run_campaign(scheme, 3, 12, jobs=1)
+        assert len(workers) == 1 and workers[0] <= 3
 
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
             run_campaign(default_scheme(), 0, 1)
+        with pytest.raises(ValueError):
+            run_campaign(default_scheme(), 5, 1, jobs=0)
 
     def test_default_campaign_wall_time(self):
         import time
