@@ -1,17 +1,22 @@
 """Reproducible experiment front door.
 
 Subcommands: rates, sweep, simulate, leakage, repr-check, lattice-info.
-Configuration comes from flat key=value files (``#`` comments allowed),
-overridden by command-line flags; the seed may also come from the
-``LSL_SEED`` environment variable at lowest precedence.  All CSV output
-is byte-deterministic for a fixed (config, seed): rates print with six
-fixed decimals, probabilities in scientific notation, and every file
-starts with a config-echo comment line followed by a header row.
+``_KEYS`` declares each configuration key once (field, parser, echo
+printer, help).  The flags, config-file validation, the precedence merge
+(defaults < ``LSL_SEED`` < config file < flags) and ``RunConfig.echo``
+derive from it, and a value goes through its key's parser whatever its
+source.  Config files are flat key=value lines, ``#`` comments allowed.
+Each subcommand builds ordered ``(column, cell)`` records, which
+``_emit`` writes as the config-echo line, the header and the rows.
 
-Exit codes: 0 success, 1 usage or parse error, 2 infeasible
-configuration, 3 internal invariant violation.
+CSV output is byte-deterministic for a fixed (config, seed): rates print
+with six fixed decimals, probabilities in scientific notation, and the
+config echo is lossless.
+
+Exit codes: 0 success, 1 usage or parse error (an unwritable ``--out``
+too), 2 infeasible configuration or a cap exceeded, 3 internal invariant
+violation.
 """
-
 from __future__ import annotations
 
 import argparse
@@ -19,6 +24,7 @@ import hashlib
 import os
 import sys
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -54,12 +60,11 @@ from .simulate import Scheme, run_campaign
 #: choose symmetric cross gains automatically.
 SWEEP_GAIN_MARGIN = 1.05
 
-_SWEEP_VARS = ("K", "Pmin")
+#: Most grid points in one sweep, and the largest K a K sweep may reach
+#: (a rate report costs time and memory linear in K).
+SWEEP_MAX = 10_000
 
-_CONFIG_KEYS = {
-    "K", "P", "a", "family", "q", "N", "generator",
-    "trials", "seed", "out", "var", "from", "to", "step", "jobs",
-}
+_SWEEP_VARS = ("K", "Pmin")
 
 
 class UsageError(Exception):
@@ -107,18 +112,25 @@ class RunConfig:
         raise UsageError(f"unknown lattice family {self.family!r}")
 
     def echo(self) -> str:
-        gen = ";".join(",".join(str(x) for x in row)
-                       for row in self.generator) if self.generator else "-"
-        return (f"K={self.K} P={_fmt_list(self.P)} a={_fmt_list(self.a)} "
-                f"family={self.family} q={self.q} N={self.N} generator={gen} "
-                f"trials={self.trials} seed={self.seed}")
+        return " ".join(f"{key}={spec.show(getattr(self, spec.field))}"
+                        for key, spec in _KEYS.items() if spec.show)
 
     def hash(self) -> str:
         return hashlib.sha256(self.echo().encode()).hexdigest()[:12]
 
 
+def _fmt_float(v) -> str:
+    """``:g`` when that reads back as ``v`` exactly, else the repr."""
+    text = f"{v:g}"
+    return text if float(text) == v else repr(float(v))
+
+
 def _fmt_list(values) -> str:
-    return ",".join(f"{v:g}" for v in values)
+    return ",".join(_fmt_float(v) for v in values)
+
+
+def _fmt_generator(rows) -> str:
+    return ";".join(",".join(map(str, row)) for row in rows) if rows else "-"
 
 
 def _fmt_rate(x) -> str:
@@ -133,120 +145,138 @@ def _fmt_bool(b) -> str:
     return "1" if b else "0"
 
 
-def _parse_float_list(text, what):
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError:
-        raise UsageError(f"cannot parse {what} list {text!r}") from None
+def _joined(fmt, values) -> str:
+    return ";".join(fmt(v) for v in values)
+
+
+def _parse_floats(text):
+    return tuple(float(v) for v in text.split(","))
 
 
 def _parse_generator(text):
+    return None if text == "-" else tuple(
+        tuple(int(v) for v in row.split(",")) for row in text.split(";"))
+
+
+def _parse_positive(text):
+    value = int(text)
+    if value < 1:
+        raise ValueError("must be positive")
+    return value
+
+
+def _choice(*options):
+    def parse(text):
+        if text not in options:
+            raise ValueError(f"choose from {', '.join(options)}")
+        return text
+    return parse
+
+
+class _Key(NamedTuple):
+    field: str                      # RunConfig attribute
+    parse: Callable[[str], object]  # text -> value; ValueError if malformed
+    show: Callable | None           # value -> echo text; None: not echoed
+    help: str
+    sweep: bool = False             # a flag of ``sweep`` only
+    env: str | None = None          # environment variable, below the file
+
+
+#: Every configuration key, in config-echo order.
+_KEYS = {
+    "K": _Key("K", int, str, "number of users"),
+    "P": _Key("P", _parse_floats, _fmt_list, "comma list of K powers"),
+    "a": _Key("a", _parse_floats, _fmt_list, "comma list of K-1 cross gains"),
+    "family": _Key("family", _choice(CUBIC, CONSTRUCTION_A), str,
+                   f"lattice family, {CUBIC} or {CONSTRUCTION_A}"),
+    "q": _Key("q", int, str, "nesting ratio per dimension"),
+    "N": _Key("N", int, str, "lattice dimension"),
+    "generator": _Key("generator", _parse_generator, _fmt_generator,
+                      "code rows, e.g. '1,1' or '1,0;0,1'"),
+    "trials": _Key("trials", _parse_positive, str, "number of trials"),
+    "seed": _Key("seed", int, str, "master seed", env="LSL_SEED"),
+    "out": _Key("out", str, None, "write CSV here instead of stdout"),
+    "jobs": _Key("jobs", _parse_positive, None, "worker threads for simulate"),
+    "var": _Key("var", _choice(*_SWEEP_VARS), None,
+                "sweep variable, " + " or ".join(_SWEEP_VARS), True),
+    "from": _Key("sweep_from", float, None, "first sweep value", True),
+    "to": _Key("sweep_to", float, None, "last sweep value", True),
+    "step": _Key("sweep_step", float, None, "sweep step", True),
+}
+
+
+def _parse(key, text, where=""):
     try:
-        return tuple(tuple(int(v) for v in row.split(","))
-                     for row in text.split(";"))
-    except ValueError:
-        raise UsageError(f"cannot parse generator {text!r}") from None
+        return _KEYS[key].parse(text)
+    except ValueError as exc:
+        raise UsageError(f"{where}cannot parse {key}={text!r}: {exc}") \
+            from None
 
 
-def _parse_int(text, what):
+def _read_config_file(path) -> dict:
+    """Parsed values of a key=value file, each checked like its flag."""
     try:
-        return int(text)
-    except ValueError:
-        raise UsageError(f"{what} must be an integer, got {text!r}") from None
-
-
-def _parse_config_file(path):
-    values = {}
-    try:
-        lines = open(path, encoding="utf-8").read().splitlines()
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
+    values = {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        key, sep, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
+        key, sep, val = (part.strip() for part in line.partition("="))
+        where = f"{path}:{lineno}: "
         if not sep or not key:
-            raise UsageError(f"{path}:{lineno}: expected key=value")
-        if key not in _CONFIG_KEYS:
-            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = val
+            raise UsageError(f"{where}expected key=value")
+        if key not in _KEYS:
+            raise UsageError(f"{where}unknown key {key!r}")
+        values[key] = _parse(key, val, where)
     return values
 
 
-def _apply_values(cfg: RunConfig, values: dict) -> RunConfig:
-    for key, val in values.items():
-        if key == "K":
-            cfg = replace(cfg, K=_parse_int(val, "K"))
-        elif key == "P":
-            cfg = replace(cfg, P=_parse_float_list(val, "P"))
-        elif key == "a":
-            cfg = replace(cfg, a=_parse_float_list(val, "a"))
-        elif key == "family":
-            cfg = replace(cfg, family=val)
-        elif key == "q":
-            cfg = replace(cfg, q=_parse_int(val, "q"))
-        elif key == "N":
-            cfg = replace(cfg, N=_parse_int(val, "N"))
-        elif key == "generator":
-            cfg = replace(cfg, generator=_parse_generator(val))
-        elif key == "trials":
-            cfg = replace(cfg, trials=_parse_int(val, "trials"))
-        elif key == "seed":
-            cfg = replace(cfg, seed=_parse_int(val, "seed"))
-        elif key == "out":
-            cfg = replace(cfg, out=val)
-        elif key == "var":
-            cfg = replace(cfg, var=val)
-        elif key == "from":
-            cfg = replace(cfg, sweep_from=float(val))
-        elif key == "to":
-            cfg = replace(cfg, sweep_to=float(val))
-        elif key == "step":
-            cfg = replace(cfg, sweep_step=float(val))
-        elif key == "jobs":
-            cfg = replace(cfg, jobs=_parse_int(val, "jobs"))
-    return cfg
-
-
 def _resolve_config(args) -> RunConfig:
-    cfg = RunConfig()
-    env_seed = os.environ.get("LSL_SEED")
-    if env_seed is not None:
-        cfg = replace(cfg, seed=_parse_int(env_seed, "LSL_SEED"))
+    """Defaults < environment < config file < flags, as one RunConfig."""
+    values = {key: _parse(key, os.environ[spec.env], f"{spec.env}: ")
+              for key, spec in _KEYS.items()
+              if spec.env and spec.env in os.environ}
     if args.config:
-        cfg = _apply_values(cfg, _parse_config_file(args.config))
-    flag_values = {}
-    for key, attr in (("K", "K"), ("P", "P"), ("a", "a"),
-                      ("family", "family"), ("q", "q"), ("N", "N"),
-                      ("generator", "generator"), ("trials", "trials"),
-                      ("seed", "seed"), ("out", "out"), ("jobs", "jobs")):
-        val = getattr(args, attr, None)
-        if val is not None:
-            flag_values[key] = val
-    for key, attr in (("var", "var"), ("from", "sweep_from"),
-                      ("to", "sweep_to"), ("step", "sweep_step")):
-        val = getattr(args, attr, None)
-        if val is not None:
-            flag_values[key] = val
-    cfg = _apply_values(cfg, {k: str(v) if not isinstance(v, str) else v
-                              for k, v in flag_values.items()})
-    if cfg.trials < 1:
-        raise UsageError("trials must be positive")
-    if cfg.jobs < 1:
-        raise UsageError("jobs must be positive")
-    return cfg
+        values.update(_read_config_file(args.config))
+    for key in _KEYS:
+        text = getattr(args, key, None)
+        if text is not None:
+            values[key] = _parse(key, text)
+    return replace(RunConfig(),
+                   **{_KEYS[key].field: v for key, v in values.items()})
 
 
-def _emit(cfg: RunConfig, lines) -> None:
+def _emit(cfg: RunConfig, records) -> None:
+    """Write the config echo, the header (from the first record) and one
+    row per record; a record is an ordered list of ``(column, cell)``."""
+    lines = [f"# config: {cfg.echo()}",
+             ",".join(column for column, _ in records[0])]
+    lines += [",".join(cell for _, cell in record) for record in records]
     text = "\n".join(lines) + "\n"
-    if cfg.out:
+    if not cfg.out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {cfg.out}: {exc.strerror or exc}") \
+            from None
+
+
+def _report(cfg: RunConfig, fields) -> None:
+    """Print ``(label, column, cell)`` fields as text, and as CSV with
+    --out; a field without a label is CSV only, one without a column text
+    only."""
+    for label, _, cell in fields:
+        if label:
+            print(f"  {label:<26} {cell or 'n/a'}")
+    if cfg.out:
+        _emit(cfg, [[(column, cell) for _, column, cell in fields if column]])
 
 
 def _symmetric_config(k: int, p_min: float, p_k: float) -> SystemConfig:
@@ -259,91 +289,82 @@ def _symmetric_config(k: int, p_min: float, p_k: float) -> SystemConfig:
 
 
 def cmd_rates(cfg: RunConfig) -> int:
-    report = rate_report(cfg.system())
-    r = report
-    print(f"many-to-one channel, K={r.config.K} users")
-    print(f"  P = {_fmt_list(r.config.P)}   a = {_fmt_list(r.config.a)}")
-    print(f"  aligned user j*            {r.j_star}")
-    print(f"  aligned received power P   {_fmt_rate(r.p_aligned)}")
-    print(f"  very strong interference   {r.very_strong}"
-          f" (threshold {_fmt_rate(r.very_strong_threshold)})")
-    print(f"  achievable sum rate        {_fmt_rate(r.achievable_sum)} bits/use"
-          f"{'  [clamped]' if r.clamp_active else ''}")
-    if r.upper_sum is not None:
-        print(f"  upper bound                {_fmt_rate(r.upper_sum)} bits/use")
-        print(f"  gap                        {_fmt_rate(r.gap)} bits/use")
-    else:
-        print("  upper bound                n/a (needs every a_i >= 1)")
-    print(f"  direct thresholds          {_fmt_list(r.threshold_direct)}")
-    print(f"  direct thresholds (phys)   {_fmt_list(r.threshold_direct_physical)}")
-    print(f"  mod-sum threshold          {_fmt_rate(r.threshold_modsum)}")
-    print(f"  user-K threshold           {_fmt_rate(r.threshold_user_k)}")
-    print(f"  mu = P/(P_K+1)             {_fmt_rate(r.mu)}"
-          f" (residual ok: {r.distortion_ok})")
-    print(f"  alpha*                     {r.alpha_star:.9f}")
-    print(f"  effective noise variance   {r.eff_noise_var:.9f}")
-    print(f"  rate split (r_x, r_e)      {_fmt_rate(r.rate_split_x)},"
-          f" {_fmt_rate(r.rate_split_e)}"
-          f"{'' if r.rate_split_feasible else '  [infeasible]'}")
-    print(f"  per-user secrecy cost      {_fmt_rate(r.per_user_cost)}")
-    if cfg.out:
-        header = ("K,j_star,P_aligned,P_min,very_strong,achievable_sum,"
-                  "clamp_active,upper_sum,gap,threshold_modsum,distortion_ok,"
-                  "threshold_user_k,alpha_star,eff_noise_var,mu,poltyrev,"
-                  "rate_split_x,rate_split_e,rate_split_feasible,"
-                  "per_user_cost,threshold_direct,threshold_direct_physical")
-        row = ",".join([
-            str(r.config.K), str(r.j_star), _fmt_rate(r.p_aligned),
-            _fmt_rate(r.p_min), _fmt_bool(r.very_strong),
-            _fmt_rate(r.achievable_sum), _fmt_bool(r.clamp_active),
-            _fmt_rate(r.upper_sum), _fmt_rate(r.gap),
-            _fmt_rate(r.threshold_modsum), _fmt_bool(r.distortion_ok),
-            _fmt_rate(r.threshold_user_k), f"{r.alpha_star:.9f}",
-            f"{r.eff_noise_var:.9f}", _fmt_rate(r.mu),
-            _fmt_rate(r.poltyrev), _fmt_rate(r.rate_split_x),
-            _fmt_rate(r.rate_split_e), _fmt_bool(r.rate_split_feasible),
-            _fmt_rate(r.per_user_cost),
-            ";".join(_fmt_rate(v) for v in r.threshold_direct),
-            ";".join(_fmt_rate(v) for v in r.threshold_direct_physical)])
-        _emit(cfg, [f"# config: {cfg.echo()}", header, row])
+    r = rate_report(cfg.system())
+    _report(cfg, [
+        ("users K", "K", str(r.config.K)),
+        ("powers P", None, _fmt_list(r.config.P)),
+        ("cross gains a", None, _fmt_list(r.config.a)),
+        ("aligned user j*", "j_star", str(r.j_star)),
+        ("aligned received power P", "P_aligned", _fmt_rate(r.p_aligned)),
+        ("smallest power P_min", "P_min", _fmt_rate(r.p_min)),
+        ("very strong interference", "very_strong", _fmt_bool(r.very_strong)),
+        ("very-strong threshold", None, _fmt_rate(r.very_strong_threshold)),
+        ("achievable sum, bits/use", "achievable_sum",
+         _fmt_rate(r.achievable_sum)),
+        ("achievable sum clamped", "clamp_active", _fmt_bool(r.clamp_active)),
+        ("upper bound, bits/use", "upper_sum", _fmt_rate(r.upper_sum)),
+        ("gap, bits/use", "gap", _fmt_rate(r.gap)),
+        ("mod-sum threshold", "threshold_modsum",
+         _fmt_rate(r.threshold_modsum)),
+        ("residual ok", "distortion_ok", _fmt_bool(r.distortion_ok)),
+        ("user-K threshold", "threshold_user_k",
+         _fmt_rate(r.threshold_user_k)),
+        ("alpha*", "alpha_star", f"{r.alpha_star:.9f}"),
+        ("effective noise variance", "eff_noise_var",
+         f"{r.eff_noise_var:.9f}"),
+        ("mu = P/(P_K+1)", "mu", _fmt_rate(r.mu)),
+        ("Poltyrev exponent", "poltyrev", _fmt_rate(r.poltyrev)),
+        ("rate split r_x", "rate_split_x", _fmt_rate(r.rate_split_x)),
+        ("rate split r_e", "rate_split_e", _fmt_rate(r.rate_split_e)),
+        ("rate split feasible", "rate_split_feasible",
+         _fmt_bool(r.rate_split_feasible)),
+        ("per-user secrecy cost", "per_user_cost", _fmt_rate(r.per_user_cost)),
+        ("direct thresholds", "threshold_direct",
+         _joined(_fmt_rate, r.threshold_direct)),
+        ("direct thresholds (phys)", "threshold_direct_physical",
+         _joined(_fmt_rate, r.threshold_direct_physical)),
+    ])
     return 0
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    if cfg.var is None or cfg.sweep_from is None or cfg.sweep_to is None:
+    lo, hi, step = cfg.sweep_from, cfg.sweep_to, cfg.sweep_step
+    if cfg.var is None or lo is None or hi is None:
         raise UsageError("sweep needs --var, --from and --to")
-    if cfg.var not in _SWEEP_VARS:
-        raise UsageError(
-            f"unsupported sweep variable {cfg.var!r} (choose from {_SWEEP_VARS})")
+    if not (lo <= hi and step > 0):
+        raise UsageError("sweep needs from <= to and a positive step")
     base = cfg.system()
-    p_k = base.p_k
-    rows = []
-    header = ("var,value,K,a_auto,per_user_cost,achievable_sum,upper_sum,"
-              "gap,clamp_active,very_strong")
     if cfg.var == "K":
-        k_lo, k_hi = int(cfg.sweep_from), int(cfg.sweep_to)
-        step = max(int(cfg.sweep_step), 1)
-        if k_lo < 3:
+        if not all(float(v).is_integer() for v in (lo, hi, step)):
+            raise UsageError("K sweep needs integer from, to and step")
+        ks = range(int(lo), int(hi) + 1, int(step))
+        if ks[0] < 3:
             raise UsageError("K sweep must start at 3 or above")
-        values = range(k_lo, k_hi + 1, step)
-        configs = [(str(k), _symmetric_config(k, base.p_min, p_k))
-                   for k in values]
+        if ks[-1] > SWEEP_MAX:
+            raise CapacityError(f"K sweep goes above K={SWEEP_MAX}")
+        points = [(str(k), _symmetric_config(k, base.p_min, base.p_k))
+                  for k in ks]
     else:
-        if cfg.sweep_step <= 0:
-            raise UsageError("step must be positive")
-        grid = np.arange(cfg.sweep_from, cfg.sweep_to + 1e-12, cfg.sweep_step)
-        if grid.size == 0 or np.any(grid <= 0):
+        if lo <= 0:
             raise UsageError("Pmin sweep values must be positive")
-        configs = [(_fmt_rate(v), _symmetric_config(base.K, float(v), p_k))
-                   for v in grid]
-    for label, sym in configs:
+        # np.arange makes ceil((stop - start) / step) points
+        if (hi + 1e-12 - lo) / step > SWEEP_MAX:
+            raise CapacityError(f"Pmin sweep has more than {SWEEP_MAX} points")
+        points = [(_fmt_rate(v), _symmetric_config(base.K, float(v), base.p_k))
+                  for v in np.arange(lo, hi + 1e-12, step)]
+    records = []
+    for value, sym in points:
         rep = rate_report(sym)
-        rows.append(",".join([
-            cfg.var, label, str(sym.K), _fmt_rate(sym.a[0]),
-            _fmt_rate(rep.per_user_cost), _fmt_rate(rep.achievable_sum),
-            _fmt_rate(rep.upper_sum), _fmt_rate(rep.gap),
-            _fmt_bool(rep.clamp_active), _fmt_bool(rep.very_strong)]))
-    _emit(cfg, [f"# config: {cfg.echo()}", header] + rows)
+        records.append([
+            ("var", cfg.var), ("value", value), ("K", str(sym.K)),
+            ("a_auto", _fmt_rate(sym.a[0])),
+            ("per_user_cost", _fmt_rate(rep.per_user_cost)),
+            ("achievable_sum", _fmt_rate(rep.achievable_sum)),
+            ("upper_sum", _fmt_rate(rep.upper_sum)),
+            ("gap", _fmt_rate(rep.gap)),
+            ("clamp_active", _fmt_bool(rep.clamp_active)),
+            ("very_strong", _fmt_bool(rep.very_strong))])
+    _emit(cfg, records)
     return 0
 
 
@@ -355,52 +376,52 @@ def cmd_simulate(cfg: RunConfig) -> int:
             "aligned interference power must exceed P_K + 1 "
             f"(mu = {report.mu:.6f})")
     scheme = Scheme.for_config(system, cfg.pair())
-    campaign = run_campaign(scheme, cfg.trials, cfg.seed, jobs=cfg.jobs,
-                            config_echo=cfg.echo())
-    header = ("config_hash,trials,seed,e1_count,e1_rate,e1_lo,e1_hi,"
-              "e2_count,e2_rate,e2_lo,e2_hi,e3_count,e3_rate,e3_lo,e3_hi,"
-              "direct_counts,direct_rates,direct_lo,direct_hi,"
-              "mean_eff_noise_power,predicted_eff_noise_var,"
-              "mean_residual_power")
-    cells = [cfg.hash(), str(campaign.trials), str(cfg.seed)]
-    for count, rate, (lo, hi) in (
-            (campaign.e1_count, campaign.e1_rate, campaign.e1_interval),
-            (campaign.e2_count, campaign.e2_rate, campaign.e2_interval),
-            (campaign.e3_count, campaign.e3_rate, campaign.e3_interval)):
-        cells += [str(count), _fmt_prob(rate), _fmt_prob(lo), _fmt_prob(hi)]
-    direct_ci = campaign.direct_error_intervals
-    cells += [
-        ";".join(str(c) for c in campaign.direct_error_counts),
-        ";".join(_fmt_prob(r) for r in campaign.direct_error_rates),
-        ";".join(_fmt_prob(lo) for lo, _ in direct_ci),
-        ";".join(_fmt_prob(hi) for _, hi in direct_ci),
-        _fmt_rate(campaign.mean_effective_noise_power),
-        _fmt_rate(scheme.effective_noise_var),
-        _fmt_rate(campaign.mean_residual_power)]
-    _emit(cfg, [f"# config: {cfg.echo()}", header, ",".join(cells)])
+    c = run_campaign(scheme, cfg.trials, cfg.seed, jobs=cfg.jobs,
+                     config_echo=cfg.echo())
+    record = [("config_hash", cfg.hash()), ("trials", str(c.trials)),
+              ("seed", str(cfg.seed))]
+    for event, count, rate, (lo, hi) in (
+            ("e1", c.e1_count, c.e1_rate, c.e1_interval),
+            ("e2", c.e2_count, c.e2_rate, c.e2_interval),
+            ("e3", c.e3_count, c.e3_rate, c.e3_interval)):
+        record += [(f"{event}_count", str(count)),
+                   (f"{event}_rate", _fmt_prob(rate)),
+                   (f"{event}_lo", _fmt_prob(lo)),
+                   (f"{event}_hi", _fmt_prob(hi))]
+    direct_lo, direct_hi = zip(*c.direct_error_intervals)
+    record += [
+        ("direct_counts", _joined(str, c.direct_error_counts)),
+        ("direct_rates", _joined(_fmt_prob, c.direct_error_rates)),
+        ("direct_lo", _joined(_fmt_prob, direct_lo)),
+        ("direct_hi", _joined(_fmt_prob, direct_hi)),
+        ("mean_eff_noise_power", _fmt_rate(c.mean_effective_noise_power)),
+        ("predicted_eff_noise_var", _fmt_rate(scheme.effective_noise_var)),
+        ("mean_residual_power", _fmt_rate(c.mean_residual_power))]
+    _emit(cfg, [record])
     return 0
 
 
 def cmd_leakage(cfg: RunConfig) -> int:
-    pair = cfg.pair()
-    ens = DiscreteEnsemble.from_pair(pair, cfg.K)
+    ens = DiscreteEnsemble.from_pair(cfg.pair(), cfg.K)
     h_cond = conditional_entropy_given_modsum(ens)
     target = (cfg.K - 2) * ens.dimension * ens.rate_per_dim
     check = leakage_bound_check(ens)
-    chain_first = chain_conditional_entropy(ens, 1)
-    chain_last = chain_conditional_entropy(ens, ens.num_senders)
-    header = ("K,q,N,M,rate_per_dim,h_cond,identity_target,identity_ok,"
-              "chain_first,chain_last,leakage,bound,modsum_entropy,"
-              "index_entropy,index_bound,passed")
-    row = ",".join([
-        str(cfg.K), str(cfg.q), str(cfg.N), str(ens.size),
-        _fmt_rate(ens.rate_per_dim), _fmt_rate(h_cond), _fmt_rate(target),
-        _fmt_bool(abs(h_cond - target) <= 1e-12),
-        _fmt_rate(chain_first), _fmt_rate(chain_last),
-        _fmt_rate(check.leakage), _fmt_rate(check.bound),
-        _fmt_rate(check.modsum_entropy), _fmt_rate(check.index_entropy),
-        _fmt_rate(check.index_bound), _fmt_bool(check.passed)])
-    _emit(cfg, [f"# config: {cfg.echo()}", header, row])
+    _emit(cfg, [[
+        ("K", str(cfg.K)), ("q", str(cfg.q)), ("N", str(cfg.N)),
+        ("M", str(ens.size)),
+        ("rate_per_dim", _fmt_rate(ens.rate_per_dim)),
+        ("h_cond", _fmt_rate(h_cond)),
+        ("identity_target", _fmt_rate(target)),
+        ("identity_ok", _fmt_bool(abs(h_cond - target) <= 1e-12)),
+        ("chain_first", _fmt_rate(chain_conditional_entropy(ens, 1))),
+        ("chain_last",
+         _fmt_rate(chain_conditional_entropy(ens, ens.num_senders))),
+        ("leakage", _fmt_rate(check.leakage)),
+        ("bound", _fmt_rate(check.bound)),
+        ("modsum_entropy", _fmt_rate(check.modsum_entropy)),
+        ("index_entropy", _fmt_rate(check.index_entropy)),
+        ("index_bound", _fmt_rate(check.index_bound)),
+        ("passed", _fmt_bool(check.passed))]])
     return 0
 
 
@@ -409,8 +430,7 @@ def cmd_repr_check(cfg: RunConfig) -> int:
         raise UsageError(
             "repr-check certifies sums on the coarse lattice, which is "
             "cubic for every family; use --family cubic")
-    pair = cfg.pair()
-    lattice = pair.coarse
+    lattice = cfg.pair().coarse
     rng = np.random.default_rng(cfg.seed)
     k = cfg.K
     failures = 0
@@ -423,12 +443,12 @@ def cmd_repr_check(cfg: RunConfig) -> int:
             failures += 1
         max_index = max(max_index, cert.index)
     bound = k ** cfg.N
-    header = "family,q,N,K,trials,failures,max_index,index_bound,passed"
-    row = ",".join([
-        cfg.family, str(cfg.q), str(cfg.N), str(k), str(cfg.trials),
-        str(failures), str(max_index), str(bound),
-        _fmt_bool(failures == 0 and max_index <= bound)])
-    _emit(cfg, [f"# config: {cfg.echo()}", header, row])
+    _emit(cfg, [[
+        ("family", cfg.family), ("q", str(cfg.q)), ("N", str(cfg.N)),
+        ("K", str(k)), ("trials", str(cfg.trials)),
+        ("failures", str(failures)), ("max_index", str(max_index)),
+        ("index_bound", str(bound)),
+        ("passed", _fmt_bool(failures == 0 and max_index <= bound))]])
     if failures or max_index > bound:
         raise InvariantViolationError(
             f"{failures} reconstruction failures, max index {max_index}")
@@ -441,39 +461,27 @@ def cmd_lattice_info(cfg: RunConfig) -> int:
     eps = gaussian_approx_epsilon(coarse)
     r_u = covering_radius(coarse)
     r_l = effective_radius(coarse)
-    rows = [
-        ("family", cfg.family),
-        ("q", str(cfg.q)),
-        ("N", str(cfg.N)),
-        ("codebook size", str(pair.nesting_ratio)),
-        ("rate per dim", _fmt_rate(pair.rate_per_dim)),
-        ("fine scale", f"{pair.fine.scale:.9f}"),
-        ("coarse scale", f"{coarse.scale:.9f}"),
-        ("coarse second moment", _fmt_rate(second_moment(coarse))),
-        ("covering radius", f"{r_u:.9f}"),
-        ("effective radius", f"{r_l:.9f}"),
-        ("radius ratio", f"{r_u / r_l:.9f}"),
-        ("epsilon (natural log)", f"{eps.epsilon:.9f}"),
-        ("amplification exp(N*eps)", f"{eps.amplification:.9f}"),
-        ("covering-ball moment", f"{covering_ball_second_moment(coarse):.9f}"),
-        ("ball moment constant", f"{ball_normalized_second_moment(cfg.N):.9f}"),
-    ]
-    for name, value in rows:
-        print(f"  {name:<26} {value}")
-    if cfg.out:
-        header = ("family,q,N,M,rate_per_dim,fine_scale,coarse_scale,"
-                  "coarse_second_moment,covering_radius,effective_radius,"
-                  "radius_ratio,epsilon,amplification,covering_ball_moment,"
-                  "ball_constant")
-        row = ",".join([
-            cfg.family, str(cfg.q), str(cfg.N), str(pair.nesting_ratio),
-            _fmt_rate(pair.rate_per_dim), f"{pair.fine.scale:.9f}",
-            f"{coarse.scale:.9f}", _fmt_rate(second_moment(coarse)),
-            f"{r_u:.9f}", f"{r_l:.9f}", f"{r_u / r_l:.9f}",
-            f"{eps.epsilon:.9f}", f"{eps.amplification:.9f}",
-            f"{covering_ball_second_moment(coarse):.9f}",
-            f"{ball_normalized_second_moment(cfg.N):.9f}"])
-        _emit(cfg, [f"# config: {cfg.echo()}", header, row])
+    _report(cfg, [
+        ("family", "family", cfg.family),
+        ("q", "q", str(cfg.q)),
+        ("N", "N", str(cfg.N)),
+        ("codebook size", "M", str(pair.nesting_ratio)),
+        ("rate per dim", "rate_per_dim", _fmt_rate(pair.rate_per_dim)),
+        ("fine scale", "fine_scale", f"{pair.fine.scale:.9f}"),
+        ("coarse scale", "coarse_scale", f"{coarse.scale:.9f}"),
+        ("coarse second moment", "coarse_second_moment",
+         _fmt_rate(second_moment(coarse))),
+        ("covering radius", "covering_radius", f"{r_u:.9f}"),
+        ("effective radius", "effective_radius", f"{r_l:.9f}"),
+        ("radius ratio", "radius_ratio", f"{r_u / r_l:.9f}"),
+        ("epsilon (natural log)", "epsilon", f"{eps.epsilon:.9f}"),
+        ("amplification exp(N*eps)", "amplification",
+         f"{eps.amplification:.9f}"),
+        ("covering-ball moment", "covering_ball_moment",
+         f"{covering_ball_second_moment(coarse):.9f}"),
+        ("ball moment constant", "ball_constant",
+         f"{ball_normalized_second_moment(cfg.N):.9f}"),
+    ])
     return 0
 
 
@@ -481,30 +489,17 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="lsl", description=__doc__)
     common = _Parser(add_help=False)
     common.add_argument("--config", help="key=value config file")
-    common.add_argument("--K", type=int, dest="K")
-    common.add_argument("--P", help="comma list of K powers")
-    common.add_argument("--a", help="comma list of K-1 cross gains")
-    common.add_argument("--family", choices=(CUBIC, CONSTRUCTION_A))
-    common.add_argument("--q", type=int)
-    common.add_argument("--N", type=int, dest="N")
-    common.add_argument("--generator",
-                        help="code rows, e.g. '1,1' or '1,0;0,1'")
-    common.add_argument("--trials", type=int)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--out", help="write CSV here instead of stdout")
-    common.add_argument("--jobs", type=int, help="worker threads for simulate")
+    sweep_only = _Parser(add_help=False)
+    for key, spec in _KEYS.items():
+        (sweep_only if spec.sweep else common).add_argument(
+            f"--{key}", dest=key, help=spec.help)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, func in (("rates", cmd_rates), ("simulate", cmd_simulate),
-                       ("leakage", cmd_leakage), ("repr-check", cmd_repr_check),
-                       ("lattice-info", cmd_lattice_info)):
-        p = sub.add_parser(name, parents=[common])
-        p.set_defaults(func=func)
-    p = sub.add_parser("sweep", parents=[common])
-    p.add_argument("--var", choices=_SWEEP_VARS)
-    p.add_argument("--from", type=float, dest="sweep_from")
-    p.add_argument("--to", type=float, dest="sweep_to")
-    p.add_argument("--step", type=float, dest="sweep_step")
-    p.set_defaults(func=cmd_sweep)
+    for name in ("rates", "sweep", "simulate", "leakage", "repr-check",
+                 "lattice-info"):
+        # looked up per call, so a patched module attribute is honoured
+        func = globals()["cmd_" + name.replace("-", "_")]
+        parents = [common, sweep_only] if name == "sweep" else [common]
+        sub.add_parser(name, parents=parents).set_defaults(func=func)
     return parser
 
 

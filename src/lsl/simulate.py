@@ -52,6 +52,9 @@ from .rates import SystemConfig, mmse_coefficients
 
 _WILSON_Z95 = 1.959963984540054
 
+#: Most trials one campaign chunk holds in memory at once.
+_BLOCK = 4096
+
 
 @dataclass(frozen=True, eq=False)
 class Scheme:
@@ -508,27 +511,31 @@ def run_campaign(scheme: Scheme, trials: int, master_seed: int,
     """Run ``trials`` independent trials and fold the outcomes.
 
     Trials are independent given their derived seeds, so any number of
-    worker threads produces the identical report: workers own contiguous
-    index chunks and results are concatenated in index order before the
-    single final aggregation.  There are at most ``trials`` chunks and
-    ``os.cpu_count()`` threads, whatever ``jobs`` asks for.
+    worker threads produces the identical report.  The trials are split
+    into contiguous chunks of at most ``_BLOCK`` trials (and at least
+    ``min(jobs, trials)`` chunks); each chunk derives its own seeds, so
+    memory stays bounded for any ``trials``.  The per-trial results are
+    concatenated in index order before the single final aggregation.
+    There are at most ``os.cpu_count()`` threads, whatever ``jobs`` asks
+    for.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     if jobs < 1:
         raise ValueError("jobs must be positive")
-    seeds = [derive_trial_seed(master_seed, i) for i in range(trials)]
-    chunks = min(jobs, trials)
-    if chunks == 1:
-        parts = [_batch_trial_arrays(scheme, seeds, noiseless)]
+    chunks = max(min(jobs, trials), math.ceil(trials / _BLOCK))
+    bounds = [i * trials // chunks for i in range(chunks + 1)]
+
+    def run_chunk(lo, hi):
+        seeds = [derive_trial_seed(master_seed, i) for i in range(lo, hi)]
+        return _batch_trial_arrays(scheme, seeds, noiseless)
+
+    workers = min(jobs, chunks, os.cpu_count() or 1)
+    if workers == 1:
+        parts = list(map(run_chunk, bounds[:-1], bounds[1:]))
     else:
-        bounds = [i * trials // chunks for i in range(chunks + 1)]
-        with ThreadPoolExecutor(
-                max_workers=min(chunks, os.cpu_count() or 1)) as pool:
-            parts = list(pool.map(
-                lambda lo, hi: _batch_trial_arrays(scheme, seeds[lo:hi],
-                                                   noiseless),
-                bounds[:-1], bounds[1:]))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(run_chunk, bounds[:-1], bounds[1:]))
     merged = {key: np.concatenate([p[key] for p in parts])
               for key in parts[0]}
     direct_counts = tuple(

@@ -1,6 +1,15 @@
 """CLI contract: subcommands, config precedence, CSV determinism, exits."""
 
-from lsl.cli import main
+import pytest
+
+from lsl.cli import (
+    SWEEP_MAX,
+    _KEYS,
+    RunConfig,
+    _build_parser,
+    _resolve_config,
+    main,
+)
 
 
 def read(path):
@@ -15,6 +24,14 @@ class TestRates:
         assert "2.459432" in out
         assert "3.459432" in out
         assert "1.000000" in out
+
+    def test_text_shows_inputs_and_threshold(self, capsys):
+        assert main(["rates"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for label, cell in (("powers P", "10,10,10"), ("cross gains a", "12,12"),
+                            ("very-strong threshold", "11.550000"),
+                            ("upper bound, bits/use", "3.459432")):
+            assert f"  {label:<26} {cell}" in lines
 
     def test_csv_output(self, tmp_path):
         out = tmp_path / "rates.csv"
@@ -104,6 +121,68 @@ class TestConfigPrecedence:
     def test_missing_config_file(self, tmp_path):
         assert main(["rates", "--config", str(tmp_path / "absent.cfg")]) == 1
 
+    @pytest.mark.parametrize("line", ["family=bogus", "from=abc"])
+    def test_bad_config_value_names_its_key(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# header\n{line}\n")
+        assert main(["rates", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"run.cfg:2: cannot parse {line.split('=')[0]}=" in err
+
+
+def resolve(argv):
+    return _resolve_config(_build_parser().parse_args(argv))
+
+
+class TestConfigKeys:
+    # one value per key, each different from its default
+    VALUES = {
+        "K": "4", "P": "1,2,3.5,4", "a": "5,6,7", "family": "construction-a",
+        "q": "3", "N": "4", "generator": "1,0,1,1;0,1,1,2", "trials": "50",
+        "seed": "9", "out": "x.csv", "jobs": "2", "var": "Pmin",
+        "from": "2", "to": "5", "step": "0.5",
+    }
+
+    def test_flag_and_file_give_the_same_config(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("LSL_SEED", raising=False)
+        assert set(self.VALUES) == set(_KEYS)
+        default = RunConfig()
+        for key, text in self.VALUES.items():
+            cfg_file = tmp_path / f"{key}.cfg"
+            cfg_file.write_text(f"{key} = {text}\n")
+            by_flag = resolve(["sweep", f"--{key}", text])
+            by_file = resolve(["sweep", "--config", str(cfg_file)])
+            assert by_flag == by_file, key
+            field = _KEYS[key].field
+            assert getattr(by_flag, field) != getattr(default, field), key
+
+    @pytest.mark.parametrize("cfg", [
+        RunConfig(),
+        RunConfig(P=(10.0, 10.0, 10.0000004), a=(12.0, 12.0000003)),
+        RunConfig(P=(0.1, 1 / 3, 123456789.0), a=(1e-7, 2.5e300)),
+        RunConfig(family="construction-a", generator=((1, 0, 1), (0, 1, 2))),
+    ])
+    def test_echo_is_lossless(self, cfg):
+        for key, spec in _KEYS.items():
+            if spec.show:
+                value = getattr(cfg, spec.field)
+                assert spec.parse(spec.show(value)) == value, key
+
+    def test_close_configs_hash_apart(self, tmp_path):
+        paths = [tmp_path / "exact.csv", tmp_path / "close.csv"]
+        base = ["simulate", "--trials", "5"]
+        assert main(base + ["--out", str(paths[0])]) == 0
+        assert main(base + ["--P", "10,10,10.0000004", "--a", "12,12.0000003",
+                            "--out", str(paths[1])]) == 0
+        exact, close = (read(p).decode().splitlines() for p in paths)
+        assert exact[0] != close[0]
+        assert exact[2].split(",")[0] != close[2].split(",")[0]
+        assert exact[2].split(",")[0] == RunConfig(trials=5).hash()
+
+    def test_jobs_flag_is_accepted(self):
+        assert resolve(["simulate", "--jobs", "3"]).jobs == 3
+        assert main(["simulate", "--jobs", "0"]) == 1
+
 
 class TestSweep:
     def test_cost_curve_endpoints(self, tmp_path):
@@ -126,6 +205,45 @@ class TestSweep:
                      "--step", "2.5", "--out", str(out)]) == 0
         lines = read(out).decode().splitlines()
         assert len(lines) == 2 + 3
+
+    @pytest.mark.parametrize("var", ["K", "Pmin"])
+    @pytest.mark.parametrize("bounds", [["10", "5"], ["3", "5", "-2"],
+                                        ["3", "5", "0"]])
+    def test_empty_or_backward_grid_is_a_usage_error(self, tmp_path, var,
+                                                     bounds):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--var", var, "--from", bounds[0], "--to", bounds[1]]
+        if len(bounds) == 3:
+            argv += ["--step", bounds[2]]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_k_sweep_needs_integers(self):
+        assert main(["sweep", "--var", "K", "--from", "3.5", "--to", "5"]) == 1
+
+    def test_pmin_sweep_over_cap(self, tmp_path, capsys):
+        # 10,001 points at K=3: cheap even when the grid is built
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--var", "Pmin", "--from", "1",
+                     "--to", str(SWEEP_MAX + 1), "--out", str(out)]) == 2
+        assert "10000" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_k_sweep_over_cap(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        big = str(SWEEP_MAX + 1)
+        assert main(["sweep", "--var", "K", "--from", big, "--to", big,
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert main(["sweep", "--var", "K", "--from", "3", "--to", "1e300",
+                     "--out", str(out)]) == 2
+
+    def test_k_sweep_at_cap(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        top = str(SWEEP_MAX)
+        assert main(["sweep", "--var", "K", "--from", top, "--to", top,
+                     "--out", str(out)]) == 0
+        assert len(read(out).decode().splitlines()) == 3
 
 
 class TestSimulateCsv:
@@ -189,6 +307,14 @@ class TestReprCheck:
                      "--out", str(out)]) == 1
         assert "--family cubic" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestOutputFile:
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "dir" / "sim.csv"
+        assert main(["simulate", "--trials", "5", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "cannot write" in err and "Traceback" not in err
 
 
 class TestLatticeInfo:

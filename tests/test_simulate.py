@@ -378,6 +378,25 @@ class TestReproducibility:
             run_campaign(scheme, 3, 12, jobs=1)
         assert len(workers) == 1 and workers[0] <= 3
 
+    def test_report_is_independent_of_block_size(self, monkeypatch):
+        import lsl.simulate
+        scheme = default_scheme()
+        expected = run_campaign(scheme, 50, 4, jobs=1)
+        sizes = []
+        engine = lsl.simulate._batch_trial_arrays
+
+        def recording_engine(scheme, seeds, noiseless):
+            sizes.append(len(seeds))
+            return engine(scheme, seeds, noiseless)
+
+        monkeypatch.setattr(lsl.simulate, "_BLOCK", 7)
+        monkeypatch.setattr(lsl.simulate, "_batch_trial_arrays",
+                            recording_engine)
+        for jobs in (1, 4, 7):
+            sizes.clear()
+            assert run_campaign(scheme, 50, 4, jobs=jobs) == expected
+            assert sum(sizes) == 50 and max(sizes) <= 7
+
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
             run_campaign(default_scheme(), 0, 1)
