@@ -14,7 +14,8 @@ with six fixed decimals, probabilities in scientific notation, and the
 config echo is lossless.
 
 Exit codes: 0 success, 1 usage or parse error (an unwritable ``--out``
-too), 2 infeasible configuration or a cap exceeded, 3 internal invariant
+too; a missing ``--out`` directory is caught before any work), 2
+infeasible configuration or a cap exceeded, 3 internal invariant
 violation.
 """
 from __future__ import annotations
@@ -507,6 +508,8 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         cfg = _resolve_config(args)
+        if cfg.out and not os.path.isdir(os.path.dirname(cfg.out) or "."):
+            raise UsageError(f"cannot write {cfg.out}: no such directory")
         return args.func(cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

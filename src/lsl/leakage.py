@@ -3,9 +3,12 @@
 The eavesdropper-relevant observation of the K-1 interfering codewords
 reduces to the pair (folded sum, candidate index): the mod-sum of the
 codewords plus the small integer that pins down their true integer sum.
-Everything here is computed from exact integer tallies over the uniform
+Everything here derives from one exact integer tally over the uniform
 product distribution (denominators are powers of the codebook size), so
 the entropy identities hold to float rounding, not to sampling error.
+``DiscreteEnsemble._sum_counts`` tallies the distinct raw coordinate sums
+as int64 rows; the folded sums, the candidate indices and the chain terms
+are read off it, and its memory never exceeds the joint state count.
 
 Entropies are in bits.  Elements are centered coordinate tuples of the
 quotient fine/coarse, a group under coordinate addition mod q.
@@ -32,7 +35,8 @@ class DiscreteEnsemble:
     ``elements`` are the coset leaders as centered integer coordinate
     tuples; they form a group under coordinate addition mod q.  The
     joint state space has size M^(K-1) and each op checks it against
-    ``state_cap`` before enumerating.
+    ``state_cap`` before enumerating; construction checks the M^2 pair
+    sums of its closure test the same way, first.
     """
 
     elements: tuple[tuple[int, ...], ...]
@@ -50,12 +54,12 @@ class DiscreteEnsemble:
             raise ValueError("codebook is empty")
         if len(set(self.elements)) != len(self.elements):
             raise ValueError("duplicate codebook elements")
-        element_set = set(self.elements)
-        for a in self.elements:
-            for b in self.elements:
-                if self._add(a, b) not in element_set:
-                    raise ValueError(
-                        "codebook is not closed under mod-q addition")
+        self._check_cap(2)
+        # Closed iff the folded pair sums add no row to the elements.
+        rows = np.vstack([np.array(self.elements, dtype=np.int64),
+                          _centered_mod(self._sum_counts(2)[0], self.q)])
+        if len(_tally(rows, np.zeros(len(rows), np.int64))[0]) != self.size:
+            raise ValueError("codebook is not closed under mod-q addition")
 
     @classmethod
     def from_pair(cls, pair: NestedPair, num_users: int,
@@ -76,48 +80,50 @@ class DiscreteEnsemble:
     def rate_per_dim(self) -> float:
         return math.log2(self.size) / self.dimension
 
-    def _centered(self, value: int) -> int:
-        r = value % self.q
-        return r - self.q if 2 * r > self.q else r
-
-    def _add(self, a, b):
-        return tuple(self._centered(x + y) for x, y in zip(a, b))
-
     def _check_cap(self, exponent: int):
         if self.size ** exponent > self.state_cap:
             raise CapacityError(
                 f"state space {self.size}^{exponent} exceeds cap "
                 f"{self.state_cap}")
 
-    def _group_sum_counts(self, num_vars: int) -> dict:
-        """Exact tally of the folded sum of ``num_vars`` uniform elements."""
-        counts = {(0,) * self.dimension: 1}
+    def _sum_counts(self, num_vars: int):
+        """Exact tally of the raw integer sum of ``num_vars`` elements.
+
+        Returns the distinct sums as (S, N) int64 rows and their int64
+        counts.  Each step adds every element to every support row, so
+        memory is at most (support x M) rows, never the dense sum box.
+        """
+        elements = np.array(self.elements, dtype=np.int64)
+        sums = np.zeros((1, self.dimension), dtype=np.int64)
+        counts = np.ones(1, dtype=np.int64)
         for _ in range(num_vars):
-            nxt: dict = {}
-            for s, c in counts.items():
-                for e in self.elements:
-                    key = self._add(s, e)
-                    nxt[key] = nxt.get(key, 0) + c
-            counts = nxt
-        return counts
+            sums, counts = _tally(
+                (sums[:, None, :] + elements).reshape(-1, self.dimension),
+                np.repeat(counts, self.size))
+        return sums, counts
 
-    def _integer_sum_counts(self, num_vars: int) -> dict:
-        """Exact tally of the raw (unfolded) integer coordinate sum."""
-        counts = {(0,) * self.dimension: 1}
-        for _ in range(num_vars):
-            nxt: dict = {}
-            for s, c in counts.items():
-                for e in self.elements:
-                    key = tuple(x + y for x, y in zip(s, e))
-                    nxt[key] = nxt.get(key, 0) + c
-            counts = nxt
-        return counts
+    def _folded_counts(self, num_vars: int) -> np.ndarray:
+        """Counts of the distinct folded sums of ``num_vars`` elements."""
+        sums, counts = self._sum_counts(num_vars)
+        return _tally(_centered_mod(sums, self.q), counts)[1]
 
 
-def _entropy_bits(counts: dict) -> float:
-    total = sum(counts.values())
-    return math.log2(total) - sum(
-        c * math.log2(c) for c in counts.values() if c > 1) / total
+def _tally(keys: np.ndarray, counts: np.ndarray):
+    """Merge the equal rows of ``keys`` (S, N), adding up their counts."""
+    order = np.lexsort(keys.T[::-1])
+    keys, counts = keys[order], counts[order]
+    starts = np.flatnonzero(np.concatenate(
+        ([True], np.any(keys[1:] != keys[:-1], axis=1))))
+    return keys[starts], np.add.reduceat(counts, starts)
+
+
+def _plogp(counts: np.ndarray) -> float:
+    return sum(c * math.log2(c) for c in counts.tolist() if c > 1)
+
+
+def _entropy_bits(counts: np.ndarray) -> float:
+    total = int(counts.sum())
+    return math.log2(total) - _plogp(counts) / total
 
 
 def conditional_entropy_given_modsum(ens: DiscreteEnsemble) -> float:
@@ -129,9 +135,8 @@ def conditional_entropy_given_modsum(ens: DiscreteEnsemble) -> float:
     payload hidden behind the mod-sum observation.
     """
     ens._check_cap(ens.num_senders)
-    sum_counts = ens._group_sum_counts(ens.num_senders)
     total = ens.size ** ens.num_senders
-    return sum(c * math.log2(c) for c in sum_counts.values() if c > 1) / total
+    return _plogp(ens._folded_counts(ens.num_senders)) / total
 
 
 def chain_conditional_entropy(ens: DiscreteEnsemble, j: int) -> float:
@@ -139,20 +144,16 @@ def chain_conditional_entropy(ens: DiscreteEnsemble, j: int) -> float:
 
     The tail sum one-time-pads t_j whenever at least one other variable
     participates, giving the full per-codeword entropy; the last term
-    (j = K-1) is zero because the sum then determines t_j.
+    (j = K-1) is zero because the sum then determines t_j.  In a group
+    (t_j, tail sum) and (t_j, rest sum) determine each other and t_j is
+    independent of the rest, so H(t_j, tail) = log2 M + H(rest).
     """
     if not 1 <= j <= ens.num_senders:
         raise ValueError("term index out of range")
     ens._check_cap(ens.num_senders - j + 1)
-    rest = ens._group_sum_counts(ens.num_senders - j)
-    joint: dict = {}
-    s_marginal: dict = {}
-    for t in ens.elements:
-        for s_rest, c in rest.items():
-            s = ens._add(t, s_rest)
-            joint[(t, s)] = joint.get((t, s), 0) + c
-            s_marginal[s] = s_marginal.get(s, 0) + c
-    return _entropy_bits(joint) - _entropy_bits(s_marginal)
+    rest = ens._folded_counts(ens.num_senders - j)
+    tail = ens._folded_counts(ens.num_senders - j + 1)
+    return math.log2(ens.size) + _entropy_bits(rest) - _entropy_bits(tail)
 
 
 @dataclass(frozen=True)
@@ -176,31 +177,22 @@ def leakage_bound_check(ens: DiscreteEnsemble) -> LeakageCheck:
     codebook entropy N*R and the index at most N*log2(K-1) bits.
     """
     ens._check_cap(ens.num_senders)
-    raw_counts = ens._integer_sum_counts(ens.num_senders)
-    raw = np.array(list(raw_counts), dtype=np.int64)
+    raw, counts = ens._sum_counts(ens.num_senders)
     folded = _centered_mod(raw, ens.q)
     # In coarse-cell units the folded sum is folded/q and the removed
     # coarse point has integer coordinates (raw - folded)/q.
     indices = window_index(folded / ens.q, (raw - folded) // ens.q,
                            ens.num_senders)
-    label_counts: dict = {}
-    index_counts: dict = {}
-    folded_counts: dict = {}
-    for fold, index, c in zip(map(tuple, folded.tolist()),
-                              indices.tolist(), raw_counts.values()):
-        key = (fold, index)
-        label_counts[key] = label_counts.get(key, 0) + c
-        index_counts[index] = index_counts.get(index, 0) + c
-        folded_counts[fold] = folded_counts.get(fold, 0) + c
     n = ens.dimension
-    leakage = _entropy_bits(label_counts)
+    # (folded sum, index) determines the raw sum and back: same entropy.
+    leakage = _entropy_bits(counts)
     bound = n * ens.rate_per_dim + n * math.log2(ens.num_senders)
-    index_entropy = _entropy_bits(index_counts)
+    index_entropy = _entropy_bits(_tally(indices[:, None], counts)[1])
     index_bound = n * math.log2(ens.num_senders)
     return LeakageCheck(
         leakage=leakage,
         bound=bound,
-        modsum_entropy=_entropy_bits(folded_counts),
+        modsum_entropy=_entropy_bits(_tally(folded, counts)[1]),
         index_entropy=index_entropy,
         index_bound=index_bound,
         passed=(leakage <= bound + 1e-12

@@ -6,15 +6,15 @@ lies in the K-fold dilation K*V, so the lattice point removed by the
 modulo reduction belongs to a small geometric candidate list.  A
 certificate stores the reduction ``folded`` together with the 1-based
 position ``index`` of that point in the lexicographically ordered list.
-For a cubic lattice the list always has exactly K^dimension entries
-(one length-K integer window per coordinate), so the index fits in
-dimension*log2(K) bits.
+Certificates live on the coarse lattice, which is cubic for every nested
+pair, so only cubic lattices are accepted.  The list always has exactly
+K^dimension entries (one length-K integer window per coordinate), so the
+index fits in dimension*log2(K) bits.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,40 +99,27 @@ def window_index(u, coords, num_points: int) -> np.ndarray:
     return index + 1
 
 
+def _require_cubic(lat: Lattice):
+    if lat.family != CUBIC:
+        raise ValueError("sum certificates need a cubic lattice")
+
+
 def candidate_set(folded, num_points: int, lat: Lattice) -> list[LatticePoint]:
     """Lattice points l with folded + l inside the K-fold dilated cell.
 
     Ordered lexicographically by coordinates.  ``folded`` must lie in the
-    fundamental cell.  For cubic lattices the set is a Cartesian product
-    of per-coordinate integer windows of length exactly ``num_points``;
-    other families fall back to a bounded box search (dilated coarse-cell
-    covering ball plus one lattice layer of slack).
+    fundamental cell of the cubic ``lat``.  The set is a Cartesian product
+    of per-coordinate integer windows of length exactly ``num_points``.
     """
+    _require_cubic(lat)
     folded = np.asarray(folded, dtype=float)
     if num_points < 1:
         raise ValueError("num_points must be >= 1")
     if not in_voronoi(lat, folded):
         raise ValueError("folded vector lies outside the fundamental cell")
-    if lat.family == CUBIC:
-        lows = _window_lows(folded / lat.scale, num_points)
-        ranges = [range(int(lo), int(lo) + num_points) for lo in lows]
-        return [LatticePoint(c, lat) for c in itertools.product(*ranges)]
-    # Generic path: enumerate codeword cosets inside a safe box.  The
-    # fine cell sits inside the coarse cell's covering ball of radius
-    # q*scale*sqrt(N)/2, which bounds every dilated-cell coordinate.
-    q = lat.modulus
-    n = lat.dimension
-    reach = num_points * q * math.sqrt(n) / 2 + q  # fine-coordinate units
-    u = folded / lat.scale
-    zmax = int(math.ceil((reach + float(np.max(np.abs(u)))) / q)) + 1
-    shifts = q * np.array(list(itertools.product(range(-zmax, zmax + 1),
-                                                 repeat=n)), dtype=np.int64)
-    found = []
-    for c in lat.codewords:
-        v = np.asarray(c, dtype=np.int64) + shifts
-        inside = in_voronoi(lat, (folded + lat.scale * v) / num_points)
-        found += map(tuple, v[inside].tolist())
-    return [LatticePoint(c, lat) for c in sorted(found)]
+    lows = _window_lows(folded / lat.scale, num_points)
+    ranges = [range(int(lo), int(lo) + num_points) for lo in lows]
+    return [LatticePoint(c, lat) for c in itertools.product(*ranges)]
 
 
 def certify_sum(points, lat: Lattice) -> SumCertificate:
@@ -141,6 +128,7 @@ def certify_sum(points, lat: Lattice) -> SumCertificate:
     The removed lattice point must appear in the candidate list; a miss is
     an internal invariant violation, never expected behavior.
     """
+    _require_cubic(lat)
     arrs = [np.asarray(p, dtype=float) for p in points]
     num_points = len(arrs)
     folded = mod_sum(arrs, lat)
@@ -150,16 +138,7 @@ def certify_sum(points, lat: Lattice) -> SumCertificate:
     if not np.allclose(raw, coords, atol=1e-6):
         raise InvariantViolationError(
             "difference between sum and its reduction is not a lattice point")
-    if lat.family == CUBIC:
-        index = int(window_index(folded / lat.scale, coords, num_points))
-    else:
-        target = tuple(int(c) for c in coords)
-        candidates = [p.coords for p in candidate_set(folded, num_points, lat)]
-        try:
-            index = candidates.index(target) + 1
-        except ValueError:
-            raise InvariantViolationError(
-                "removed lattice point missing from candidate set") from None
+    index = int(window_index(folded / lat.scale, coords, num_points))
     return SumCertificate(folded=tuple(float(v) for v in folded),
                           index=index, num_points=num_points, lattice=lat)
 
@@ -167,21 +146,15 @@ def certify_sum(points, lat: Lattice) -> SumCertificate:
 def reconstruct_sum(cert: SumCertificate) -> np.ndarray:
     """Invert ``certify_sum``: the exact real sum of the original points."""
     lat = cert.lattice
+    _require_cubic(lat)
     k = cert.num_points
     folded = np.asarray(cert.folded, dtype=float)
-    if lat.family == CUBIC:
-        count = k ** lat.dimension
-        if not 1 <= cert.index <= count:
-            raise InvalidCertificateError(
-                f"index {cert.index} outside 1..{count}")
-        # Mixed-radix digits of index - 1, most significant first.
-        offsets = [(cert.index - 1) // k ** j % k
-                   for j in reversed(range(lat.dimension))]
-        coords = _window_lows(folded / lat.scale, k) + np.array(
-            offsets, dtype=np.int64)
-        return folded + lat.scale * coords.astype(float)
-    candidates = candidate_set(folded, k, lat)
-    if not 1 <= cert.index <= len(candidates):
-        raise InvalidCertificateError(
-            f"index {cert.index} outside 1..{len(candidates)}")
-    return folded + candidates[cert.index - 1].embed()
+    count = k ** lat.dimension
+    if not 1 <= cert.index <= count:
+        raise InvalidCertificateError(f"index {cert.index} outside 1..{count}")
+    # Mixed-radix digits of index - 1, most significant first.
+    offsets = [(cert.index - 1) // k ** j % k
+               for j in reversed(range(lat.dimension))]
+    coords = _window_lows(folded / lat.scale, k) + np.array(
+        offsets, dtype=np.int64)
+    return folded + lat.scale * coords.astype(float)

@@ -511,26 +511,26 @@ def run_campaign(scheme: Scheme, trials: int, master_seed: int,
     """Run ``trials`` independent trials and fold the outcomes.
 
     Trials are independent given their derived seeds, so any number of
-    worker threads produces the identical report.  The trials are split
-    into contiguous chunks of at most ``_BLOCK`` trials (and at least
-    ``min(jobs, trials)`` chunks); each chunk derives its own seeds, so
-    memory stays bounded for any ``trials``.  The per-trial results are
-    concatenated in index order before the single final aggregation.
-    There are at most ``os.cpu_count()`` threads, whatever ``jobs`` asks
-    for.
+    worker threads produces the identical report.  There are
+    ``min(jobs, trials, os.cpu_count())`` workers, whatever ``jobs`` asks
+    for.  The trials are split into contiguous chunks of at most
+    ``_BLOCK`` trials (and at least one per worker); each chunk derives
+    its own seeds, so memory stays bounded for any ``trials``.  The
+    per-trial results are concatenated in index order before the single
+    final aggregation.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     if jobs < 1:
         raise ValueError("jobs must be positive")
-    chunks = max(min(jobs, trials), math.ceil(trials / _BLOCK))
+    workers = min(jobs, trials, os.cpu_count() or 1)
+    chunks = max(workers, math.ceil(trials / _BLOCK))
     bounds = [i * trials // chunks for i in range(chunks + 1)]
 
     def run_chunk(lo, hi):
         seeds = [derive_trial_seed(master_seed, i) for i in range(lo, hi)]
         return _batch_trial_arrays(scheme, seeds, noiseless)
 
-    workers = min(jobs, chunks, os.cpu_count() or 1)
     if workers == 1:
         parts = list(map(run_chunk, bounds[:-1], bounds[1:]))
     else:

@@ -316,6 +316,25 @@ class TestOutputFile:
         err = capsys.readouterr().err
         assert "cannot write" in err and "Traceback" not in err
 
+    def test_missing_directory_fails_before_the_campaign(
+            self, tmp_path, capsys, monkeypatch):
+        import lsl.cli
+
+        def no_campaign(*args, **kwargs):
+            raise AssertionError("campaign ran before the --out check")
+
+        monkeypatch.setattr(lsl.cli, "run_campaign", no_campaign)
+        out = tmp_path / "missing" / "sim.csv"
+        assert main(["simulate", "--trials", "100000",
+                     "--out", str(out)]) == 1
+        assert "cannot write" in capsys.readouterr().err
+
+    def test_directory_as_out_is_a_usage_error(self, tmp_path, capsys):
+        # the directory exists, so the write itself fails in _emit
+        assert main(["leakage", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "cannot write" in err and "Traceback" not in err
+
 
 class TestLatticeInfo:
     def test_prints_diagnostics(self, capsys):

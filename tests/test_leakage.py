@@ -4,8 +4,11 @@ import itertools
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from lsl.errors import CapacityError
+from lsl.cli import main
+from lsl.errors import CapacityError, InvalidCodeError
 from lsl.lattices import make_construction_a_pair, make_cubic_pair
 from lsl.leakage import (
     DiscreteEnsemble,
@@ -36,11 +39,19 @@ def brute_force_stats(ens):
     modsum_dist = {}
     label_dist = {}
     index_dist = {}
+    # chain term j: joint (t_j, folded t_j + ... + t_{K-1}) and its sum
+    chain_joint = [{} for _ in range(k1)]
+    chain_sum = [{} for _ in range(k1)]
     for combo in itertools.product(ens.elements, repeat=k1):
         raw = tuple(sum(c) for c in zip(*combo))
         m = tuple(centered(v) for v in raw)
         modsum_dist[m] = modsum_dist.get(m, 0) + 1
         joint_given_modsum[(combo, m)] = 1
+        for j in range(k1):
+            tail = tuple(centered(sum(c)) for c in zip(*combo[j:]))
+            key = (combo[j], tail)
+            chain_joint[j][key] = chain_joint[j].get(key, 0) + 1
+            chain_sum[j][tail] = chain_sum[j].get(tail, 0) + 1
         idx = 0
         for m_j, v_j in zip(m, raw):
             offset = (v_j - m_j) // q - window_low(m_j)
@@ -57,7 +68,34 @@ def brute_force_stats(ens):
         "leakage": entropy(label_dist),
         "modsum_entropy": entropy(modsum_dist),
         "index_entropy": entropy(index_dist),
+        "chain": [entropy(chain_joint[j]) - entropy(chain_sum[j])
+                  for j in range(k1)],
     }
+
+
+STATE_LIMIT = 5_000
+
+
+@st.composite
+def small_ensembles(draw):
+    """Cubic pairs and random Construction-A codes, K in {3, 4, 5}, with
+    at most STATE_LIMIT joint states."""
+    k = draw(st.sampled_from((3, 4, 5)))
+    q = draw(st.integers(2, 5))
+    # largest number of base-q digits per codeword within the state limit
+    digits = max(r for r in range(1, 8) if q ** (r * (k - 1)) <= STATE_LIMIT)
+    if draw(st.booleans()):
+        pair = make_cubic_pair(q, draw(st.integers(1, digits)))
+    else:
+        n = draw(st.integers(1, 6))
+        rows = draw(st.integers(1, min(n, digits)))
+        row = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+        generator = draw(st.lists(row, min_size=rows, max_size=rows))
+        try:
+            pair = make_construction_a_pair(q, n, generator)
+        except InvalidCodeError:
+            assume(False)
+    return DiscreteEnsemble.from_pair(pair, k)
 
 
 class TestConditionalEntropy:
@@ -99,6 +137,12 @@ class TestConditionalEntropy:
                                          state_cap=100)
         with pytest.raises(CapacityError):
             conditional_entropy_given_modsum(ens)
+
+    def test_cap_checked_at_construction(self):
+        # 27^2 pair sums exceed the cap before the closure check runs
+        with pytest.raises(CapacityError):
+            DiscreteEnsemble.from_pair(make_cubic_pair(3, 3), 3,
+                                       state_cap=100)
 
 
 class TestChainTerms:
@@ -194,3 +238,48 @@ class TestEnsembleValidation:
         with pytest.raises(ValueError):
             DiscreteEnsemble(elements=((0,), (0,)), q=2, dimension=1,
                              num_users=3)
+
+
+class TestAgainstBruteForce:
+    @settings(max_examples=40, deadline=None)
+    @given(small_ensembles())
+    def test_all_quantities_match(self, ens):
+        oracle = brute_force_stats(ens)
+        check = leakage_bound_check(ens)
+        assert conditional_entropy_given_modsum(ens) == pytest.approx(
+            oracle["h_cond"], abs=1e-12)
+        for j, expected in enumerate(oracle["chain"], start=1):
+            assert chain_conditional_entropy(ens, j) == pytest.approx(
+                expected, abs=1e-12)
+        assert check.leakage == pytest.approx(oracle["leakage"], abs=1e-12)
+        assert check.modsum_entropy == pytest.approx(
+            oracle["modsum_entropy"], abs=1e-12)
+        assert check.index_entropy == pytest.approx(
+            oracle["index_entropy"], abs=1e-12)
+
+
+# Rows printed by the dict-of-tuples tallies that the integer tally
+# replaced.  The q=2 code's K^N window indices pass int64; the q=3 code's
+# generator columns are the base-3 digits of 0..59.
+LONG_CODES = {
+    "q2-N64-ones": (
+        ["--q", "2", "--N", "64", "--generator", ",".join(["1"] * 64)],
+        "3,2,64,2,0.015625,1.000000,1.000000,1,1.000000,0.000000,1.500000,"
+        "65.000000,1.000000,0.811278,64.000000,1"),
+    "q3-N60-three-rows": (
+        ["--q", "3", "--N", "60", "--K", "4", "--generator",
+         ";".join(",".join(str(i // 3 ** r % 3) for i in range(60))
+                  for r in range(3))],
+        "4,3,60,27,0.079248,9.509775,9.509775,1,4.754888,0.000000,"
+        "11.385991,99.852638,4.754888,9.192478,95.097750,1"),
+}
+
+
+class TestLongCodes:
+    @pytest.mark.parametrize("name", sorted(LONG_CODES))
+    def test_row_is_pinned(self, name, tmp_path):
+        args, row = LONG_CODES[name]
+        out = tmp_path / "leak.csv"
+        assert main(["leakage", "--family", "construction-a", *args,
+                     "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[2] == row

@@ -11,10 +11,10 @@ from lsl.lattices import (
     CUBIC,
     Lattice,
     make_cubic_pair,
-    mod_lattice,
     sample_dither,
 )
 from lsl.representation import (
+    SumCertificate,
     candidate_set,
     certify_sum,
     mod_sum,
@@ -183,18 +183,21 @@ class TestUniqueness:
             assert all(len(s) <= k ** 1 for s in per_fold.values())
 
 
-class TestConstructionAPath:
-    def test_round_trip_on_coded_lattice(self):
+class TestNonCubicLattice:
+    def test_is_rejected(self):
+        # certificates live on the coarse lattice, which is always cubic
         lat = Lattice(dimension=2, family=CONSTRUCTION_A, scale_sq=1.0,
                       modulus=2, generator=((1, 1),),
                       codewords=((0, 0), (1, 1)))
-        rng = np.random.default_rng(31)
-        for _ in range(200):
-            pts = [mod_lattice(lat, rng.uniform(-4, 4, size=2))
-                   for _ in range(3)]
-            cert = certify_sum(pts, lat)
-            assert np.allclose(reconstruct_sum(cert), np.sum(pts, axis=0),
-                               atol=1e-9)
+        pts = [np.zeros(2), np.zeros(2), np.zeros(2)]
+        with pytest.raises(ValueError, match="cubic"):
+            candidate_set(np.zeros(2), 3, lat)
+        with pytest.raises(ValueError, match="cubic"):
+            certify_sum(pts, lat)
+        cert = SumCertificate(folded=(0.0, 0.0), index=1, num_points=3,
+                              lattice=lat)
+        with pytest.raises(ValueError, match="cubic"):
+            reconstruct_sum(cert)
 
 
 class TestWindowIndex:

@@ -378,6 +378,25 @@ class TestReproducibility:
             run_campaign(scheme, 3, 12, jobs=1)
         assert len(workers) == 1 and workers[0] <= 3
 
+    def test_chunk_count_is_bounded_by_workers(self, monkeypatch):
+        import os
+
+        import lsl.simulate
+        scheme = default_scheme()
+        expected = run_campaign(scheme, 50, 4, jobs=1)
+        sizes = []
+        engine = lsl.simulate._batch_trial_arrays
+
+        def recording_engine(scheme, seeds, noiseless):
+            sizes.append(len(seeds))
+            return engine(scheme, seeds, noiseless)
+
+        monkeypatch.setattr(lsl.simulate, "_batch_trial_arrays",
+                            recording_engine)
+        assert run_campaign(scheme, 50, 4, jobs=10**6) == expected
+        assert len(sizes) == min(50, os.cpu_count() or 1)
+        assert sum(sizes) == 50
+
     def test_report_is_independent_of_block_size(self, monkeypatch):
         import lsl.simulate
         scheme = default_scheme()
