@@ -197,7 +197,8 @@ _KEYS = {
     "trials": _Key("trials", _parse_positive, str, "number of trials"),
     "seed": _Key("seed", int, str, "master seed", env="LSL_SEED"),
     "out": _Key("out", str, None, "write CSV here instead of stdout"),
-    "jobs": _Key("jobs", _parse_positive, None, "worker threads for simulate"),
+    "jobs": _Key("jobs", _parse_positive, None,
+                 "ignored, must be positive: campaigns run on one thread"),
     "var": _Key("var", _choice(*_SWEEP_VARS), None,
                 "sweep variable, " + " or ".join(_SWEEP_VARS), True),
     "from": _Key("sweep_from", float, None, "first sweep value", True),

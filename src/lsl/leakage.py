@@ -17,7 +17,7 @@ quotient fine/coarse, a group under coordinate addition mod q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,6 +44,9 @@ class DiscreteEnsemble:
     dimension: int
     num_users: int
     state_cap: int = DEFAULT_STATE_CAP
+    #: ``_sum_counts`` results by number of summed elements.
+    _tallies: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         if self.num_users < 3:
@@ -90,17 +93,24 @@ class DiscreteEnsemble:
         """Exact tally of the raw integer sum of ``num_vars`` elements.
 
         Returns the distinct sums as (S, N) int64 rows and their int64
-        counts.  Each step adds every element to every support row, so
-        memory is at most (support x M) rows, never the dense sum box.
+        counts, both read-only.  Each step adds every element to every
+        support row of the ``num_vars - 1`` tally, so memory is at most
+        (support x M) rows, never the dense sum box.  Every tally is kept
+        on the ensemble: the closure check and each op share them.
         """
-        elements = np.array(self.elements, dtype=np.int64)
-        sums = np.zeros((1, self.dimension), dtype=np.int64)
-        counts = np.ones(1, dtype=np.int64)
-        for _ in range(num_vars):
-            sums, counts = _tally(
-                (sums[:, None, :] + elements).reshape(-1, self.dimension),
-                np.repeat(counts, self.size))
-        return sums, counts
+        if num_vars not in self._tallies:
+            if num_vars == 0:
+                sums = np.zeros((1, self.dimension), dtype=np.int64)
+                counts = np.ones(1, dtype=np.int64)
+            else:
+                prev, prev_counts = self._sum_counts(num_vars - 1)
+                elements = np.array(self.elements, dtype=np.int64)
+                sums, counts = _tally(
+                    (prev[:, None, :] + elements).reshape(-1, self.dimension),
+                    np.repeat(prev_counts, self.size))
+            sums.flags.writeable = counts.flags.writeable = False
+            self._tallies[num_vars] = sums, counts
+        return self._tallies[num_vars]
 
     def _folded_counts(self, num_vars: int) -> np.ndarray:
         """Counts of the distinct folded sums of ``num_vars`` elements."""

@@ -18,19 +18,20 @@ against them and never assert achievability at desk scale.
 Reproducibility: per-trial seeds are SHA-256 hashes of
 ``"{master_seed}:{trial_index}"`` (first 8 big-endian digest bytes).
 ``run_trial`` is the single-trial reference implementation, built from
-the scalar stage functions.  ``run_campaign`` runs one vectorized engine
-for cubic and Construction-A pairs alike: it replicates the reference
-draw sequence, then runs the same ``lsl.lattices`` primitives on
-(trials, N) arrays, so reports are identical across worker counts and
-bit-identical to folding ``run_trial``.
+the scalar stage functions; it draws through
+``np.random.default_rng(trial_seed)``.  ``run_campaign`` runs one
+vectorized engine for cubic and Construction-A pairs alike: it replays
+the same draws without building a generator per trial (``_replay_draws``
+mirrors numpy's SeedSequence and PCG64 seeding on whole chunks), then
+runs the same ``lsl.lattices`` primitives on (trials, N) arrays, so its
+reports are bit-identical to folding ``run_trial``.  Campaigns run on one
+thread; the ``jobs`` argument is validated and otherwise ignored.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,18 @@ _WILSON_Z95 = 1.959963984540054
 
 #: Most trials one campaign chunk holds in memory at once.
 _BLOCK = 4096
+
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx) and the
+# multiplier of PCG64's 128-bit LCG (numpy/random/src/pcg64/pcg64.h).
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -403,12 +416,127 @@ def run_trial(scheme: Scheme, trial_seed: int,
         residual_power=float(np.sum(residual * residual)) / n)
 
 
+def _seed_words(seeds) -> np.ndarray:
+    """``SeedSequence(s).generate_state(4, np.uint64)`` for many seeds.
+
+    ``seeds`` are integers in [0, 2^64); the result is a (len(seeds), 4)
+    uint64 array.  The entropy words are [lo32, hi32] in a pool of four,
+    padded with hashmix(0) as numpy pads, so seeds below 2^32 (one
+    entropy word) agree as well.  All arithmetic wraps in uint32.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+
+    def hasher(hash_const, mult):
+        def hashmix(value):
+            nonlocal hash_const
+            value = value ^ np.uint32(hash_const)
+            hash_const = (hash_const * mult) & _MASK32
+            value = value * np.uint32(hash_const)
+            return value ^ (value >> np.uint32(16))
+        return hashmix
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    hashmix = hasher(_INIT_A, _MULT_A)
+    lo = (seeds & np.uint64(_MASK32)).astype(np.uint32)
+    hi = (seeds >> np.uint64(32)).astype(np.uint32)
+    zero = np.zeros_like(lo)
+    pool = [hashmix(word) for word in (lo, hi, zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+
+    # generate_state runs the same hash over the pool, with its own constants.
+    output = hasher(_INIT_B, _MULT_B)
+    halves = [output(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    # Little-endian pairs of 32-bit words, by shifts: no byte-order views.
+    return np.stack([halves[2 * j] | (halves[2 * j + 1] << np.uint64(32))
+                     for j in range(4)], axis=-1)
+
+
+def _pcg64_state(words) -> tuple[int, int]:
+    """(state, inc) of ``PCG64`` seeded with the four 64-bit ``words``."""
+    w0, w1, w2, w3 = words
+    inc = ((((w2 << 64) | w3) << 1) | 1) & _MASK128
+    state = ((inc + ((w0 << 64) | w1)) * _PCG64_MULT + inc) & _MASK128
+    return state, inc
+
+
+def _replay_draws(seeds, m: int, m_k: int, k1: int, n: int,
+                  noiseless: bool):
+    """run_trial's draws for every seed, without a generator per trial.
+
+    Returns ``(idx, uniforms, noise)``: the (trials, k1 + 1) codeword
+    indices and the (trials, k1 + 1, n) dither uniforms and channel
+    normals (zeros when ``noiseless``), interferers first and user K
+    last, bit-identical to the draws of ``np.random.default_rng(seed)``
+    in run_trial's order.
+
+    The seeds are hashed for the whole chunk at once (``_seed_words``);
+    per trial, one reused PCG64 gets its state set and hands out its raw
+    words, and numpy's own ziggurat draws the normals.  The indices are
+    Lemire's (x * m) >> 32 on the 32-bit halves, low half first, which is
+    how ``integers`` consumes them; the uniforms are (w >> 11) * 2^-53.
+    A row where ``integers`` would have rejected a draw, and every row
+    when a codebook size lies outside [2, 2^32), is replayed through
+    ``default_rng`` instead.
+    """
+    t_count = len(seeds)
+    users = k1 + 1
+    sizes = [m] * k1 + [m_k]
+    idx = np.empty((t_count, users), dtype=np.int64)
+    uniforms = np.empty((t_count, users, n))
+    noise = np.zeros((t_count, users, n))
+    exact = range(t_count)
+    if all(2 <= size < 2 ** 32 for size in sizes):
+        index_words = (users + 1) // 2
+        raw = np.empty((t_count, index_words + users * n), dtype=np.uint64)
+        flat_noise = noise.reshape(t_count, users * n)
+        bit_gen = np.random.PCG64(0)
+        gen = np.random.Generator(bit_gen)
+        inner = {"state": 0, "inc": 0}
+        state = {"bit_generator": "PCG64", "state": inner,
+                 "has_uint32": 0, "uinteger": 0}
+        words = _seed_words(seeds)
+        for i in range(t_count):
+            inner["state"], inner["inc"] = _pcg64_state(words[i].tolist())
+            bit_gen.state = state
+            raw[i] = bit_gen.random_raw(raw.shape[1])
+            if not noiseless:
+                gen.standard_normal(out=flat_noise[i])
+        halves = np.empty((t_count, 2 * index_words), dtype=np.uint64)
+        halves[:, 0::2] = raw[:, :index_words] & np.uint64(_MASK32)
+        halves[:, 1::2] = raw[:, :index_words] >> np.uint64(32)
+        scaled = halves[:, :users] * np.array(sizes, dtype=np.uint64)
+        idx[:] = scaled >> np.uint64(32)
+        thresholds = np.array([2 ** 32 % size for size in sizes],
+                              dtype=np.uint64)
+        exact = np.flatnonzero(np.any(
+            (scaled & np.uint64(_MASK32)) < thresholds, axis=1)).tolist()
+        uniforms[:] = ((raw[:, index_words:] >> np.uint64(11))
+                       * (1.0 / 9007199254740992.0)).reshape(uniforms.shape)
+    for i in exact:
+        rng = np.random.default_rng(seeds[i])
+        idx[i, :k1] = rng.integers(0, m, size=k1)
+        idx[i, k1] = rng.integers(0, m_k)
+        for j in range(users):
+            uniforms[i, j] = rng.random(n)
+        if not noiseless:
+            for j in range(users):
+                noise[i, j] = rng.standard_normal(n)
+    return idx, uniforms, noise
+
+
 def _batch_trial_arrays(scheme: Scheme, seeds, noiseless: bool) -> dict:
     """Vectorized engine: all trials for ``seeds`` as flat arrays.
 
-    Replays run_trial's per-trial rng call sequence, then performs the
-    same arithmetic, in the same order, on (trials, ...) arrays; every
-    per-trial value is bit-identical to the reference implementation.
+    Takes run_trial's draws from ``_replay_draws`` (the v1 draw contract,
+    replayed on the whole chunk), then performs the same arithmetic, in
+    the same order, on (trials, ...) arrays; every per-trial value is
+    bit-identical to the reference implementation.
     """
     cfg = scheme.config
     pair = scheme.interferer_pair
@@ -430,23 +558,12 @@ def _batch_trial_arrays(scheme: Scheme, seeds, noiseless: bool) -> dict:
                          dtype=np.int64)
     leaders_k_emb = leaders_k * pair_k.fine.scale
 
-    idx = np.empty((t_count, k1), dtype=np.int64)
-    idx_k = np.empty(t_count, dtype=np.int64)
-    dither_box = np.empty((t_count, k1, n))
-    dither_k_box = np.empty((t_count, n))
-    noise = np.zeros((t_count, k1, n))
-    noise_k = np.zeros((t_count, n))
-    for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        idx[i] = rng.integers(0, m, size=k1)
-        idx_k[i] = rng.integers(0, m_k)
-        for j in range(k1):
-            dither_box[i, j] = s_coarse * rng.random(n)
-        dither_k_box[i] = s_coarse_k * rng.random(n)
-        if not noiseless:
-            for j in range(k1):
-                noise[i, j] = rng.standard_normal(n)
-            noise_k[i] = rng.standard_normal(n)
+    idx_all, uniforms, noise_all = _replay_draws(seeds, m, m_k, k1, n,
+                                                 noiseless)
+    idx, idx_k = idx_all[:, :k1], idx_all[:, k1]
+    dither_box = s_coarse * uniforms[:, :k1]
+    dither_k_box = s_coarse_k * uniforms[:, k1]
+    noise, noise_k = noise_all[:, :k1], noise_all[:, k1]
 
     def decode(folded, nested):
         # Batched ``nested.reduce(quantize(nested.fine, folded))``.
@@ -510,32 +627,24 @@ def run_campaign(scheme: Scheme, trials: int, master_seed: int,
                  config_echo: str = "") -> CampaignReport:
     """Run ``trials`` independent trials and fold the outcomes.
 
-    Trials are independent given their derived seeds, so any number of
-    worker threads produces the identical report.  There are
-    ``min(jobs, trials, os.cpu_count())`` workers, whatever ``jobs`` asks
-    for.  The trials are split into contiguous chunks of at most
-    ``_BLOCK`` trials (and at least one per worker); each chunk derives
-    its own seeds, so memory stays bounded for any ``trials``.  The
-    per-trial results are concatenated in index order before the single
-    final aggregation.
+    The trials run in order, on one thread, in ``ceil(trials / _BLOCK)``
+    contiguous chunks; each chunk derives its own seeds, so memory stays
+    bounded for any ``trials``.  The per-trial results are concatenated in
+    index order before the single final aggregation.  ``jobs`` must be
+    positive and is otherwise ignored: worker threads lost to one thread
+    on the replay loop, so the report never depends on it.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     if jobs < 1:
         raise ValueError("jobs must be positive")
-    workers = min(jobs, trials, os.cpu_count() or 1)
-    chunks = max(workers, math.ceil(trials / _BLOCK))
+    chunks = math.ceil(trials / _BLOCK)
     bounds = [i * trials // chunks for i in range(chunks + 1)]
-
-    def run_chunk(lo, hi):
-        seeds = [derive_trial_seed(master_seed, i) for i in range(lo, hi)]
-        return _batch_trial_arrays(scheme, seeds, noiseless)
-
-    if workers == 1:
-        parts = list(map(run_chunk, bounds[:-1], bounds[1:]))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_chunk, bounds[:-1], bounds[1:]))
+    parts = [
+        _batch_trial_arrays(
+            scheme, [derive_trial_seed(master_seed, i) for i in range(lo, hi)],
+            noiseless)
+        for lo, hi in zip(bounds[:-1], bounds[1:])]
     merged = {key: np.concatenate([p[key] for p in parts])
               for key in parts[0]}
     direct_counts = tuple(

@@ -240,6 +240,28 @@ class TestEnsembleValidation:
                              num_users=3)
 
 
+class TestSharedTally:
+    def test_ops_reuse_the_ensemble_tallies(self):
+        ens = DiscreteEnsemble.from_pair(make_cubic_pair(3, 2), 4)
+        pair_sums = ens._sum_counts(2)  # already built by the closure check
+        conditional_entropy_given_modsum(ens)
+        triple_sums = ens._sum_counts(3)
+        for j in (1, 2, 3):
+            chain_conditional_entropy(ens, j)
+        leakage_bound_check(ens)
+        assert ens._sum_counts(2) is pair_sums
+        assert ens._sum_counts(3) is triple_sums
+        for array in (*pair_sums, *triple_sums):
+            assert not array.flags.writeable
+
+    def test_tallies_do_not_change_identity(self):
+        used = DiscreteEnsemble.from_pair(make_cubic_pair(3, 2), 4)
+        leakage_bound_check(used)
+        fresh = DiscreteEnsemble.from_pair(make_cubic_pair(3, 2), 4)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+
+
 class TestAgainstBruteForce:
     @settings(max_examples=40, deadline=None)
     @given(small_ensembles())

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lsl.errors import InvariantViolationError
 from lsl.lattices import (
@@ -16,6 +18,9 @@ from lsl.lattices import (
 from lsl.rates import SystemConfig, mmse_coefficients
 from lsl.simulate import (
     Scheme,
+    _pcg64_state,
+    _replay_draws,
+    _seed_words,
     TrialOutcome,
     apply_channel,
     classify_events,
@@ -363,27 +368,36 @@ class TestReproducibility:
             assert rep.e1_count == rep.e2_count == rep.e3_count == 0
             assert rep.direct_error_counts == (0, 0)
 
-    def test_job_count_is_bounded_by_trials(self, monkeypatch):
-        import lsl.simulate
-        workers = []
-
-        class RecordingPool(lsl.simulate.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                workers.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(lsl.simulate, "ThreadPoolExecutor", RecordingPool)
-        scheme = default_scheme()
-        assert run_campaign(scheme, 3, 12, jobs=10**9) == \
-            run_campaign(scheme, 3, 12, jobs=1)
-        assert len(workers) == 1 and workers[0] <= 3
-
-    def test_chunk_count_is_bounded_by_workers(self, monkeypatch):
-        import os
-
+    def test_jobs_does_not_change_the_chunks(self, monkeypatch):
+        # --jobs is a validated no-op: any positive count runs the same
+        # chunks, in trial order, and gives the same report
         import lsl.simulate
         scheme = default_scheme()
         expected = run_campaign(scheme, 50, 4, jobs=1)
+        seen = []
+        engine = lsl.simulate._batch_trial_arrays
+
+        def recording_engine(scheme, seeds, noiseless):
+            seen.append(list(seeds))
+            return engine(scheme, seeds, noiseless)
+
+        monkeypatch.setattr(lsl.simulate, "_BLOCK", 16)
+        monkeypatch.setattr(lsl.simulate, "_batch_trial_arrays",
+                            recording_engine)
+        for jobs in (1, 4, 10**6):
+            seen.clear()
+            assert run_campaign(scheme, 50, 4, jobs=jobs) == expected
+            assert [len(c) for c in seen] == [12, 13, 12, 13]
+            assert sum(seen, []) == [derive_trial_seed(4, i)
+                                     for i in range(50)]
+
+    def test_chunk_count_is_trials_over_block(self, monkeypatch):
+        import lsl.simulate
+        scheme = default_scheme()
+        block = lsl.simulate._BLOCK
+        cases = ((3, 10**9, [3]), (block, 4, [block]),
+                 (block + 1, 10**6, [block // 2, block // 2 + 1]))
+        expected = [run_campaign(scheme, trials, 12) for trials, _, _ in cases]
         sizes = []
         engine = lsl.simulate._batch_trial_arrays
 
@@ -393,9 +407,10 @@ class TestReproducibility:
 
         monkeypatch.setattr(lsl.simulate, "_batch_trial_arrays",
                             recording_engine)
-        assert run_campaign(scheme, 50, 4, jobs=10**6) == expected
-        assert len(sizes) == min(50, os.cpu_count() or 1)
-        assert sum(sizes) == 50
+        for (trials, jobs, chunks), report in zip(cases, expected):
+            sizes.clear()
+            assert run_campaign(scheme, trials, 12, jobs=jobs) == report
+            assert sizes == chunks
 
     def test_report_is_independent_of_block_size(self, monkeypatch):
         import lsl.simulate
@@ -428,6 +443,89 @@ class TestReproducibility:
         start = time.perf_counter()
         run_campaign(scheme, 10_000, 1)
         assert time.perf_counter() - start < 10.0
+
+
+EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
+UINT64_SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
+
+
+def with_edge_seeds(test):
+    for seed in EDGE_SEEDS:
+        test = example(seed)(test)
+    return test
+
+
+def literal_draws(seed, m, m_k, k1, n, noiseless):
+    """run_trial's default_rng call sequence, spelled out."""
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, m, size=k1)
+    idx_k = rng.integers(0, m_k)
+    uniforms = [rng.random(n) for _ in range(k1 + 1)]
+    noise = [np.zeros(n) if noiseless else rng.standard_normal(n)
+             for _ in range(k1 + 1)]
+    return idx, idx_k, uniforms, noise
+
+
+class TestReplayDraws:
+    @settings(max_examples=300, deadline=None)
+    @given(UINT64_SEEDS)
+    @with_edge_seeds
+    def test_seed_words_match_seed_sequence(self, seed):
+        expected = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+        got = _seed_words([seed])
+        assert got.dtype == np.uint64 and got.shape == (1, 4)
+        assert np.array_equal(got[0], expected)
+
+    def test_seed_words_of_a_batch_are_its_rows(self):
+        seeds = list(EDGE_SEEDS) + [derive_trial_seed(3, i) for i in range(20)]
+        batch = _seed_words(seeds)
+        for seed, row in zip(seeds, batch):
+            assert np.array_equal(row, _seed_words([seed])[0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(UINT64_SEEDS)
+    @with_edge_seeds
+    def test_pcg64_state_matches_numpy(self, seed):
+        state, inc = _pcg64_state(_seed_words([seed])[0].tolist())
+        assert np.random.PCG64(seed).state["state"] == {"state": state,
+                                                        "inc": inc}
+
+    @pytest.mark.parametrize("noiseless", [False, True])
+    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("k1", [2, 3])
+    @pytest.mark.parametrize("m,m_k,exact", [
+        (4, 4, "none"),
+        (9, 16, "none"),
+        # numpy rejects and redraws about one index in four (m) and one
+        # in two (m_k) here, so some rows take the exact replay
+        (3 * 2**30, 2**31 + 1, "some"),
+        # sizes outside [2, 2^32): every row takes the exact replay
+        (4, 1, "all"),
+        (2**32, 5, "all"),
+    ])
+    def test_replay_equals_default_rng(self, monkeypatch, m, m_k, exact,
+                                       k1, n, noiseless):
+        seeds = list(EDGE_SEEDS) + [derive_trial_seed(7, i) for i in range(40)]
+        expected = [literal_draws(s, m, m_k, k1, n, noiseless)
+                    for s in seeds]
+        exact_rows = []
+        default_rng = np.random.default_rng
+
+        def counting_rng(seed):
+            exact_rows.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        idx, uniforms, noise = _replay_draws(seeds, m, m_k, k1, n, noiseless)
+        assert exact == {0: "none", len(seeds): "all"}.get(len(exact_rows),
+                                                           "some")
+        assert idx.dtype == np.int64 and idx.shape == (len(seeds), k1 + 1)
+        assert uniforms.shape == noise.shape == (len(seeds), k1 + 1, n)
+        for i, (e_idx, e_idx_k, e_uni, e_noise) in enumerate(expected):
+            assert np.array_equal(idx[i, :k1], e_idx)
+            assert idx[i, k1] == e_idx_k
+            assert np.array_equal(uniforms[i], np.stack(e_uni))
+            assert np.array_equal(noise[i], np.stack(e_noise))
 
 
 class TestWilson:
