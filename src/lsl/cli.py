@@ -44,7 +44,7 @@ from .lattices import (
     gaussian_approx_epsilon,
     make_construction_a_pair,
     make_cubic_pair,
-    sample_dither,
+    mod_lattice,
     second_moment,
 )
 from .leakage import (
@@ -54,7 +54,7 @@ from .leakage import (
     leakage_bound_check,
 )
 from .rates import SystemConfig, rate_report
-from .representation import certify_sum, reconstruct_sum
+from .representation import certify_batch, reconstruct_batch
 from .simulate import Scheme, run_campaign
 
 #: Margin applied to the very-strong-interference threshold when sweeps
@@ -64,6 +64,9 @@ SWEEP_GAIN_MARGIN = 1.05
 #: Most grid points in one sweep, and the largest K a K sweep may reach
 #: (a rate report costs time and memory linear in K).
 SWEEP_MAX = 10_000
+
+#: Uniform draws per repr-check chunk: K*N per trial, at least one trial.
+CERT_CHUNK_DRAWS = 1 << 14
 
 _SWEEP_VARS = ("K", "Pmin")
 
@@ -435,15 +438,21 @@ def cmd_repr_check(cfg: RunConfig) -> int:
     lattice = cfg.pair().coarse
     rng = np.random.default_rng(cfg.seed)
     k = cfg.K
+    if k < 1:
+        raise ValueError("need at least one point")
+    rows = max(1, CERT_CHUNK_DRAWS // (k * cfg.N))
     failures = 0
     max_index = 0
-    for _ in range(cfg.trials):
-        points = [sample_dither(lattice, rng) for _ in range(k)]
-        cert = certify_sum(points, lattice)
-        total = np.sum(points, axis=0)
-        if not np.allclose(reconstruct_sum(cert), total, atol=1e-9):
-            failures += 1
-        max_index = max(max_index, cert.index)
+    for start in range(0, cfg.trials, rows):
+        # Row-major, so chunk by chunk the same stream as K dither draws
+        # per trial in turn.
+        draws = rng.random((min(rows, cfg.trials - start), k, cfg.N))
+        points = mod_lattice(lattice, lattice.scale * draws)
+        folded, index = certify_batch(points, lattice)
+        rec = reconstruct_batch(folded, index, k, lattice)
+        close = np.isclose(rec, points.sum(axis=-2), atol=1e-9)
+        failures += int(np.count_nonzero(~np.all(close, axis=-1)))
+        max_index = max(max_index, int(index.max()))
     bound = k ** cfg.N
     _emit(cfg, [[
         ("family", cfg.family), ("q", str(cfg.q)), ("N", str(cfg.N)),

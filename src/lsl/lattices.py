@@ -370,10 +370,12 @@ def second_moment_mc(lat: Lattice, samples: int,
     """
     if samples < 2:
         raise ValueError("need at least two samples")
-    per_draw = np.empty(samples)
-    for i in range(samples):
-        d = sample_dither(lat, rng)
-        per_draw[i] = np.sum(d * d) / lat.dimension
+    if lat.family != CUBIC:
+        raise NotImplementedError("dither sampling implemented for cubic lattices")
+    # Row-major: the same stream and values as ``samples`` sample_dither
+    # calls in turn.
+    d = mod_lattice(lat, lat.scale * rng.random((samples, lat.dimension)))
+    per_draw = np.sum(d * d, axis=-1) / lat.dimension
     est = float(np.mean(per_draw))
     se = float(np.std(per_draw, ddof=1) / math.sqrt(samples))
     return est, se

@@ -10,6 +10,12 @@ Certificates live on the coarse lattice, which is cubic for every nested
 pair, so only cubic lattices are accepted.  The list always has exactly
 K^dimension entries (one length-K integer window per coordinate), so the
 index fits in dimension*log2(K) bits.
+
+Certificates are batched: ``certify_batch`` and ``reconstruct_batch``
+work on (..., K, N) arrays of tuples with one fold, one window lookup and
+one mixed-radix expansion per call, and ``certify_sum``/
+``reconstruct_sum`` are their one-row wrappers.  ``candidate_set`` builds
+the explicit list and serves as the test oracle.
 """
 
 from __future__ import annotations
@@ -40,18 +46,28 @@ class SumCertificate:
     lattice: Lattice
 
 
+def _checked_sum(points, lat: Lattice) -> tuple[np.ndarray, int]:
+    """Sum over axis -2 of ``points``, shape (..., K, N), and K, after
+    checking that every point lies in the half-open cell of ``lat``.
+
+    Anything outside the cell is a caller error, not a wrap to be hidden.
+    numpy adds the K points of a row as ``np.sum`` over a list of them
+    would, so a row's sum does not depend on the batch around it.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim < 2 or pts.shape[-2] == 0:
+        raise ValueError("need at least one point")
+    if not np.all(in_voronoi(lat, pts)):
+        raise ValueError("input point lies outside the fundamental cell")
+    return pts.sum(axis=-2), pts.shape[-2]
+
+
 def mod_sum(points, lat: Lattice) -> np.ndarray:
     """Modulo reduction of the sum of fundamental-cell points.
 
-    Every point must already lie in the half-open cell of ``lat``;
-    anything else is a caller error, not a wrap to be hidden.
+    ``points`` is a list of K points, or any (..., K, N) array.
     """
-    arrs = [np.asarray(p, dtype=float) for p in points]
-    if not arrs:
-        raise ValueError("need at least one point")
-    if not np.all(in_voronoi(lat, arrs)):
-        raise ValueError("input point lies outside the fundamental cell")
-    return mod_lattice(lat, np.sum(arrs, axis=0))
+    return mod_lattice(lat, _checked_sum(points, lat)[0])
 
 
 def _snap_half_units(u, tol=BOUNDARY_TOL):
@@ -89,14 +105,25 @@ def window_index(u, coords, num_points: int) -> np.ndarray:
     """
     offsets = np.asarray(coords, dtype=np.int64) - _window_lows(u, num_points)
     if np.any(offsets < 0) or np.any(offsets >= num_points):
+        miss = np.any((offsets < 0) | (offsets >= num_points), axis=-1)
         raise InvariantViolationError(
-            "removed lattice point escaped the candidate window")
+            "removed lattice point escaped the candidate window"
+            + _first_row(miss)[1])
     n = offsets.shape[-1]
     dtype = np.int64 if num_points ** n <= np.iinfo(np.int64).max else object
     index = np.zeros(offsets.shape[:-1], dtype=dtype)
     for j in range(n):
         index = index * num_points + offsets[..., j].astype(dtype)
     return index + 1
+
+
+def _first_row(mask) -> tuple[tuple[int, ...], str]:
+    """Position of the first set flag in a batch of flags, and error-text
+    naming it (empty for a single, 0-d flag)."""
+    row = tuple(int(i) for i in np.argwhere(mask)[0])
+    if not row:
+        return row, ""
+    return row, f" in row {row[0] if len(row) == 1 else row}"
 
 
 def _require_cubic(lat: Lattice):
@@ -122,39 +149,66 @@ def candidate_set(folded, num_points: int, lat: Lattice) -> list[LatticePoint]:
     return [LatticePoint(c, lat) for c in itertools.product(*ranges)]
 
 
-def certify_sum(points, lat: Lattice) -> SumCertificate:
-    """Build the certificate (folded sum, candidate index) for ``points``.
+def certify_batch(points, lat: Lattice) -> tuple[np.ndarray, np.ndarray]:
+    """Certificates of many K-point tuples at once.
 
-    The removed lattice point must appear in the candidate list; a miss is
-    an internal invariant violation, never expected behavior.
+    ``points`` has shape (..., K, N), one tuple of cell points per row.
+    Returns ``(folded, index)`` with shapes (..., N) and (...): each
+    row's folded sum and the 1-based position of the removed lattice point
+    in its candidate list (int64, or Python ints once K^N passes int64).
+    A point outside the cell is a ``ValueError``; a removed point outside
+    its window is an invariant violation that names the row, never
+    expected behavior.
     """
     _require_cubic(lat)
-    arrs = [np.asarray(p, dtype=float) for p in points]
-    num_points = len(arrs)
-    folded = mod_sum(arrs, lat)
-    total = np.sum(arrs, axis=0)
+    total, num_points = _checked_sum(points, lat)
+    folded = mod_lattice(lat, total)
     raw = (total - folded) / lat.scale
     coords = np.round(raw).astype(np.int64)
     if not np.allclose(raw, coords, atol=1e-6):
         raise InvariantViolationError(
             "difference between sum and its reduction is not a lattice point")
-    index = int(window_index(folded / lat.scale, coords, num_points))
+    return folded, window_index(folded / lat.scale, coords, num_points)
+
+
+def reconstruct_batch(folded, index, num_points: int,
+                      lat: Lattice) -> np.ndarray:
+    """Invert ``certify_batch``: the exact real sum of every row.
+
+    ``folded`` has shape (..., N) and ``index`` shape (...).  An index
+    outside 1..K^N is an ``InvalidCertificateError`` that names its row.
+    """
+    _require_cubic(lat)
+    folded = np.asarray(folded, dtype=float)
+    count = num_points ** lat.dimension
+    index = np.asarray(index)
+    if count > np.iinfo(np.int64).max or index.dtype == object:
+        index = index.astype(object)
+    bad = (index < 1) | (index > count)
+    if np.any(bad):
+        row, where = _first_row(bad)
+        raise InvalidCertificateError(
+            f"index {index[row]} outside 1..{count}{where}")
+    # Mixed-radix digits of index - 1, the most significant at coordinate 0.
+    rest = index - 1
+    offsets = np.empty(index.shape + (lat.dimension,), dtype=np.int64)
+    for j in reversed(range(lat.dimension)):
+        offsets[..., j] = rest % num_points
+        rest = rest // num_points
+    coords = _window_lows(folded / lat.scale, num_points) + offsets
+    return folded + lat.scale * coords.astype(float)
+
+
+def certify_sum(points, lat: Lattice) -> SumCertificate:
+    """The certificate (folded sum, candidate index) of K cell points: a
+    one-row ``certify_batch``."""
+    folded, index = certify_batch(points, lat)
     return SumCertificate(folded=tuple(float(v) for v in folded),
-                          index=index, num_points=num_points, lattice=lat)
+                          index=int(index), num_points=len(points),
+                          lattice=lat)
 
 
 def reconstruct_sum(cert: SumCertificate) -> np.ndarray:
     """Invert ``certify_sum``: the exact real sum of the original points."""
-    lat = cert.lattice
-    _require_cubic(lat)
-    k = cert.num_points
-    folded = np.asarray(cert.folded, dtype=float)
-    count = k ** lat.dimension
-    if not 1 <= cert.index <= count:
-        raise InvalidCertificateError(f"index {cert.index} outside 1..{count}")
-    # Mixed-radix digits of index - 1, most significant first.
-    offsets = [(cert.index - 1) // k ** j % k
-               for j in reversed(range(lat.dimension))]
-    coords = _window_lows(folded / lat.scale, k) + np.array(
-        offsets, dtype=np.int64)
-    return folded + lat.scale * coords.astype(float)
+    return reconstruct_batch(cert.folded, cert.index, cert.num_points,
+                             cert.lattice)

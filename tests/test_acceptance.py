@@ -38,7 +38,12 @@ from lsl.rates import (
     upper_bound_sum_rate,
     very_strong_interference,
 )
-from lsl.representation import certify_sum, reconstruct_sum
+from lsl.representation import (
+    certify_batch,
+    certify_sum,
+    reconstruct_batch,
+    reconstruct_sum,
+)
 from lsl.simulate import (
     Scheme,
     derive_trial_seed,
@@ -127,13 +132,13 @@ def test_criterion_04_representation_round_trip():
             lat = make_cubic_pair(4, dim).coarse
             for k in (2, 3, 4):
                 box = lat.scale * rng.random((per_combo, k, dim))
-                for row in range(per_combo):
-                    pts = [mod_lattice(lat, box[row, j])
-                           for j in range(k)]
-                    cert = certify_sum(pts, lat)
-                    assert np.allclose(reconstruct_sum(cert),
-                                       np.sum(pts, axis=0), atol=1e-9)
-                    assert cert.index <= k ** dim
+                pts = mod_lattice(lat, box)
+                folded, index = certify_batch(pts, lat)
+                rec = reconstruct_batch(folded, index, k, lat)
+                # per tuple: the in-order sum comes back, index <= K^N
+                close = np.isclose(rec, pts.sum(axis=1), atol=1e-9)
+                assert np.all(np.all(close, axis=-1))
+                assert np.all(index <= k ** dim)
                 total_tuples += per_combo
         assert total_tuples >= 100_000
 

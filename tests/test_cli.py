@@ -1,7 +1,10 @@
 """CLI contract: subcommands, config precedence, CSV determinism, exits."""
 
+import numpy as np
 import pytest
 
+import lsl.cli
+import lsl.representation
 from lsl.cli import (
     SWEEP_MAX,
     _KEYS,
@@ -10,6 +13,7 @@ from lsl.cli import (
     _resolve_config,
     main,
 )
+from lsl.lattices import make_cubic_pair, sample_dither
 
 
 def read(path):
@@ -297,6 +301,67 @@ class TestReprCheck:
         assert cells["failures"] == "0"
         assert cells["passed"] == "1"
         assert int(cells["max_index"]) <= int(cells["index_bound"])
+
+    def test_chunked_draws_equal_sequential_dithers(self, monkeypatch):
+        # repr-check draws (rows, K, N) uniforms per chunk; row-major, that
+        # is K sample_dither calls per trial in turn, across chunks too
+        seen = []
+        certify = lsl.cli.certify_batch
+
+        def recording_certify(points, lat):
+            seen.append(points.copy())
+            return certify(points, lat)
+
+        # K=4, N=2: eight draws a trial, three trials a chunk
+        monkeypatch.setattr(lsl.cli, "CERT_CHUNK_DRAWS", 24)
+        monkeypatch.setattr(lsl.cli, "certify_batch", recording_certify)
+        assert main(["repr-check", "--K", "4", "--q", "3", "--trials", "20",
+                     "--seed", "5"]) == 0
+        assert [len(c) for c in seen] == [3] * 6 + [2]
+        lat = make_cubic_pair(3, 2).coarse
+        rng = np.random.default_rng(5)
+        sequential = [[sample_dither(lat, rng) for _ in range(4)]
+                      for _ in range(20)]
+        assert np.array_equal(np.concatenate(seen), np.array(sequential))
+
+    @pytest.mark.parametrize("draws,rows", [(7, 1), (42, 7), (100, 16)])
+    def test_report_is_independent_of_chunk_size(self, draws, rows,
+                                                 tmp_path, monkeypatch):
+        argv = ["repr-check", "--trials", "50", "--seed", "4", "--out"]
+        assert main(argv + [str(tmp_path / "whole.csv")]) == 0
+        sizes = []
+        certify = lsl.cli.certify_batch
+
+        def recording_certify(points, lat):
+            sizes.append(len(points))
+            return certify(points, lat)
+
+        # K=3, N=2: six draws a trial
+        monkeypatch.setattr(lsl.cli, "CERT_CHUNK_DRAWS", draws)
+        monkeypatch.setattr(lsl.cli, "certify_batch", recording_certify)
+        assert main(argv + [str(tmp_path / "chunked.csv")]) == 0
+        assert sum(sizes) == 50 and max(sizes) == rows
+        assert read(tmp_path / "chunked.csv") == read(tmp_path / "whole.csv")
+
+    def test_window_miss_exits_3_and_names_the_row(self, monkeypatch,
+                                                   capsys):
+        window_lows = lsl.representation._window_lows
+
+        def shifted(u, num_points):
+            lows = window_lows(u, num_points)
+            lows[5, 1] += num_points
+            return lows
+
+        monkeypatch.setattr(lsl.representation, "_window_lows", shifted)
+        assert main(["repr-check", "--trials", "20"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal invariant violation")
+        assert "in row 5" in err
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_needs_a_point_per_trial(self, k, capsys):
+        assert main(["repr-check", "--K", k, "--trials", "5"]) == 1
+        assert capsys.readouterr().err == "error: need at least one point\n"
 
     def test_rejects_coded_family(self, tmp_path, capsys):
         # certificates live on the coarse lattice, which is cubic for

@@ -351,6 +351,25 @@ class TestSecondMoment:
         est, se = second_moment_mc(coarse, 20_000, np.random.default_rng(17))
         assert abs(est - 1 / 3) < 3 * se
 
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("seed", [17, 2024])
+    def test_mc_is_bit_equal_to_per_sample_draws(self, dim, seed):
+        lat = make_cubic_pair(3, dim).coarse
+        rng = np.random.default_rng(seed)
+        per_draw = np.empty(5_000)
+        for i in range(len(per_draw)):
+            d = sample_dither(lat, rng)
+            per_draw[i] = np.sum(d * d) / dim
+        expected = (float(np.mean(per_draw)),
+                    float(np.std(per_draw, ddof=1) / math.sqrt(5_000)))
+        assert second_moment_mc(lat, 5_000,
+                                np.random.default_rng(seed)) == expected
+
+    def test_mc_needs_a_cubic_lattice(self):
+        pair = make_construction_a_pair(2, 2, [(1, 1)])
+        with pytest.raises(NotImplementedError):
+            second_moment_mc(pair.fine, 10, np.random.default_rng(0))
+
 
 class TestCodebook:
     def test_sizes(self):

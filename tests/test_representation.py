@@ -4,20 +4,26 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lsl.representation
 from lsl.errors import InvalidCertificateError, InvariantViolationError
 from lsl.lattices import (
     CONSTRUCTION_A,
     CUBIC,
     Lattice,
     make_cubic_pair,
+    mod_lattice,
     sample_dither,
 )
 from lsl.representation import (
     SumCertificate,
     candidate_set,
+    certify_batch,
     certify_sum,
     mod_sum,
+    reconstruct_batch,
     reconstruct_sum,
     window_index,
 )
@@ -136,15 +142,16 @@ class TestRoundTrip:
             assert 1 <= cert.index <= k ** dim
 
     def test_randomized_campaign(self):
+        # the same 10,000 tuples as K sample_dither draws per tuple in turn
         lat = make_cubic_pair(3, 2).coarse
         rng = np.random.default_rng(99)
         k = 3
-        for _ in range(10_000):
-            pts = [sample_dither(lat, rng) for _ in range(k)]
-            cert = certify_sum(pts, lat)
-            assert np.allclose(reconstruct_sum(cert), np.sum(pts, axis=0),
-                               atol=1e-9)
-            assert cert.index <= k ** 2
+        pts = mod_lattice(lat, lat.scale * rng.random((10_000, k, 2)))
+        folded, index = certify_batch(pts, lat)
+        rec = reconstruct_batch(folded, index, k, lat)
+        for row, got, idx in zip(pts, rec, index):
+            assert np.allclose(got, np.sum(list(row), axis=0), atol=1e-9)
+            assert idx <= k ** 2
 
     def test_codeword_grid_tuples(self):
         # sums of codebook leaders hit the cell boundary for even q
@@ -228,3 +235,121 @@ class TestWindowIndex:
         index = window_index(np.zeros((1, n)), np.ones((1, n)), 3)
         assert index.tolist() == [3 ** n]
         assert int(window_index(np.zeros(n), np.ones(n), 3)) == 3 ** n
+
+
+@st.composite
+def certificate_batches(draw):
+    """A cubic lattice and a (rows, K, N) batch of cell points.
+
+    Entries are seeded uniform draws, or multiples of s/8, which put
+    points on the closed upper cell boundary and sums on window edges.
+    K reaches 12 in one dimension, where numpy sums a row pairwise.
+    """
+    dim = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 12 if dim == 1 else 4))
+    lat = make_cubic_pair(draw(st.integers(2, 4)), dim).coarse
+    shape = (draw(st.integers(1, 6)), k, dim)
+    size = int(np.prod(shape))
+    if draw(st.booleans()):
+        eighths = draw(st.lists(st.integers(-3, 4), min_size=size,
+                                max_size=size))
+        pts = lat.scale * np.reshape(eighths, shape) / 8
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        pts = mod_lattice(lat, lat.scale * rng.random(shape))
+    return lat, pts
+
+
+class TestBatch:
+    @settings(max_examples=150, deadline=None)
+    @given(certificate_batches())
+    def test_rows_equal_the_one_row_certificates(self, case):
+        lat, pts = case
+        k = pts.shape[1]
+        folded, index = certify_batch(pts, lat)
+        assert folded.shape == (len(pts), lat.dimension)
+        assert index.shape == (len(pts),)
+        for row, fold, idx in zip(pts, folded, index):
+            cert = certify_sum(row, lat)
+            assert cert.folded == tuple(float(v) for v in fold)
+            assert cert.index == idx
+            # bit-equal to reducing the list sum of the K points
+            total = np.sum(list(row), axis=0)
+            assert np.array_equal(fold, mod_lattice(lat, total))
+            removed = tuple(int(c) for c in np.round((total - fold)
+                                                     / lat.scale))
+            cands = [c.coords for c in candidate_set(fold, k, lat)]
+            assert cands.index(removed) + 1 == idx
+
+    @settings(max_examples=150, deadline=None)
+    @given(certificate_batches())
+    def test_round_trip_gives_the_in_order_sum(self, case):
+        lat, pts = case
+        k = pts.shape[1]
+        folded, index = certify_batch(pts, lat)
+        rec = reconstruct_batch(folded, index, k, lat)
+        for row, got in zip(pts, rec):
+            assert np.allclose(got, np.sum(list(row), axis=0), atol=1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(certificate_batches(), st.data())
+    def test_out_of_range_index_names_its_row(self, case, data):
+        lat, pts = case
+        k = pts.shape[1]
+        count = k ** lat.dimension
+        folded, index = certify_batch(pts, lat)
+        row = data.draw(st.integers(0, len(pts) - 1))
+        index[row] = data.draw(st.sampled_from((0, -3, count + 1, count + 7)))
+        with pytest.raises(InvalidCertificateError, match=f"row {row}$"):
+            reconstruct_batch(folded, index, k, lat)
+
+    @settings(max_examples=100, deadline=None)
+    @given(certificate_batches(), st.data())
+    def test_point_outside_the_cell_is_a_value_error(self, case, data):
+        lat, pts = case
+        at = tuple(data.draw(st.integers(0, n - 1)) for n in pts.shape)
+        # just past the closed upper face, or on the open lower face
+        pts[at] = data.draw(st.sampled_from((0.5 + 1e-6, -0.5))) * lat.scale
+        with pytest.raises(ValueError, match="outside the fundamental cell"):
+            certify_batch(pts, lat)
+
+    @pytest.mark.parametrize("row", [0, 3, 6])
+    def test_window_miss_names_its_row(self, row, monkeypatch):
+        # move one row's window K coordinates up: its removed point then
+        # sits below the window
+        lat = make_cubic_pair(2, 2).coarse
+        k = 3
+        rng = np.random.default_rng(8)
+        pts = mod_lattice(lat, lat.scale * rng.random((7, k, 2)))
+        window_lows = lsl.representation._window_lows
+
+        def shifted(u, num_points):
+            lows = window_lows(u, num_points)
+            lows[row, 0] += num_points
+            return lows
+
+        monkeypatch.setattr(lsl.representation, "_window_lows", shifted)
+        with pytest.raises(InvariantViolationError,
+                           match=f"candidate window in row {row}$"):
+            certify_batch(pts, lat)
+
+    def test_exact_past_int64(self):
+        # 4^33 > 2^63: indices are Python ints, and still exact
+        k, n = 4, 33
+        lat = make_cubic_pair(2, n).coarse
+        rng = np.random.default_rng(12)
+        pts = mod_lattice(lat, lat.scale * rng.random((40, k, n)))
+        folded, index = certify_batch(pts, lat)
+        assert index.dtype == object
+        assert all(1 <= i <= k ** n for i in index)
+        rec = reconstruct_batch(folded, index, k, lat)
+        for row, idx, got in zip(pts, index, rec):
+            assert certify_sum(row, lat).index == idx
+            assert np.allclose(got, np.sum(list(row), axis=0), atol=1e-9)
+        # the first and last candidates sit at the window's two ends:
+        # every coordinate of u + n in (-K/2, -K/2 + 1], resp. (K/2 - 1, K/2]
+        ends = reconstruct_batch(folded[:2], [1, k ** n], k, lat) / lat.scale
+        assert np.all((ends[0] > -k / 2) & (ends[0] <= -k / 2 + 1))
+        assert np.all((ends[1] > k / 2 - 1) & (ends[1] <= k / 2))
+        with pytest.raises(InvalidCertificateError, match="row 1$"):
+            reconstruct_batch(folded[:2], [1, k ** n + 1], k, lat)
