@@ -347,16 +347,18 @@ def cmd_sweep(cfg: RunConfig) -> int:
             raise UsageError("K sweep must start at 3 or above")
         if ks[-1] > SWEEP_MAX:
             raise CapacityError(f"K sweep goes above K={SWEEP_MAX}")
-        points = [(str(k), _symmetric_config(k, base.p_min, base.p_k))
-                  for k in ks]
+        points = ((str(k), _symmetric_config(k, base.p_min, base.p_k))
+                  for k in ks)
     else:
         if lo <= 0:
             raise UsageError("Pmin sweep values must be positive")
         # np.arange makes ceil((stop - start) / step) points
         if (hi + 1e-12 - lo) / step > SWEEP_MAX:
             raise CapacityError(f"Pmin sweep has more than {SWEEP_MAX} points")
-        points = [(_fmt_rate(v), _symmetric_config(base.K, float(v), base.p_k))
-                  for v in np.arange(lo, hi + 1e-12, step)]
+        points = ((_fmt_rate(v), _symmetric_config(base.K, float(v), base.p_k))
+                  for v in np.arange(lo, hi + 1e-12, step))
+    # Each config holds two K-long tuples: build, report and drop them one
+    # at a time, so memory stays O(K_max), not O(K_max^2).
     records = []
     for value, sym in points:
         rep = rate_report(sym)
@@ -381,8 +383,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
             "aligned interference power must exceed P_K + 1 "
             f"(mu = {report.mu:.6f})")
     scheme = Scheme.for_config(system, cfg.pair())
-    c = run_campaign(scheme, cfg.trials, cfg.seed, jobs=cfg.jobs,
-                     config_echo=cfg.echo())
+    c = run_campaign(scheme, cfg.trials, cfg.seed, config_echo=cfg.echo())
     record = [("config_hash", cfg.hash()), ("trials", str(c.trials)),
               ("seed", str(cfg.seed))]
     for event, count, rate, (lo, hi) in (

@@ -15,17 +15,23 @@ or e2, wrong user-K codeword).  The decoding-threshold formulas hold
 only asymptotically in the dimension; campaigns report empirical rates
 against them and never assert achievability at desk scale.
 
+Stages: ``encode_interferer``, ``encode_user_k``, ``apply_channel``,
+``decode_direct``, ``decode_mod_sum``, ``subtract_interference``,
+``decode_user_k`` and ``classify_events`` each hold one step of that
+pipeline, once.  They take arrays with leading batch axes: a codeword is
+an index into the scheme's (M, N) leader array, the K-1 interferers form
+a (..., K-1, N) stack, and a decoder returns centered leader coordinates
+of shape (..., N).
+
 Reproducibility: per-trial seeds are SHA-256 hashes of
 ``"{master_seed}:{trial_index}"`` (first 8 big-endian digest bytes).
-``run_trial`` is the single-trial reference implementation, built from
-the scalar stage functions; it draws through
-``np.random.default_rng(trial_seed)``.  ``run_campaign`` runs one
-vectorized engine for cubic and Construction-A pairs alike: it replays
-the same draws without building a generator per trial (``_replay_draws``
-mirrors numpy's SeedSequence and PCG64 seeding on whole chunks), then
-runs the same ``lsl.lattices`` primitives on (trials, N) arrays, so its
-reports are bit-identical to folding ``run_trial``.  Campaigns run on one
-thread; the ``jobs`` argument is validated and otherwise ignored.
+``run_trial`` is the single-trial reference: it draws through
+``np.random.default_rng(trial_seed)`` and calls the stages on one trial.
+``run_campaign`` runs one vectorized engine for cubic and Construction-A
+pairs alike: it replays the same draws without building a generator per
+trial (``_replay_draws`` mirrors numpy's SeedSequence and PCG64 seeding
+on whole chunks), then calls the same stages on (trials, ...) arrays, so
+its reports are bit-identical to folding ``run_trial``.
 """
 
 from __future__ import annotations
@@ -45,8 +51,7 @@ from .lattices import (
     in_voronoi,
     mod_lattice,
     nearest_coords,
-    quantize,
-    sample_dither,
+    quantize,  # unused here; perfbench's tracer test checks this binding
     second_moment,
 )
 from .rates import SystemConfig, mmse_coefficients
@@ -69,13 +74,22 @@ _MASK32 = (1 << 32) - 1
 _MASK128 = (1 << 128) - 1
 
 
+def _leaders(pair: NestedPair) -> np.ndarray:
+    """``codebook(pair)`` as a read-only (M, N) int64 coordinate array."""
+    leaders = np.array([p.coords for p in codebook(pair)], dtype=np.int64)
+    leaders.setflags(write=False)
+    return leaders
+
+
 @dataclass(frozen=True, eq=False)
 class Scheme:
     """Immutable bundle of configuration, lattice pairs and derived constants.
 
     The first K-1 users share ``interferer_pair``; user K has its own
     ``user_k_pair``.  Both coarse lattices are unit-second-moment
-    normalized, which is what makes the power accounting exact.
+    normalized, which is what makes the power accounting exact.  Each
+    pair's codebook is a read-only (M, N) int64 array of coset-leader
+    coordinates in ``codebook`` order; a codeword is a row index into it.
     """
 
     config: SystemConfig
@@ -87,10 +101,8 @@ class Scheme:
     alpha_user_k: float
     effective_noise_var: float
     interferer_amplitudes: tuple[float, ...]
-    interferer_points: tuple[LatticePoint, ...]
-    user_k_points: tuple[LatticePoint, ...]
-    interferer_coord_set: frozenset
-    user_k_coord_set: frozenset
+    interferer_leaders: np.ndarray
+    user_k_leaders: np.ndarray
 
     @classmethod
     def for_config(cls, cfg: SystemConfig, interferer_pair: NestedPair,
@@ -105,8 +117,9 @@ class Scheme:
                     "coarse lattices must be normalized to unit second moment")
         p = cfg.p_aligned
         mmse = mmse_coefficients(cfg)
-        points = tuple(codebook(interferer_pair))
-        points_k = tuple(codebook(user_k_pair))
+        leaders = _leaders(interferer_pair)
+        leaders_k = (leaders if user_k_pair is interferer_pair
+                     else _leaders(user_k_pair))
         return cls(
             config=cfg,
             interferer_pair=interferer_pair,
@@ -117,10 +130,8 @@ class Scheme:
             alpha_user_k=cfg.p_k / (cfg.p_k + 1.0),
             effective_noise_var=mmse.effective_noise_var,
             interferer_amplitudes=tuple(math.sqrt(p / g) for g in cfg.a),
-            interferer_points=points,
-            user_k_points=points_k,
-            interferer_coord_set=frozenset(pt.coords for pt in points),
-            user_k_coord_set=frozenset(pt.coords for pt in points_k))
+            interferer_leaders=leaders,
+            user_k_leaders=leaders_k)
 
     @property
     def dimension(self) -> int:
@@ -221,130 +232,147 @@ def wilson_interval(count: int, trials: int,
     return max(center - half, 0.0), min(center + half, 1.0)
 
 
-def encode_interferer(scheme: Scheme, user: int, point: LatticePoint,
-                      dither: np.ndarray) -> np.ndarray:
-    """Transmit signal of interfering user ``user`` (1-based).
+def _codewords(leaders: np.ndarray, index) -> np.ndarray:
+    """Rows of ``leaders`` at ``index``; an index outside them raises."""
+    index = np.asarray(index)
+    if np.any((index < 0) | (index >= len(leaders))):
+        raise ValueError("codeword index outside the codebook")
+    return leaders[index]
 
-    Folds codeword plus dither over the coarse cell, then scales by
-    sqrt(P/a_user) so the signal arrives at receiver K with power P.
-    The transmit power P/a_user never exceeds the user's constraint.
+
+def _fold_dithers(scheme: Scheme, uniforms: np.ndarray):
+    """Dithers from (..., K, N) uniforms on [0, 1), as ``sample_dither``.
+
+    Each uniform vector is scaled to the coarse cell's box and folded into
+    the cell.  Returns the (..., K-1, N) interferer dithers and user K's
+    (..., N) dither, which comes from the last row.
     """
-    cfg = scheme.config
-    if not 1 <= user <= cfg.K - 1:
-        raise ValueError("interferer index out of range")
-    if point.coords not in scheme.interferer_coord_set:
-        raise ValueError("codeword is not in the interferer codebook")
     coarse = scheme.interferer_pair.coarse
-    folded = mod_lattice(coarse, point.embed() + dither)
-    return scheme.interferer_amplitudes[user - 1] * folded
+    coarse_k = scheme.user_k_pair.coarse
+    return (mod_lattice(coarse, coarse.scale * uniforms[..., :-1, :]),
+            mod_lattice(coarse_k, coarse_k.scale * uniforms[..., -1, :]))
 
 
-def encode_user_k(scheme: Scheme, point: LatticePoint,
-                  dither: np.ndarray) -> np.ndarray:
-    """Transmit signal of user K: dithered fold scaled to power P_K."""
-    if point.coords not in scheme.user_k_coord_set:
-        raise ValueError("codeword is not in user K's codebook")
-    coarse = scheme.user_k_pair.coarse
-    folded = mod_lattice(coarse, point.embed() + dither)
-    return math.sqrt(scheme.config.p_k) * folded
+def _decode(pair: NestedPair, x: np.ndarray) -> np.ndarray:
+    """Fold ``x`` over the coarse cell, quantize it to the fine lattice and
+    reduce: the batched ``pair.reduce(quantize(pair.fine, folded))``."""
+    folded = mod_lattice(pair.coarse, x)
+    return _centered_mod(nearest_coords(pair.fine, folded), pair.q)
 
 
-def _received_interference(scheme: Scheme, interferer_signals):
-    """Cross-gain-weighted interference sum at receiver K.
+def encode_interferer(scheme: Scheme, index, dithers: np.ndarray):
+    """Transmit signals of the K-1 interfering users.
 
-    Explicit left-to-right accumulation.  Each signal may also be a
-    (trials, N) array, which is how the batch engine shares this order
-    with the reference path bit for bit.
+    ``index`` holds codeword indices, shape (..., K-1), and ``dithers`` the
+    matching (..., K-1, N) stack.  Each codeword plus dither is folded over
+    the coarse cell, giving ``u``; user i's row is then scaled by
+    sqrt(P/a_i) so it arrives at receiver K with power P.  The transmit
+    power P/a_i never exceeds the user's constraint.  Returns
+    ``(u, signals)``, both of shape (..., K-1, N).
     """
-    acc = np.zeros(scheme.dimension)
-    for g, x in zip(scheme.config.a, interferer_signals):
-        acc = acc + math.sqrt(g) * x
-    return acc
+    pair = scheme.interferer_pair
+    points = _codewords(scheme.interferer_leaders, index) * pair.fine.scale
+    u = mod_lattice(pair.coarse, points + dithers)
+    return u, np.asarray(scheme.interferer_amplitudes)[:, None] * u
 
 
-def apply_channel(scheme: Scheme, interferer_signals, user_k_signal,
-                  rng: np.random.Generator, noiseless: bool = False):
+def encode_user_k(scheme: Scheme, index, dither: np.ndarray):
+    """Transmit signal of user K: dithered fold scaled to power P_K.
+
+    ``index`` has shape (...) and ``dither`` (..., N).  Returns
+    ``(u_k, signal_k)``: the folded codeword plus dither, and sqrt(P_K)*u_k.
+    """
+    pair = scheme.user_k_pair
+    point = _codewords(scheme.user_k_leaders, index) * pair.fine.scale
+    u_k = mod_lattice(pair.coarse, point + dither)
+    return u_k, math.sqrt(scheme.config.p_k) * u_k
+
+
+def apply_channel(scheme: Scheme, signals: np.ndarray, signal_k: np.ndarray,
+                  noise: np.ndarray):
     """One block through the many-to-one channel.
 
-    Returns ``(direct_outputs, y_k)``: receivers 1..K-1 each see only
-    their own sender plus unit-variance noise; receiver K sees the
-    cross-gain-weighted sum of everything plus its own noise.  Noise is
-    drawn in user order (direct links first, receiver K last); with
-    ``noiseless`` no noise is drawn at all.
+    ``signals`` is the (..., K-1, N) interferer stack, ``signal_k`` user K's
+    (..., N) signal and ``noise`` the (..., K, N) unit-variance channel
+    noise, direct links first and receiver K last (zeros for a noiseless
+    block).  Receivers 1..K-1 each see only their own sender plus noise;
+    receiver K sees the cross-gain-weighted interference, accumulated
+    left to right, plus user K's signal and its own noise.  Returns
+    ``(direct, interference, y_k)``: the (..., K-1, N) direct outputs, the
+    noiseless interference at receiver K and its (..., N) output.
     """
-    n = scheme.dimension
-    direct = []
-    for x in interferer_signals:
-        z = np.zeros(n) if noiseless else rng.standard_normal(n)
-        direct.append(x + z)
-    z_k = np.zeros(n) if noiseless else rng.standard_normal(n)
-    y_k = _received_interference(scheme, interferer_signals) \
-        + user_k_signal + z_k
-    return direct, y_k
+    interference = np.zeros(scheme.dimension)
+    for g, x in zip(scheme.config.a, np.moveaxis(signals, -2, 0)):
+        interference = interference + math.sqrt(g) * x
+    y_k = interference + signal_k + noise[..., -1, :]
+    return signals + noise[..., :-1, :], interference, y_k
 
 
 def decode_direct(scheme: Scheme, user: int, y: np.ndarray,
-                  dither: np.ndarray) -> LatticePoint:
+                  dither: np.ndarray) -> np.ndarray:
     """MMSE lattice decoding on the interference-free direct link.
 
-    Physical SNR is S = P/a_user (the power actually transmitted);
-    scale by alpha = S/(S+1), remove the dither, fold, quantize to the
-    fine lattice and reduce to a coset leader.
+    ``user`` is 1-based; ``y`` and ``dither`` have shape (..., N).
+    Physical SNR is S = P/a_user (the power actually transmitted); scale
+    by alpha = S/(S+1), remove the dither, fold, quantize to the fine
+    lattice and reduce to the centered coset-leader coordinates.
     """
-    pair = scheme.interferer_pair
+    if not 1 <= user <= scheme.config.K - 1:
+        raise ValueError("interferer index out of range")
     snr = scheme.interferer_amplitudes[user - 1] ** 2
     alpha = snr / (snr + 1.0)
-    folded = mod_lattice(pair.coarse,
-                         alpha * y / math.sqrt(snr) - dither)
-    return pair.reduce(quantize(pair.fine, folded))
+    return _decode(scheme.interferer_pair,
+                   alpha * y / math.sqrt(snr) - dither)
 
 
 def decode_mod_sum(scheme: Scheme, y_k: np.ndarray,
-                   dithers) -> LatticePoint:
+                   dithers: np.ndarray) -> np.ndarray:
     """Stage one at receiver K: decode the mod-sum of the interference.
 
-    Normalizes by sqrt(P), applies the variance-minimizing alpha,
-    strips all interferer dithers, folds, and quantizes.
+    Normalizes by sqrt(P), applies the variance-minimizing alpha, strips
+    the sum over axis -2 of the (..., K-1, N) dither stack, folds and
+    quantizes.  Returns centered coset-leader coordinates (..., N).
     """
-    pair = scheme.interferer_pair
     scaled = scheme.alpha_mod_sum * y_k / math.sqrt(scheme.aligned_power)
-    folded = mod_lattice(pair.coarse, scaled - np.sum(dithers, axis=0))
-    return pair.reduce(quantize(pair.fine, folded))
+    return _decode(scheme.interferer_pair,
+                   scaled - np.sum(dithers, axis=-2))
 
 
-def subtract_interference(scheme: Scheme, y_k: np.ndarray, s_hat: LatticePoint,
-                          dithers) -> np.ndarray:
+def subtract_interference(scheme: Scheme, y_k: np.ndarray, s_hat: np.ndarray,
+                          dithers: np.ndarray) -> np.ndarray:
     """Stage two: remove the decoded mod-sum from the normalized output.
 
-    When ``s_hat`` is correct the result equals gamma*U_K + Z' modulo
-    the coarse cell, with Z' the receiver noise scaled by 1/sqrt(P).
+    ``s_hat`` holds leader coordinates as ``decode_mod_sum`` returns them.
+    When it is correct the result equals gamma*U_K + Z' modulo the coarse
+    cell, with Z' the receiver noise scaled by 1/sqrt(P).
     """
-    coarse = scheme.interferer_pair.coarse
+    pair = scheme.interferer_pair
     normalized = y_k / math.sqrt(scheme.aligned_power)
-    return mod_lattice(coarse,
-                       normalized - s_hat.embed() - np.sum(dithers, axis=0))
+    return mod_lattice(pair.coarse, normalized - s_hat * pair.fine.scale
+                       - np.sum(dithers, axis=-2))
 
 
 def decode_user_k(scheme: Scheme, residual: np.ndarray,
-                  dither: np.ndarray) -> LatticePoint:
+                  dither: np.ndarray) -> np.ndarray:
     """Stage three: decode user K's codeword from the residual.
 
     The residual carries gamma*U_K at noise variance 1/P, an effective
     SNR of P_K; rescale by 1/gamma, apply alpha = P_K/(P_K+1), strip
-    user K's dither and quantize on user K's pair.
+    user K's dither and quantize on user K's pair.  Returns centered
+    coset-leader coordinates (..., N).
     """
-    pair = scheme.user_k_pair
     scaled = scheme.alpha_user_k * residual / scheme.gamma
-    folded = mod_lattice(pair.coarse, scaled - dither)
-    return pair.reduce(quantize(pair.fine, folded))
+    return _decode(scheme.user_k_pair, scaled - dither)
 
 
-def classify_events(mod_sum_correct: bool, residual_unwrapped: bool,
-                    user_k_correct: bool) -> tuple[bool, bool, bool]:
-    """Conditional event flags (e1, e2, e3) from raw stage outcomes."""
-    e1 = not mod_sum_correct
-    e2 = (not e1) and (not residual_unwrapped)
-    e3 = (not e1) and (not e2) and (not user_k_correct)
+def classify_events(mod_sum_correct, residual_unwrapped, user_k_correct):
+    """Conditional event flags (e1, e2, e3) from raw stage outcomes.
+
+    Works elementwise on booleans or boolean arrays of one shape.
+    """
+    e1 = ~np.asarray(mod_sum_correct, dtype=bool)
+    e2 = ~e1 & ~np.asarray(residual_unwrapped, dtype=bool)
+    e3 = ~e1 & ~e2 & ~np.asarray(user_k_correct, dtype=bool)
     return e1, e2, e3
 
 
@@ -359,59 +387,56 @@ def run_trial(scheme: Scheme, trial_seed: int,
     """Simulate one block: draw, encode, transmit, decode, classify.
 
     Draw order (fixed contract): interferer codeword indices, user K
-    codeword index, interferer dithers in user order, user K dither,
-    then channel noise inside ``apply_channel``.
+    codeword index, the dither uniforms in user order (user K last), then
+    the channel noise in the same order; with ``noiseless`` no noise is
+    drawn.  ``rng.random((K, N))`` and ``standard_normal((K, N))`` read the
+    same stream as one call per user.
     """
     rng = np.random.default_rng(trial_seed)
-    cfg = scheme.config
-    pair = scheme.interferer_pair
+    k = scheme.config.K
     n = scheme.dimension
+    pair = scheme.interferer_pair
+    leaders = scheme.interferer_leaders
+    leaders_k = scheme.user_k_leaders
 
-    idx = rng.integers(0, len(scheme.interferer_points), size=cfg.K - 1)
-    points = [scheme.interferer_points[i] for i in idx]
-    point_k = scheme.user_k_points[rng.integers(0, len(scheme.user_k_points))]
-    dithers = [sample_dither(pair.coarse, rng) for _ in range(cfg.K - 1)]
-    dither_k = sample_dither(scheme.user_k_pair.coarse, rng)
+    idx = rng.integers(0, len(leaders), size=k - 1)
+    idx_k = rng.integers(0, len(leaders_k))
+    dithers, dither_k = _fold_dithers(scheme, rng.random((k, n)))
+    noise = np.zeros((k, n)) if noiseless else rng.standard_normal((k, n))
 
-    signals = [encode_interferer(scheme, i + 1, t, d)
-               for i, (t, d) in enumerate(zip(points, dithers))]
-    signal_k = encode_user_k(scheme, point_k, dither_k)
-    direct_outputs, y_k = apply_channel(scheme, signals, signal_k, rng,
-                                        noiseless=noiseless)
+    u, signals = encode_interferer(scheme, idx, dithers)
+    u_k, signal_k = encode_user_k(scheme, idx_k, dither_k)
+    direct, interference, y_k = apply_channel(scheme, signals, signal_k,
+                                              noise)
 
     direct_errors = tuple(
-        decode_direct(scheme, i + 1, y, d).coords != t.coords
-        for i, (y, d, t) in enumerate(zip(direct_outputs, dithers, points)))
+        not np.array_equal(decode_direct(scheme, j + 1, direct[j], dithers[j]),
+                           leaders[i])
+        for j, i in enumerate(idx))
 
     s_hat = decode_mod_sum(scheme, y_k, dithers)
-    total = points[0]
-    for t in points[1:]:
-        total = total + t
-    s_true = pair.reduce(total)
-    mod_sum_correct = s_hat.coords == s_true.coords
+    points = [LatticePoint(tuple(int(c) for c in leaders[i]), pair.fine)
+              for i in idx]
+    s_true = pair.reduce(sum(points[1:], points[0]))
 
     # Reconstruct the exact unwrapped residual from simulator-side truth:
     # gamma*U_K + Z'; the wrap event is its escape from the coarse cell.
-    u_k = mod_lattice(scheme.user_k_pair.coarse, point_k.embed() + dither_k)
-    z_k = y_k - _received_interference(scheme, signals) - signal_k
-    z_prime = z_k / math.sqrt(scheme.aligned_power)
+    z_prime = (y_k - interference - signal_k) / math.sqrt(scheme.aligned_power)
     unwrapped = scheme.gamma * u_k + z_prime
-    residual_unwrapped = in_voronoi(pair.coarse, unwrapped)
 
     residual = subtract_interference(scheme, y_k, s_hat, dithers)
     t_k_hat = decode_user_k(scheme, residual, dither_k)
-    user_k_correct = t_k_hat.coords == point_k.coords
 
-    e1, e2, e3 = classify_events(mod_sum_correct, residual_unwrapped,
-                                 user_k_correct)
+    e1, e2, e3 = classify_events(
+        np.array_equal(s_hat, s_true.coords),
+        in_voronoi(pair.coarse, unwrapped),
+        np.array_equal(t_k_hat, leaders_k[idx_k]))
 
-    u_sum = np.sum([mod_lattice(pair.coarse, t.embed() + d)
-                    for t, d in zip(points, dithers)], axis=0)
-    z_eff = (scheme.alpha_mod_sum - 1.0) * u_sum \
+    z_eff = (scheme.alpha_mod_sum - 1.0) * np.sum(u, axis=0) \
         + scheme.alpha_mod_sum * unwrapped
     return TrialOutcome(
         direct_errors=direct_errors,
-        e1=e1, e2=e2, e3=e3,
+        e1=bool(e1), e2=bool(e2), e3=bool(e3),
         effective_noise_power=float(np.sum(z_eff * z_eff)) / n,
         residual_power=float(np.sum(residual * residual)) / n)
 
@@ -534,83 +559,48 @@ def _batch_trial_arrays(scheme: Scheme, seeds, noiseless: bool) -> dict:
     """Vectorized engine: all trials for ``seeds`` as flat arrays.
 
     Takes run_trial's draws from ``_replay_draws`` (the v1 draw contract,
-    replayed on the whole chunk), then performs the same arithmetic, in
-    the same order, on (trials, ...) arrays; every per-trial value is
-    bit-identical to the reference implementation.
+    replayed on the whole chunk) and calls the same stage functions on
+    (trials, ...) arrays, each once per chunk (``decode_direct`` once per
+    user).  Only the bookkeeping between the stages is its own, written
+    apart from run_trial's so that the oracle engine = run_trial checks
+    it; every per-trial value is bit-identical to the reference.
     """
-    cfg = scheme.config
+    k1 = scheme.config.K - 1
     pair = scheme.interferer_pair
-    pair_k = scheme.user_k_pair
-    coarse = pair.coarse
-    coarse_k = pair_k.coarse
+    leaders = scheme.interferer_leaders
+    leaders_k = scheme.user_k_leaders
     n = scheme.dimension
-    k1 = cfg.K - 1
-    t_count = len(seeds)
-    m = len(scheme.interferer_points)
-    m_k = len(scheme.user_k_points)
-    s_coarse = coarse.scale
-    s_coarse_k = coarse_k.scale
 
-    leaders = np.array([p.coords for p in scheme.interferer_points],
-                       dtype=np.int64)
-    leaders_emb = leaders * pair.fine.scale
-    leaders_k = np.array([p.coords for p in scheme.user_k_points],
-                         dtype=np.int64)
-    leaders_k_emb = leaders_k * pair_k.fine.scale
-
-    idx_all, uniforms, noise_all = _replay_draws(seeds, m, m_k, k1, n,
-                                                 noiseless)
+    idx_all, uniforms, noise = _replay_draws(seeds, len(leaders),
+                                             len(leaders_k), k1, n, noiseless)
     idx, idx_k = idx_all[:, :k1], idx_all[:, k1]
-    dither_box = s_coarse * uniforms[:, :k1]
-    dither_k_box = s_coarse_k * uniforms[:, k1]
-    noise, noise_k = noise_all[:, :k1], noise_all[:, k1]
+    dithers, dither_k = _fold_dithers(scheme, uniforms)
 
-    def decode(folded, nested):
-        # Batched ``nested.reduce(quantize(nested.fine, folded))``.
-        return _centered_mod(nearest_coords(nested.fine, folded), nested.q)
+    u, signals = encode_interferer(scheme, idx, dithers)
+    u_k, signal_k = encode_user_k(scheme, idx_k, dither_k)
+    direct, interference, y_k = apply_channel(scheme, signals, signal_k,
+                                              noise)
 
-    dithers = mod_lattice(coarse, dither_box)
-    dither_k = mod_lattice(coarse_k, dither_k_box)
+    direct_errors = np.stack([
+        np.any(decode_direct(scheme, j + 1, direct[:, j], dithers[:, j])
+               != leaders[idx[:, j]], axis=1)
+        for j in range(k1)], axis=1)
 
-    u = mod_lattice(coarse, leaders_emb[idx] + dithers)
-    amps = np.asarray(scheme.interferer_amplitudes)
-    signals = amps[None, :, None] * u
-    u_k = mod_lattice(coarse_k, leaders_k_emb[idx_k] + dither_k)
-    signal_k = math.sqrt(cfg.p_k) * u_k
-
-    direct_y = signals + noise
-    received = _received_interference(scheme, np.moveaxis(signals, 1, 0))
-    y_k = received + signal_k + noise_k
-
-    direct_errors = np.empty((t_count, k1), dtype=bool)
-    for j in range(k1):
-        snr = scheme.interferer_amplitudes[j] ** 2
-        alpha = snr / (snr + 1.0)
-        folded = mod_lattice(coarse, alpha * direct_y[:, j, :]
-                             / math.sqrt(snr) - dithers[:, j, :])
-        decoded = decode(folded, pair)
-        direct_errors[:, j] = np.any(decoded != leaders[idx[:, j]], axis=1)
-
-    dither_sum = np.sum(dithers, axis=1)
-    scaled = scheme.alpha_mod_sum * y_k / math.sqrt(scheme.aligned_power)
-    s_hat = decode(mod_lattice(coarse, scaled - dither_sum), pair)
+    s_hat = decode_mod_sum(scheme, y_k, dithers)
     s_true = _centered_mod(np.sum(leaders[idx], axis=1), pair.q)
-    e1 = np.any(s_hat != s_true, axis=1)
 
-    z_k = y_k - received - signal_k
-    z_prime = z_k / math.sqrt(scheme.aligned_power)
+    z_prime = (y_k - interference - signal_k) / math.sqrt(scheme.aligned_power)
     unwrapped = scheme.gamma * u_k + z_prime
-    e2 = ~e1 & ~in_voronoi(coarse, unwrapped)
 
-    normalized = y_k / math.sqrt(scheme.aligned_power)
-    residual = mod_lattice(coarse,
-                           normalized - s_hat * pair.fine.scale - dither_sum)
-    scaled_k = scheme.alpha_user_k * residual / scheme.gamma
-    t_k_hat = decode(mod_lattice(coarse_k, scaled_k - dither_k), pair_k)
-    e3 = ~e1 & ~e2 & np.any(t_k_hat != leaders_k[idx_k], axis=1)
+    residual = subtract_interference(scheme, y_k, s_hat, dithers)
+    t_k_hat = decode_user_k(scheme, residual, dither_k)
 
-    u_sum = np.sum(u, axis=1)
-    z_eff = (scheme.alpha_mod_sum - 1.0) * u_sum \
+    e1, e2, e3 = classify_events(
+        np.all(s_hat == s_true, axis=1),
+        in_voronoi(pair.coarse, unwrapped),
+        np.all(t_k_hat == leaders_k[idx_k], axis=1))
+
+    z_eff = (scheme.alpha_mod_sum - 1.0) * np.sum(u, axis=1) \
         + scheme.alpha_mod_sum * unwrapped
     return {
         "direct_errors": direct_errors,
@@ -623,21 +613,17 @@ def _batch_trial_arrays(scheme: Scheme, seeds, noiseless: bool) -> dict:
 
 
 def run_campaign(scheme: Scheme, trials: int, master_seed: int,
-                 jobs: int = 1, noiseless: bool = False,
+                 noiseless: bool = False,
                  config_echo: str = "") -> CampaignReport:
     """Run ``trials`` independent trials and fold the outcomes.
 
     The trials run in order, on one thread, in ``ceil(trials / _BLOCK)``
     contiguous chunks; each chunk derives its own seeds, so memory stays
     bounded for any ``trials``.  The per-trial results are concatenated in
-    index order before the single final aggregation.  ``jobs`` must be
-    positive and is otherwise ignored: worker threads lost to one thread
-    on the replay loop, so the report never depends on it.
+    index order before the single final aggregation.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    if jobs < 1:
-        raise ValueError("jobs must be positive")
     chunks = math.ceil(trials / _BLOCK)
     bounds = [i * trials // chunks for i in range(chunks + 1)]
     parts = [

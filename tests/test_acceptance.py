@@ -46,9 +46,9 @@ from lsl.representation import (
 )
 from lsl.simulate import (
     Scheme,
+    _batch_trial_arrays,
     derive_trial_seed,
     run_campaign,
-    run_trial,
 )
 from lsl.lattices import codebook
 
@@ -192,18 +192,17 @@ def test_criterion_07_monte_carlo_monotonicity():
                                10_000, 314)
             direct_rates.append(rep.direct_error_rate_pooled)
         assert direct_rates[0] > direct_rates[1] > direct_rates[2] > 0
-        # (c) conditional event flags are consistent on every trial
+        # (c) conditional event flags are consistent on every trial; the
+        # engine's per-trial flags equal run_trial's (see test_simulate)
         cfg = SystemConfig(K=3, P=(10, 10, 1.5), a=(0.3, 0.3))
         scheme = Scheme.for_config(cfg, make_cubic_pair(2, 2))
-        saw_e1 = saw_e2 = saw_e3 = False
-        for i in range(10_000):
-            o = run_trial(scheme, derive_trial_seed(7, i))
-            assert not (o.e1 and o.e2)
-            assert not (o.e3 and (o.e1 or o.e2))
-            saw_e1 |= o.e1
-            saw_e2 |= o.e2
-            saw_e3 |= o.e3
-        assert saw_e1 and saw_e2 and saw_e3
+        flags = _batch_trial_arrays(
+            scheme, [derive_trial_seed(7, i) for i in range(10_000)], False)
+        e1, e2, e3 = flags["e1"], flags["e2"], flags["e3"]
+        assert e1.shape == e2.shape == e3.shape == (10_000,)
+        assert not np.any(e1 & e2)
+        assert not np.any(e3 & (e1 | e2))
+        assert e1.any() and e2.any() and e3.any()
 
 
 def test_criterion_08_threshold_redundancy():

@@ -1,6 +1,9 @@
 """Monte Carlo pipeline: encoding, channel, three-stage decoding, events."""
 
+import functools
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,11 +12,11 @@ from hypothesis import strategies as st
 
 from lsl.errors import InvariantViolationError
 from lsl.lattices import (
+    codebook,
     in_voronoi,
     make_construction_a_pair,
     make_cubic_pair,
     mod_lattice,
-    sample_dither,
 )
 from lsl.rates import SystemConfig, mmse_coefficients
 from lsl.simulate import (
@@ -55,57 +58,77 @@ def coded_wrap_scheme():
     return Scheme.for_config(cfg, make_construction_a_pair(2, 3, [(1, 1, 1)]))
 
 
+def draw_dithers(lat, rng, *shape):
+    """``sample_dither(lat, rng)`` for every index of ``shape``, in one draw.
+
+    ``rng.random(shape + (N,))`` reads the same stream as one
+    ``rng.random(N)`` per dither, in row-major order.
+    """
+    return mod_lattice(lat, lat.scale * rng.random(shape + (lat.dimension,)))
+
+
+def embed(pair, coords):
+    """Real embedding of fine-lattice coordinates."""
+    return pair.fine.scale * np.asarray(coords, dtype=float)
+
+
 class TestEncoding:
     def test_zero_codeword_zero_dither(self):
         scheme = default_scheme()
-        origin = scheme.interferer_pair.fine.point((0, 0))
-        x = encode_interferer(scheme, 1, origin, np.zeros(2))
-        assert np.all(x == 0.0)
-        assert np.all(encode_user_k(scheme, origin, np.zeros(2)) == 0.0)
+        origin = np.flatnonzero(~scheme.interferer_leaders.any(axis=1))[0]
+        u, x = encode_interferer(scheme, [origin, origin], np.zeros((2, 2)))
+        assert np.all(x == 0.0) and np.all(u == 0.0)
+        assert np.all(encode_user_k(scheme, origin, np.zeros(2))[1] == 0.0)
 
     def test_power_compliance(self):
         scheme = default_scheme()
         rng = np.random.default_rng(42)
-        point = scheme.interferer_points[3]
         n = scheme.dimension
+        coarse = scheme.interferer_pair.coarse
+        # user 1's 20,000 dithers, then user 2's, as sequential draws
+        dithers = np.stack([draw_dithers(coarse, rng, 20_000)
+                            for _ in (1, 2)], axis=1)
+        _, x = encode_interferer(scheme, np.full((20_000, 2), 3), dithers)
+        powers = np.sum(x ** 2, axis=-1) / n
         for user in (1, 2):
             target = scheme.aligned_power / scheme.config.a[user - 1]
-            powers = [
-                float(np.sum(encode_interferer(
-                    scheme, user, point,
-                    sample_dither(scheme.interferer_pair.coarse, rng)) ** 2)) / n
-                for _ in range(20_000)]
-            assert np.mean(powers) == pytest.approx(target, rel=0.01)
+            assert np.mean(powers[:, user - 1]) == pytest.approx(target,
+                                                                 rel=0.01)
             assert target <= scheme.config.P[user - 1] + 1e-12
-        point_k = scheme.user_k_points[1]
-        powers_k = [
-            float(np.sum(encode_user_k(
-                scheme, point_k,
-                sample_dither(scheme.user_k_pair.coarse, rng)) ** 2)) / n
-            for _ in range(20_000)]
+        d_k = draw_dithers(scheme.user_k_pair.coarse, rng, 20_000)
+        _, x_k = encode_user_k(scheme, np.ones(20_000, dtype=int), d_k)
+        powers_k = np.sum(x_k ** 2, axis=-1) / n
         assert np.mean(powers_k) == pytest.approx(scheme.config.p_k, rel=0.01)
 
     def test_alignment_exact_algebra(self):
         # every interferer arrives at receiver K with amplitude sqrt(P)
         scheme = default_scheme()
+        pair = scheme.interferer_pair
         rng = np.random.default_rng(7)
+        d = draw_dithers(pair.coarse, rng, 2)
+        u, x = encode_interferer(scheme, [2, 2], d)
         for user in (1, 2):
-            point = scheme.interferer_points[2]
-            d = sample_dither(scheme.interferer_pair.coarse, rng)
-            x = encode_interferer(scheme, user, point, d)
-            u = mod_lattice(scheme.interferer_pair.coarse, point.embed() + d)
-            arrived = math.sqrt(scheme.config.a[user - 1]) * x
+            expected_u = mod_lattice(
+                pair.coarse, embed(pair, scheme.interferer_leaders[2])
+                + d[user - 1])
+            assert np.array_equal(u[user - 1], expected_u)
+            arrived = math.sqrt(scheme.config.a[user - 1]) * x[user - 1]
             assert np.allclose(
-                arrived, math.sqrt(scheme.aligned_power) * u, rtol=1e-12)
+                arrived, math.sqrt(scheme.aligned_power) * expected_u,
+                rtol=1e-12)
 
-    def test_rejects_foreign_codeword(self):
+    def test_rejects_index_or_user_out_of_range(self):
         scheme = default_scheme()
-        alien = scheme.interferer_pair.fine.point((7, 7))
-        with pytest.raises(ValueError):
-            encode_interferer(scheme, 1, alien, np.zeros(2))
-        with pytest.raises(ValueError):
-            encode_interferer(scheme, 5, scheme.interferer_points[0],
-                              np.zeros(2))
+        m = len(scheme.interferer_leaders)
+        for bad in ([0, m], [-1, 0], [[0, 1], [2, m + 5]]):
+            with pytest.raises(ValueError):
+                encode_interferer(scheme, bad, np.zeros(np.shape(bad) + (2,)))
+        for bad in (len(scheme.user_k_leaders), -1, [0, -2]):
+            with pytest.raises(ValueError):
+                encode_user_k(scheme, bad, np.zeros(np.shape(bad) + (2,)))
+        for user in (0, 3, -1):
+            with pytest.raises(ValueError):
+                decode_direct(scheme, user, np.zeros(2), np.zeros(2))
 
     def test_rejects_unnormalized_pair(self):
         from lsl.lattices import Lattice, NestedPair
@@ -117,49 +140,59 @@ class TestEncoding:
         with pytest.raises(ValueError):
             Scheme.for_config(cfg, pair)
 
+    def test_leaders_are_the_codebook(self):
+        for scheme in (default_scheme(q=3, dim=2), coded_benchmark_scheme()):
+            for pair, leaders in (
+                    (scheme.interferer_pair, scheme.interferer_leaders),
+                    (scheme.user_k_pair, scheme.user_k_leaders)):
+                assert leaders.dtype == np.int64
+                assert not leaders.flags.writeable
+                assert [tuple(row) for row in leaders.tolist()] == [
+                    p.coords for p in codebook(pair)]
+
 
 class TestChannel:
     def test_noiseless_identity(self):
         scheme = default_scheme()
+        pair = scheme.interferer_pair
         rng = np.random.default_rng(3)
-        points = [scheme.interferer_points[i] for i in (1, 3)]
-        dithers = [sample_dither(scheme.interferer_pair.coarse, rng)
-                   for _ in range(2)]
-        signals = [encode_interferer(scheme, i + 1, t, d)
-                   for i, (t, d) in enumerate(zip(points, dithers))]
-        d_k = sample_dither(scheme.user_k_pair.coarse, rng)
-        signal_k = encode_user_k(scheme, scheme.user_k_points[2], d_k)
-        direct, y_k = apply_channel(scheme, signals, signal_k, rng,
-                                    noiseless=True)
+        idx = [1, 3]
+        dithers = draw_dithers(pair.coarse, rng, 2)
+        _, signals = encode_interferer(scheme, idx, dithers)
+        d_k = draw_dithers(scheme.user_k_pair.coarse, rng)
+        _, signal_k = encode_user_k(scheme, 2, d_k)
+        direct, _, y_k = apply_channel(scheme, signals, signal_k,
+                                       np.zeros((3, 2)))
         for x, y in zip(signals, direct):
             assert np.array_equal(x, y)
-        us = [mod_lattice(scheme.interferer_pair.coarse, t.embed() + d)
-              for t, d in zip(points, dithers)]
+        us = [mod_lattice(pair.coarse,
+                          embed(pair, scheme.interferer_leaders[i]) + d)
+              for i, d in zip(idx, dithers)]
         u_k = mod_lattice(scheme.user_k_pair.coarse,
-                          scheme.user_k_points[2].embed() + d_k)
+                          embed(scheme.user_k_pair, scheme.user_k_leaders[2])
+                          + d_k)
         expected = math.sqrt(scheme.aligned_power) * (us[0] + us[1]) \
             + math.sqrt(scheme.config.p_k) * u_k
         assert np.allclose(y_k, expected, rtol=1e-12)
 
     def test_direct_links_are_interference_free(self):
         scheme = default_scheme()
-        signals = [np.array([1.0, 2.0]), np.array([-3.0, 0.5])]
-        direct_a, _ = apply_channel(scheme, signals, np.zeros(2),
-                                    np.random.default_rng(0), noiseless=True)
-        other = [signals[0], np.array([100.0, -50.0])]
-        direct_b, _ = apply_channel(scheme, other, np.ones(2),
-                                    np.random.default_rng(0), noiseless=True)
+        signals = np.array([[1.0, 2.0], [-3.0, 0.5]])
+        silent = np.zeros((3, 2))
+        direct_a, _, _ = apply_channel(scheme, signals, np.zeros(2), silent)
+        other = np.array([signals[0], [100.0, -50.0]])
+        direct_b, _, _ = apply_channel(scheme, other, np.ones(2), silent)
         assert np.array_equal(direct_a[0], direct_b[0])
 
     def test_noise_variance(self):
+        # every output carries exactly its own row of the given noise
         scheme = default_scheme()
         rng = np.random.default_rng(11)
-        zero = [np.zeros(2), np.zeros(2)]
-        samples = []
-        for _ in range(60_000):
-            direct, y_k = apply_channel(scheme, zero, np.zeros(2), rng)
-            samples.extend([direct[0], direct[1], y_k])
-        flat = np.concatenate(samples)
+        noise = rng.standard_normal((60_000, 3, 2))
+        direct, _, y_k = apply_channel(scheme, np.zeros((60_000, 2, 2)),
+                                       np.zeros((60_000, 2)), noise)
+        flat = np.concatenate([direct, y_k[:, None]], axis=1)
+        assert np.array_equal(flat, noise)
         assert np.var(flat) == pytest.approx(1.0, rel=0.01)
 
 
@@ -167,68 +200,76 @@ class TestDecoding:
     def test_noiseless_round_trip_exhaustive(self):
         # zero channel noise: every stage recovers every codeword combo
         scheme = default_scheme(q=2, dim=1)
-        rng = np.random.default_rng(5)
         pair = scheme.interferer_pair
-        for t1 in scheme.interferer_points:
-            for t2 in scheme.interferer_points:
-                for tk in scheme.user_k_points:
-                    dithers = [sample_dither(pair.coarse, rng)
-                               for _ in range(2)]
-                    d_k = sample_dither(scheme.user_k_pair.coarse, rng)
-                    signals = [encode_interferer(scheme, 1, t1, dithers[0]),
-                               encode_interferer(scheme, 2, t2, dithers[1])]
-                    signal_k = encode_user_k(scheme, tk, d_k)
-                    direct, y_k = apply_channel(scheme, signals, signal_k,
-                                                rng, noiseless=True)
-                    assert decode_direct(scheme, 1, direct[0],
-                                         dithers[0]).coords == t1.coords
-                    assert decode_direct(scheme, 2, direct[1],
-                                         dithers[1]).coords == t2.coords
-                    s_hat = decode_mod_sum(scheme, y_k, dithers)
-                    assert s_hat.coords == pair.reduce(t1 + t2).coords
-                    residual = subtract_interference(scheme, y_k, s_hat,
-                                                     dithers)
-                    assert decode_user_k(scheme, residual,
-                                         d_k).coords == tk.coords
+        leaders = scheme.interferer_leaders
+        rng = np.random.default_rng(5)
+        combos = np.array(list(itertools.product(
+            range(len(leaders)), range(len(leaders)),
+            range(len(scheme.user_k_leaders)))))
+        idx, idx_k = combos[:, :2], combos[:, 2]
+        # per combo: both interferer dithers, then user K's
+        drawn = draw_dithers(pair.coarse, rng, len(combos), 3)
+        dithers, d_k = drawn[:, :2], drawn[:, 2]
+        _, signals = encode_interferer(scheme, idx, dithers)
+        _, signal_k = encode_user_k(scheme, idx_k, d_k)
+        direct, _, y_k = apply_channel(scheme, signals, signal_k,
+                                       np.zeros((len(combos), 3, 1)))
+        for user in (1, 2):
+            assert np.array_equal(
+                decode_direct(scheme, user, direct[:, user - 1],
+                              dithers[:, user - 1]),
+                leaders[idx[:, user - 1]])
+        s_hat = decode_mod_sum(scheme, y_k, dithers)
+        for row, (t1, t2) in zip(s_hat, idx):
+            total = pair.fine.point(leaders[t1]) + pair.fine.point(leaders[t2])
+            assert tuple(row) == pair.reduce(total).coords
+        residual = subtract_interference(scheme, y_k, s_hat, dithers)
+        assert np.array_equal(decode_user_k(scheme, residual, d_k),
+                              scheme.user_k_leaders[idx_k])
 
     def test_mod_sum_collapse_with_unit_alpha(self):
         # zero dither, zero noise, silent user K: folding y_K/sqrt(P)
         # directly (alpha = 1) returns the folded codeword sum exactly
         scheme = default_scheme(q=2, dim=2)
         pair = scheme.interferer_pair
-        zero = np.zeros(2)
-        for t1 in scheme.interferer_points[:2]:
-            for t2 in scheme.interferer_points[2:]:
-                signals = [encode_interferer(scheme, 1, t1, zero),
-                           encode_interferer(scheme, 2, t2, zero)]
+        leaders = scheme.interferer_leaders
+        for t1 in range(2):
+            for t2 in range(2, len(leaders)):
+                _, signals = encode_interferer(scheme, [t1, t2],
+                                               np.zeros((2, 2)))
                 silent_k = np.zeros(2)
-                _, y_k = apply_channel(scheme, signals, silent_k,
-                                       np.random.default_rng(0),
-                                       noiseless=True)
+                _, _, y_k = apply_channel(scheme, signals, silent_k,
+                                          np.zeros((3, 2)))
                 folded = mod_lattice(pair.coarse,
                                      y_k / math.sqrt(scheme.aligned_power))
-                expected = pair.reduce(t1 + t2).embed()
+                total = pair.fine.point(leaders[t1]) \
+                    + pair.fine.point(leaders[t2])
+                expected = pair.reduce(total).embed()
                 assert np.allclose(folded, expected, atol=1e-9)
 
     def test_residual_equals_unwrapped_value(self):
         scheme = default_scheme(q=2, dim=2)
         pair = scheme.interferer_pair
+        leaders = scheme.interferer_leaders
         rng = np.random.default_rng(8)
         hits = 0
         for _ in range(200):
-            points = [scheme.interferer_points[i]
-                      for i in rng.integers(0, 4, size=2)]
-            t_k = scheme.user_k_points[rng.integers(0, 4)]
-            dithers = [sample_dither(pair.coarse, rng) for _ in range(2)]
-            d_k = sample_dither(scheme.user_k_pair.coarse, rng)
-            signals = [encode_interferer(scheme, i + 1, t, d)
-                       for i, (t, d) in enumerate(zip(points, dithers))]
-            signal_k = encode_user_k(scheme, t_k, d_k)
-            _, y_k = apply_channel(scheme, signals, signal_k, rng)
+            idx = rng.integers(0, 4, size=2)
+            t_k = rng.integers(0, 4)
+            dithers = draw_dithers(pair.coarse, rng, 2)
+            d_k = draw_dithers(scheme.user_k_pair.coarse, rng)
+            _, signals = encode_interferer(scheme, idx, dithers)
+            _, signal_k = encode_user_k(scheme, t_k, d_k)
+            noise = rng.standard_normal((3, 2))
+            _, _, y_k = apply_channel(scheme, signals, signal_k, noise)
             s_hat = decode_mod_sum(scheme, y_k, dithers)
-            if s_hat.coords != pair.reduce(points[0] + points[1]).coords:
+            total = pair.fine.point(leaders[idx[0]]) \
+                + pair.fine.point(leaders[idx[1]])
+            if tuple(s_hat) != pair.reduce(total).coords:
                 continue
-            u_k = mod_lattice(scheme.user_k_pair.coarse, t_k.embed() + d_k)
+            u_k = mod_lattice(scheme.user_k_pair.coarse,
+                              embed(scheme.user_k_pair,
+                                    scheme.user_k_leaders[t_k]) + d_k)
             z_k = y_k - math.sqrt(scheme.config.a[0]) * signals[0] \
                 - math.sqrt(scheme.config.a[1]) * signals[1] - signal_k
             unwrapped = scheme.gamma * u_k \
@@ -269,6 +310,100 @@ class TestDecoding:
             rep = run_campaign(Scheme.for_config(cfg, pair), 4000, 161)
             counts.append(rep.e1_count)
         assert counts[0] > counts[1] > counts[2]
+
+
+STAGES = ("encode_interferer", "encode_user_k", "apply_channel",
+          "decode_direct", "decode_mod_sum", "subtract_interference",
+          "decode_user_k", "classify_events")
+
+
+@functools.cache
+def stage_schemes():
+    split = Scheme.for_config(SystemConfig(K=4, P=(3, 3, 3, 1), a=(1, 1, 1)),
+                              make_cubic_pair(2, 2), make_cubic_pair(5, 2))
+    return (default_scheme(q=2, dim=2), default_scheme(q=3, dim=3), split,
+            coded_benchmark_scheme(), coded_wrap_scheme())
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+class TestStages:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 4), st.integers(1, 6), st.integers(0, 2**32 - 1),
+           st.booleans())
+    def test_batch_equals_row_by_row(self, which, t, seed, noiseless):
+        scheme = stage_schemes()[which]
+        k1 = scheme.config.K - 1
+        n = scheme.dimension
+        rng = np.random.default_rng(seed)
+        idx = rng.integers(0, len(scheme.interferer_leaders), size=(t, k1))
+        idx_k = rng.integers(0, len(scheme.user_k_leaders), size=t)
+        dithers = draw_dithers(scheme.interferer_pair.coarse, rng, t, k1)
+        d_k = draw_dithers(scheme.user_k_pair.coarse, rng, t)
+        noise = (np.zeros((t, k1 + 1, n)) if noiseless
+                 else rng.standard_normal((t, k1 + 1, n)))
+        flags = rng.random((3, t)) < 0.5
+
+        enc = encode_interferer(scheme, idx, dithers)
+        enc_k = encode_user_k(scheme, idx_k, d_k)
+        channel = apply_channel(scheme, enc[1], enc_k[1], noise)
+        direct, _, y_k = channel
+        decoded = [decode_direct(scheme, j + 1, direct[:, j], dithers[:, j])
+                   for j in range(k1)]
+        s_hat = decode_mod_sum(scheme, y_k, dithers)
+        residual = subtract_interference(scheme, y_k, s_hat, dithers)
+        t_k_hat = decode_user_k(scheme, residual, d_k)
+        events = classify_events(*flags)
+
+        for r in range(t):
+            rows = (
+                (enc, encode_interferer(scheme, idx[r], dithers[r])),
+                (enc_k, encode_user_k(scheme, idx_k[r], d_k[r])),
+                (channel, apply_channel(scheme, enc[1][r], enc_k[1][r],
+                                        noise[r])),
+                (decoded, [decode_direct(scheme, j + 1, direct[r, j],
+                                         dithers[r, j]) for j in range(k1)]),
+                ((s_hat,), (decode_mod_sum(scheme, y_k[r], dithers[r]),)),
+                ((residual,), (subtract_interference(
+                    scheme, y_k[r], s_hat[r], dithers[r]),)),
+                ((t_k_hat,), (decode_user_k(scheme, residual[r], d_k[r]),)),
+                (events, classify_events(*flags[:, r])),
+            )
+            for batch, row in rows:
+                assert len(batch) == len(row)
+                for b, one in zip(batch, row):
+                    assert same_bits(b[r], one)
+
+    def test_campaign_and_trial_call_each_stage(self, monkeypatch):
+        # the engine runs every stage once per chunk (decode_direct once
+        # per user), and run_trial runs the same stages once per trial
+        import lsl.simulate
+        cfg = SystemConfig(K=4, P=(10, 10, 10, 10), a=(12, 12, 12))
+        scheme = Scheme.for_config(cfg, make_cubic_pair(2, 2))
+        expected = run_campaign(scheme, 50, 4)
+        calls = Counter()
+
+        def counting(name, stage):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return stage(*args, **kwargs)
+            return wrapper
+
+        for name in STAGES:
+            monkeypatch.setattr(lsl.simulate, name,
+                                counting(name, getattr(lsl.simulate, name)))
+        monkeypatch.setattr(lsl.simulate, "_BLOCK", 16)
+        assert run_campaign(scheme, 50, 4) == expected
+        assert calls == {name: 4 * (3 if name == "decode_direct" else 1)
+                         for name in STAGES}
+        calls.clear()
+        run_trial(scheme, derive_trial_seed(4, 0))
+        assert calls == {name: 3 if name == "decode_direct" else 1
+                         for name in STAGES}
 
 
 class TestEvents:
@@ -334,13 +469,6 @@ class TestReproducibility:
         b = run_campaign(scheme, 800, 5)
         assert a == b
 
-    def test_thread_count_invariance(self):
-        scheme = default_scheme()
-        a = run_campaign(scheme, 1000, 9, jobs=1)
-        b = run_campaign(scheme, 1000, 9, jobs=4)
-        c = run_campaign(scheme, 1000, 9, jobs=7)
-        assert a == b == c
-
     def test_campaign_matches_reference_trials(self):
         # the vectorized engine must reproduce run_trial bit for bit, on
         # cubic and Construction-A pairs alike
@@ -368,12 +496,10 @@ class TestReproducibility:
             assert rep.e1_count == rep.e2_count == rep.e3_count == 0
             assert rep.direct_error_counts == (0, 0)
 
-    def test_jobs_does_not_change_the_chunks(self, monkeypatch):
-        # --jobs is a validated no-op: any positive count runs the same
-        # chunks, in trial order, and gives the same report
+    def test_chunks_run_in_trial_order(self, monkeypatch):
         import lsl.simulate
         scheme = default_scheme()
-        expected = run_campaign(scheme, 50, 4, jobs=1)
+        expected = run_campaign(scheme, 50, 4)
         seen = []
         engine = lsl.simulate._batch_trial_arrays
 
@@ -384,20 +510,17 @@ class TestReproducibility:
         monkeypatch.setattr(lsl.simulate, "_BLOCK", 16)
         monkeypatch.setattr(lsl.simulate, "_batch_trial_arrays",
                             recording_engine)
-        for jobs in (1, 4, 10**6):
-            seen.clear()
-            assert run_campaign(scheme, 50, 4, jobs=jobs) == expected
-            assert [len(c) for c in seen] == [12, 13, 12, 13]
-            assert sum(seen, []) == [derive_trial_seed(4, i)
-                                     for i in range(50)]
+        assert run_campaign(scheme, 50, 4) == expected
+        assert [len(c) for c in seen] == [12, 13, 12, 13]
+        assert sum(seen, []) == [derive_trial_seed(4, i) for i in range(50)]
 
     def test_chunk_count_is_trials_over_block(self, monkeypatch):
         import lsl.simulate
         scheme = default_scheme()
         block = lsl.simulate._BLOCK
-        cases = ((3, 10**9, [3]), (block, 4, [block]),
-                 (block + 1, 10**6, [block // 2, block // 2 + 1]))
-        expected = [run_campaign(scheme, trials, 12) for trials, _, _ in cases]
+        cases = ((3, [3]), (block, [block]),
+                 (block + 1, [block // 2, block // 2 + 1]))
+        expected = [run_campaign(scheme, trials, 12) for trials, _ in cases]
         sizes = []
         engine = lsl.simulate._batch_trial_arrays
 
@@ -407,15 +530,15 @@ class TestReproducibility:
 
         monkeypatch.setattr(lsl.simulate, "_batch_trial_arrays",
                             recording_engine)
-        for (trials, jobs, chunks), report in zip(cases, expected):
+        for (trials, chunks), report in zip(cases, expected):
             sizes.clear()
-            assert run_campaign(scheme, trials, 12, jobs=jobs) == report
+            assert run_campaign(scheme, trials, 12) == report
             assert sizes == chunks
 
     def test_report_is_independent_of_block_size(self, monkeypatch):
         import lsl.simulate
         scheme = default_scheme()
-        expected = run_campaign(scheme, 50, 4, jobs=1)
+        expected = run_campaign(scheme, 50, 4)
         sizes = []
         engine = lsl.simulate._batch_trial_arrays
 
@@ -426,16 +549,12 @@ class TestReproducibility:
         monkeypatch.setattr(lsl.simulate, "_BLOCK", 7)
         monkeypatch.setattr(lsl.simulate, "_batch_trial_arrays",
                             recording_engine)
-        for jobs in (1, 4, 7):
-            sizes.clear()
-            assert run_campaign(scheme, 50, 4, jobs=jobs) == expected
-            assert sum(sizes) == 50 and max(sizes) <= 7
+        assert run_campaign(scheme, 50, 4) == expected
+        assert sum(sizes) == 50 and max(sizes) <= 7
 
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
             run_campaign(default_scheme(), 0, 1)
-        with pytest.raises(ValueError):
-            run_campaign(default_scheme(), 5, 1, jobs=0)
 
     def test_default_campaign_wall_time(self):
         import time
