@@ -14,7 +14,6 @@ from .lattices import (
     CUBIC,
     EpsilonDiagnostic,
     Lattice,
-    LatticePoint,
     NestedPair,
     ball_normalized_second_moment,
     codebook,
@@ -58,6 +57,7 @@ from .rates import (
     rate_split,
     secrecy_cost_curve,
     upper_bound_sum_rate,
+    very_strong_gain_threshold,
     very_strong_interference,
 )
 from .representation import (

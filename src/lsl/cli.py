@@ -53,7 +53,8 @@ from .leakage import (
     conditional_entropy_given_modsum,
     leakage_bound_check,
 )
-from .rates import SystemConfig, rate_report
+from .rates import (SystemConfig, decoding_thresholds, rate_report,
+                    very_strong_gain_threshold)
 from .representation import certify_batch, reconstruct_batch
 from .simulate import Scheme, run_campaign
 
@@ -286,9 +287,8 @@ def _report(cfg: RunConfig, fields) -> None:
 
 def _symmetric_config(k: int, p_min: float, p_k: float) -> SystemConfig:
     """Symmetric configuration with auto-chosen very-strong cross gains."""
-    base = (p_k + 1.0) / p_min
-    threshold = max(base * ((k - 2) / (k - 1) + p_min), base)
-    gain = SWEEP_GAIN_MARGIN * threshold
+    gain = SWEEP_GAIN_MARGIN * very_strong_gain_threshold(
+        k, p_j=p_min, p_min=p_min, p_k=p_k)
     return SystemConfig(K=k, P=(p_min,) * (k - 1) + (p_k,),
                         a=(gain,) * (k - 1))
 
@@ -377,11 +377,11 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 def cmd_simulate(cfg: RunConfig) -> int:
     system = cfg.system()
-    report = rate_report(system)
-    if report.mu <= 1.0:
+    mu = decoding_thresholds(system).mu
+    if mu <= 1.0:
         raise InfeasibleConfigError(
             "aligned interference power must exceed P_K + 1 "
-            f"(mu = {report.mu:.6f})")
+            f"(mu = {mu:.6f})")
     scheme = Scheme.for_config(system, cfg.pair())
     c = run_campaign(scheme, cfg.trials, cfg.seed, config_echo=cfg.echo())
     record = [("config_hash", cfg.hash()), ("trials", str(c.trials)),

@@ -1,9 +1,9 @@
 """Exact algebra for scaled cubic and Construction-A nested lattice pairs.
 
-Lattice points carry integer coordinate vectors plus a shared scalar
-scale, so point arithmetic (sums, negation, coset reduction) is exact
-integer work.  Floating point enters only when a point is embedded into
-R^N or when real-valued vectors (noise, dither) are quantized.
+A lattice point is its integer coordinates, an int64 array of shape
+(..., N); the scale lives on the ``Lattice``.  Point arithmetic (sums,
+coset reduction) is exact integer array work, and floating point enters
+only at ``lat.scale * coords`` or when real vectors are quantized.
 
 Quantizer convention: the nearest point wins and ties go to the
 lexicographically smallest coordinate vector.  Per coordinate this is
@@ -19,7 +19,6 @@ the normalization survives round-tripping through floats.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -100,48 +99,6 @@ class Lattice:
     def scale(self) -> float:
         return math.sqrt(self.scale_sq)
 
-    def point(self, coords) -> "LatticePoint":
-        """Wrap integer coordinates as a point of this lattice."""
-        coords = tuple(int(c) for c in coords)
-        if len(coords) != self.dimension:
-            raise ValueError("coordinate count does not match dimension")
-        if self.family == CONSTRUCTION_A:
-            residue = tuple(int(c) % self.modulus for c in coords)
-            if residue not in set(self.codewords):
-                raise ValueError("coordinates are not on the coded lattice")
-        return LatticePoint(coords, self)
-
-
-@dataclass(frozen=True)
-class LatticePoint:
-    """Integer coordinates plus the owning lattice (supplies the scale)."""
-
-    coords: tuple[int, ...]
-    lattice: Lattice
-
-    def embed(self) -> np.ndarray:
-        """Real embedding ``scale * coords``."""
-        return self.lattice.scale * np.asarray(self.coords, dtype=float)
-
-    def _require_same_lattice(self, other):
-        if self.lattice is not other.lattice and self.lattice != other.lattice:
-            raise ValueError("points belong to different lattices")
-
-    def __add__(self, other: "LatticePoint") -> "LatticePoint":
-        self._require_same_lattice(other)
-        return LatticePoint(
-            tuple(a + b for a, b in zip(self.coords, other.coords)),
-            self.lattice)
-
-    def __sub__(self, other: "LatticePoint") -> "LatticePoint":
-        self._require_same_lattice(other)
-        return LatticePoint(
-            tuple(a - b for a, b in zip(self.coords, other.coords)),
-            self.lattice)
-
-    def __neg__(self) -> "LatticePoint":
-        return LatticePoint(tuple(-a for a in self.coords), self.lattice)
-
 
 @dataclass(frozen=True)
 class NestedPair:
@@ -173,15 +130,11 @@ class NestedPair:
     def dimension(self) -> int:
         return self.fine.dimension
 
-    def reduce(self, point: LatticePoint) -> LatticePoint:
-        """Coset leader of ``point`` modulo the coarse lattice.
-
-        Exact integer operation: coordinates are reduced to the centered
-        residue range (-q/2, q/2], which embeds inside the half-open
-        coarse cell.
-        """
-        coords = _centered_mod(point.coords, self.q)
-        return LatticePoint(tuple(int(c) for c in coords), self.fine)
+    def reduce(self, coords) -> np.ndarray:
+        """Coset leaders of the integer fine coordinates ``coords`` (..., N):
+        the exact centered residues in (-q/2, q/2], which embed inside the
+        half-open coarse cell.  This is the one coset-reduction rule."""
+        return _centered_mod(coords, self.q)
 
 
 def make_cubic_pair(q: int, dimension: int) -> NestedPair:
@@ -259,16 +212,15 @@ def make_construction_a_pair(q: int, dimension: int, generator,
     if q ** k > enumeration_cap:
         raise CapacityError(
             f"codeword enumeration would exceed cap ({q ** k} > {enumeration_cap})")
-    cols = list(zip(*rows))
-    words = set()
-    for msg in itertools.product(range(q), repeat=k):
-        words.add(tuple(sum(m * g for m, g in zip(msg, col)) % q
-                        for col in cols))
+    # Every message times the generator, reduced first to stay in int64.
+    messages = np.indices((q,) * k).reshape(k, -1).T
+    residues = np.array([[x % q for x in row] for row in rows], np.int64)
+    words = sorted(set(map(tuple, (messages @ residues % q).tolist())))
     if len(words) != q ** k:
         raise InvalidCodeError("generator rows are dependent mod q")
     fine = Lattice(dimension=dimension, family=CONSTRUCTION_A,
                    scale_sq=12.0 / (q * q), modulus=q,
-                   generator=tuple(rows), codewords=tuple(sorted(words)))
+                   generator=tuple(rows), codewords=tuple(words))
     coarse = Lattice(dimension=dimension, family=CUBIC, scale_sq=12.0)
     return NestedPair(fine=fine, coarse=coarse, q=q,
                       nesting_ratio=q ** k,
@@ -306,12 +258,14 @@ def nearest_coords(lat: Lattice, x) -> np.ndarray:
     return best
 
 
-def quantize(lat: Lattice, x) -> LatticePoint:
-    """Nearest lattice point to the vector ``x`` (see ``nearest_coords``)."""
+def quantize(lat: Lattice, x) -> np.ndarray:
+    """(N,) int64 coordinates of the lattice point nearest to one vector
+    ``x``: ``nearest_coords`` checked for one row, kept for perfbench's
+    tracer, which times it and checks its binding in ``lsl.simulate``."""
     coords = nearest_coords(lat, x)
     if coords.ndim != 1:
         raise ValueError(f"expected one vector, got shape {coords.shape}")
-    return LatticePoint(tuple(int(c) for c in coords), lat)
+    return coords
 
 
 def mod_lattice(lat: Lattice, x) -> np.ndarray:
@@ -382,26 +336,27 @@ def second_moment_mc(lat: Lattice, samples: int,
 
 
 def codebook(pair: NestedPair,
-             cap: int = DEFAULT_ENUMERATION_CAP) -> list[LatticePoint]:
-    """All coset leaders of fine/coarse, lexicographically ordered.
+             cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+    """All coset leaders of fine/coarse as a read-only (M, N) int64 array.
 
-    Every leader has coordinates in the centered residue range
-    (-q/2, q/2] and therefore embeds inside the half-open coarse cell.
-    The list is a group under coordinate addition followed by
-    ``pair.reduce``.
+    Rows are in lexicographic order and hold coordinates in the centered
+    residue range (-q/2, q/2], so each embeds inside the half-open coarse
+    cell.  The rows form a group under addition followed by
+    ``pair.reduce``.  The cap is checked before any enumeration.
     """
     if pair.nesting_ratio > cap:
         raise CapacityError(
             f"codebook size {pair.nesting_ratio} exceeds cap {cap}")
-    q = pair.q
-    residues = sorted(int(_centered_mod(r, q)) for r in range(q))
     if pair.fine.family == CUBIC:
-        coords_iter = itertools.product(residues, repeat=pair.dimension)
-        return [LatticePoint(c, pair.fine) for c in coords_iter]
-    leaders = sorted(
-        tuple(int(x) for x in _centered_mod(np.asarray(c), q))
-        for c in pair.fine.codewords)
-    return [LatticePoint(c, pair.fine) for c in leaders]
+        # q consecutive centered residues; copy() makes rows contiguous.
+        grid = np.indices((pair.q,) * pair.dimension, dtype=np.int64)
+        lowest = -((pair.q - 1) // 2)
+        leaders = (grid.reshape(pair.dimension, -1) + lowest).T.copy()
+    else:
+        centered = pair.reduce(pair.fine.codewords).tolist()
+        leaders = np.array(sorted(centered), dtype=np.int64)
+    leaders.setflags(write=False)
+    return leaders
 
 
 def _log_ball_volume(dimension: int) -> float:

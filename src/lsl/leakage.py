@@ -32,11 +32,11 @@ DEFAULT_STATE_CAP = 10_000_000
 class DiscreteEnsemble:
     """K-1 iid uniform codewords over a quotient-group codebook.
 
-    ``elements`` are the coset leaders as centered integer coordinate
-    tuples; they form a group under coordinate addition mod q.  The
-    joint state space has size M^(K-1) and each op checks it against
-    ``state_cap`` before enumerating; construction checks the M^2 pair
-    sums of its closure test the same way, first.
+    ``elements`` are the coset leaders as length-``dimension`` integer
+    tuples, the ensemble's identity; they form a group under coordinate
+    addition mod q.  The joint state space has size M^(K-1) and each op
+    checks it against ``state_cap`` before enumerating; construction
+    checks the M^2 pair sums of its closure test the same way, first.
     """
 
     elements: tuple[tuple[int, ...], ...]
@@ -47,19 +47,33 @@ class DiscreteEnsemble:
     #: ``_sum_counts`` results by number of summed elements.
     _tallies: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
+    #: ``elements`` as a read-only (M, N) int64 array.
+    _coords: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.num_users < 3:
             raise ValueError("need at least 3 users")
         if self.q < 1:
             raise ValueError("modulus must be positive")
+        if self.dimension < 1:
+            raise ValueError("dimension must be a positive integer")
         if not self.elements:
             raise ValueError("codebook is empty")
+        self._check_cap(2)
+        message = f"elements must be length-{self.dimension} integer tuples"
+        if not all(isinstance(e, tuple) and len(e) == self.dimension
+                   for e in self.elements):
+            raise ValueError(message)
+        coords = np.array(self.elements)
+        if coords.ndim != 2 or coords.dtype.kind != "i":
+            raise ValueError(message)
         if len(set(self.elements)) != len(self.elements):
             raise ValueError("duplicate codebook elements")
-        self._check_cap(2)
+        coords = coords.astype(np.int64)
+        coords.flags.writeable = False
+        object.__setattr__(self, "_coords", coords)
         # Closed iff the folded pair sums add no row to the elements.
-        rows = np.vstack([np.array(self.elements, dtype=np.int64),
+        rows = np.vstack([coords,
                           _centered_mod(self._sum_counts(2)[0], self.q)])
         if len(_tally(rows, np.zeros(len(rows), np.int64))[0]) != self.size:
             raise ValueError("codebook is not closed under mod-q addition")
@@ -67,7 +81,7 @@ class DiscreteEnsemble:
     @classmethod
     def from_pair(cls, pair: NestedPair, num_users: int,
                   state_cap: int = DEFAULT_STATE_CAP) -> "DiscreteEnsemble":
-        leaders = tuple(p.coords for p in codebook(pair))
+        leaders = tuple(map(tuple, codebook(pair).tolist()))
         return cls(elements=leaders, q=pair.q, dimension=pair.dimension,
                    num_users=num_users, state_cap=state_cap)
 
@@ -104,9 +118,9 @@ class DiscreteEnsemble:
                 counts = np.ones(1, dtype=np.int64)
             else:
                 prev, prev_counts = self._sum_counts(num_vars - 1)
-                elements = np.array(self.elements, dtype=np.int64)
                 sums, counts = _tally(
-                    (prev[:, None, :] + elements).reshape(-1, self.dimension),
+                    (prev[:, None, :] + self._coords).reshape(
+                        -1, self.dimension),
                     np.repeat(prev_counts, self.size))
             sums.flags.writeable = counts.flags.writeable = False
             self._tallies[num_vars] = sums, counts

@@ -85,16 +85,20 @@ class VeryStrongCheck:
     j_star: int
 
 
-def very_strong_interference(cfg: SystemConfig) -> VeryStrongCheck:
-    """Gain condition making the mod-sum decoding constraint inactive.
+def very_strong_gain_threshold(k: int, p_j: float, p_min: float,
+                               p_k: float) -> float:
+    """Gain the aligned user j must exceed for very strong interference:
+    max{ ((P_K+1)/P_j) * ((K-2)/(K-1) + P_min), (P_K+1)/P_j }."""
+    base = (p_k + 1.0) / p_j
+    return max(base * ((k - 2) / (k - 1) + p_min), base)
 
-    The aligned gain a_j must exceed
-    max{ ((P_K+1)/P_j) * ((K-2)/(K-1) + P_min), (P_K+1)/P_j }.
-    """
+
+def very_strong_interference(cfg: SystemConfig) -> VeryStrongCheck:
+    """Gain condition making the mod-sum decoding constraint inactive:
+    the aligned gain a_j exceeds ``very_strong_gain_threshold``."""
     j = alignment_index(cfg)
-    p_j = cfg.P[j - 1]
-    base = (cfg.p_k + 1.0) / p_j
-    threshold = max(base * ((cfg.K - 2) / (cfg.K - 1) + cfg.p_min), base)
+    threshold = very_strong_gain_threshold(cfg.K, cfg.P[j - 1], cfg.p_min,
+                                           cfg.p_k)
     a_j = cfg.a[j - 1]
     return VeryStrongCheck(satisfied=a_j > threshold, threshold=threshold,
                            a_j=a_j, j_star=j)

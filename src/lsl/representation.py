@@ -15,12 +15,12 @@ Certificates are batched: ``certify_batch`` and ``reconstruct_batch``
 work on (..., K, N) arrays of tuples with one fold, one window lookup and
 one mixed-radix expansion per call, and ``certify_sum``/
 ``reconstruct_sum`` are their one-row wrappers.  ``candidate_set`` builds
-the explicit list and serves as the test oracle.
+the explicit list as a (K^N, N) int64 coordinate array and serves as the
+test oracle.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +30,6 @@ from .lattices import (
     CUBIC,
     BOUNDARY_TOL,
     Lattice,
-    LatticePoint,
     in_voronoi,
     mod_lattice,
 )
@@ -131,12 +130,13 @@ def _require_cubic(lat: Lattice):
         raise ValueError("sum certificates need a cubic lattice")
 
 
-def candidate_set(folded, num_points: int, lat: Lattice) -> list[LatticePoint]:
+def candidate_set(folded, num_points: int, lat: Lattice) -> np.ndarray:
     """Lattice points l with folded + l inside the K-fold dilated cell.
 
-    Ordered lexicographically by coordinates.  ``folded`` must lie in the
-    fundamental cell of the cubic ``lat``.  The set is a Cartesian product
-    of per-coordinate integer windows of length exactly ``num_points``.
+    Returns their integer coordinates as a (K^N, N) int64 array, rows in
+    lexicographic order.  ``folded`` must lie in the fundamental cell of
+    the cubic ``lat``.  The set is a Cartesian product of per-coordinate
+    integer windows of length exactly ``num_points``.
     """
     _require_cubic(lat)
     folded = np.asarray(folded, dtype=float)
@@ -144,9 +144,9 @@ def candidate_set(folded, num_points: int, lat: Lattice) -> list[LatticePoint]:
         raise ValueError("num_points must be >= 1")
     if not in_voronoi(lat, folded):
         raise ValueError("folded vector lies outside the fundamental cell")
-    lows = _window_lows(folded / lat.scale, num_points)
-    ranges = [range(int(lo), int(lo) + num_points) for lo in lows]
-    return [LatticePoint(c, lat) for c in itertools.product(*ranges)]
+    grid = np.indices((num_points,) * lat.dimension)
+    return (_window_lows(folded / lat.scale, num_points)
+            + grid.reshape(lat.dimension, -1).T)
 
 
 def certify_batch(points, lat: Lattice) -> tuple[np.ndarray, np.ndarray]:

@@ -44,9 +44,7 @@ import numpy as np
 
 from .errors import InvariantViolationError
 from .lattices import (
-    LatticePoint,
     NestedPair,
-    _centered_mod,
     codebook,
     in_voronoi,
     mod_lattice,
@@ -72,13 +70,6 @@ _MIX_MULT_R = 0x4973F715
 _PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
 _MASK32 = (1 << 32) - 1
 _MASK128 = (1 << 128) - 1
-
-
-def _leaders(pair: NestedPair) -> np.ndarray:
-    """``codebook(pair)`` as a read-only (M, N) int64 coordinate array."""
-    leaders = np.array([p.coords for p in codebook(pair)], dtype=np.int64)
-    leaders.setflags(write=False)
-    return leaders
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,9 +108,9 @@ class Scheme:
                     "coarse lattices must be normalized to unit second moment")
         p = cfg.p_aligned
         mmse = mmse_coefficients(cfg)
-        leaders = _leaders(interferer_pair)
+        leaders = codebook(interferer_pair)
         leaders_k = (leaders if user_k_pair is interferer_pair
-                     else _leaders(user_k_pair))
+                     else codebook(user_k_pair))
         return cls(
             config=cfg,
             interferer_pair=interferer_pair,
@@ -255,9 +246,9 @@ def _fold_dithers(scheme: Scheme, uniforms: np.ndarray):
 
 def _decode(pair: NestedPair, x: np.ndarray) -> np.ndarray:
     """Fold ``x`` over the coarse cell, quantize it to the fine lattice and
-    reduce: the batched ``pair.reduce(quantize(pair.fine, folded))``."""
+    reduce to centered coset-leader coordinates, for every (..., N) row."""
     folded = mod_lattice(pair.coarse, x)
-    return _centered_mod(nearest_coords(pair.fine, folded), pair.q)
+    return pair.reduce(nearest_coords(pair.fine, folded))
 
 
 def encode_interferer(scheme: Scheme, index, dithers: np.ndarray):
@@ -415,9 +406,7 @@ def run_trial(scheme: Scheme, trial_seed: int,
         for j, i in enumerate(idx))
 
     s_hat = decode_mod_sum(scheme, y_k, dithers)
-    points = [LatticePoint(tuple(int(c) for c in leaders[i]), pair.fine)
-              for i in idx]
-    s_true = pair.reduce(sum(points[1:], points[0]))
+    s_true = pair.reduce(leaders[idx].sum(axis=0))
 
     # Reconstruct the exact unwrapped residual from simulator-side truth:
     # gamma*U_K + Z'; the wrap event is its escape from the coarse cell.
@@ -428,7 +417,7 @@ def run_trial(scheme: Scheme, trial_seed: int,
     t_k_hat = decode_user_k(scheme, residual, dither_k)
 
     e1, e2, e3 = classify_events(
-        np.array_equal(s_hat, s_true.coords),
+        np.array_equal(s_hat, s_true),
         in_voronoi(pair.coarse, unwrapped),
         np.array_equal(t_k_hat, leaders_k[idx_k]))
 
@@ -547,11 +536,9 @@ def _replay_draws(seeds, m: int, m_k: int, k1: int, n: int,
         rng = np.random.default_rng(seeds[i])
         idx[i, :k1] = rng.integers(0, m, size=k1)
         idx[i, k1] = rng.integers(0, m_k)
-        for j in range(users):
-            uniforms[i, j] = rng.random(n)
+        uniforms[i] = rng.random((users, n))
         if not noiseless:
-            for j in range(users):
-                noise[i, j] = rng.standard_normal(n)
+            noise[i] = rng.standard_normal((users, n))
     return idx, uniforms, noise
 
 
@@ -587,7 +574,7 @@ def _batch_trial_arrays(scheme: Scheme, seeds, noiseless: bool) -> dict:
         for j in range(k1)], axis=1)
 
     s_hat = decode_mod_sum(scheme, y_k, dithers)
-    s_true = _centered_mod(np.sum(leaders[idx], axis=1), pair.q)
+    s_true = pair.reduce(np.sum(leaders[idx], axis=1))
 
     z_prime = (y_k - interference - signal_k) / math.sqrt(scheme.aligned_power)
     unwrapped = scheme.gamma * u_k + z_prime

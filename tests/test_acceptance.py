@@ -116,7 +116,7 @@ def test_criterion_04_representation_round_trip():
         # (a) exhaustive codeword-grid tuples
         for q, dim in itertools.product((2, 3), (1, 2)):
             pair = make_cubic_pair(q, dim)
-            leaders = [p.embed() for p in codebook(pair)]
+            leaders = pair.fine.scale * codebook(pair)
             for k in (1, 2, 3):
                 for combo in itertools.product(leaders, repeat=k):
                     cert = certify_sum(combo, pair.coarse)

@@ -1,5 +1,7 @@
 """CLI contract: subcommands, config precedence, CSV determinism, exits."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from lsl.cli import (
     main,
 )
 from lsl.lattices import make_cubic_pair, sample_dither
+from lsl.rates import very_strong_interference
 
 
 def read(path):
@@ -73,6 +76,9 @@ class TestExitCodes:
     def test_infeasible_simulation(self, capsys):
         assert main(["simulate", "--P", "2,2,10", "--a", "1,1",
                      "--trials", "10"]) == 2
+        assert capsys.readouterr().err == (
+            "infeasible configuration: aligned interference power must "
+            "exceed P_K + 1 (mu = 0.181818)\n")
 
     def test_sweep_needs_var(self, capsys):
         assert main(["sweep"]) == 1
@@ -189,6 +195,14 @@ class TestConfigKeys:
 
 
 class TestSweep:
+    def test_gains_are_the_rates_threshold_with_margin(self):
+        # bit-equal, so the sweep and the rate report share one formula
+        for k, p_min, p_k in itertools.product((3, 4, 50), (0.1, 1.0, 7.5),
+                                               (0.5, 10.0)):
+            sym = lsl.cli._symmetric_config(k, p_min, p_k)
+            threshold = very_strong_interference(sym).threshold
+            assert sym.a == (lsl.cli.SWEEP_GAIN_MARGIN * threshold,) * (k - 1)
+
     def test_cost_curve_endpoints(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--var", "K", "--from", "3", "--to", "100",

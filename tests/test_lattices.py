@@ -36,6 +36,11 @@ def unit_cubic(n):
     return Lattice(dimension=n, family=CUBIC, scale_sq=1.0)
 
 
+def embed(lat, coords):
+    """Real embedding ``lat.scale * coords`` of integer coordinates."""
+    return lat.scale * np.asarray(coords, dtype=float)
+
+
 class TestPairConstruction:
     def test_normalized_coarse_interval(self):
         pair = make_cubic_pair(2, 1)
@@ -67,9 +72,9 @@ class TestPairConstruction:
                 basis = np.zeros(n)
                 basis[j] = pair.coarse.scale
                 pt = quantize(pair.fine, basis)
-                assert pt.coords == tuple(pair.q if i == j else 0
-                                          for i in range(n))
-                assert pair.reduce(pt).coords == (0,) * n
+                assert pt.tolist() == [pair.q if i == j else 0
+                                       for i in range(n)]
+                assert pair.reduce(pt).tolist() == [0] * n
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
@@ -86,7 +91,7 @@ class TestConstructionA:
         assert spanned == {(0, 0), (1, 1)}
         assert pair.nesting_ratio == 2
         assert pair.rate_per_dim == pytest.approx(0.5)
-        assert [p.coords for p in codebook(pair)] == [(0, 0), (1, 1)]
+        assert codebook(pair).tolist() == [[0, 0], [1, 1]]
 
     def test_identity_generator_equals_cubic(self):
         pair_a = make_construction_a_pair(3, 2, [(1, 0), (0, 1)])
@@ -94,12 +99,23 @@ class TestConstructionA:
         rng = np.random.default_rng(11)
         for _ in range(200):
             x = rng.uniform(-5, 5, size=2)
-            assert quantize(pair_a.fine, x).coords == \
-                quantize(pair_c.fine, x).coords
+            assert np.array_equal(quantize(pair_a.fine, x),
+                                  quantize(pair_c.fine, x))
 
     def test_zero_rank_rejected(self):
         with pytest.raises(InvalidCodeError):
             make_construction_a_pair(2, 2, [(0, 0)])
+
+    def test_codewords_are_the_sorted_residues(self):
+        for q, gen in ((2, [(1, 1, 0), (0, 1, 1)]), (4, [(1, 2), (0, 3)]),
+                       (3, [(1, 0, 1, 1), (0, 1, 1, 2)]),
+                       (5, [(10 ** 20 + 1, 7, -3)])):
+            literal = {tuple(sum(m * g for m, g in zip(msg, col)) % q
+                             for col in zip(*gen))
+                       for msg in itertools.product(range(q),
+                                                    repeat=len(gen))}
+            pair = make_construction_a_pair(q, len(gen[0]), gen)
+            assert pair.fine.codewords == tuple(sorted(literal))
 
     def test_composite_modulus_rank(self):
         with pytest.raises(InvalidCodeError):
@@ -115,20 +131,20 @@ class TestConstructionA:
 class TestQuantize:
     def test_nearest_integer(self):
         lat = unit_cubic(1)
-        assert quantize(lat, [1.7]).coords == (2,)
-        assert quantize(lat, [-1.2]).coords == (-1,)
+        assert quantize(lat, [1.7]).tolist() == [2]
+        assert quantize(lat, [-1.2]).tolist() == [-1]
 
     def test_tie_breaks_to_lex_smallest(self):
         lat = unit_cubic(1)
-        assert quantize(lat, [0.5]).coords == (0,)
-        assert quantize(lat, [-0.5]).coords == (-1,)
-        assert quantize(lat, [1.5]).coords == (1,)
+        assert quantize(lat, [0.5]).tolist() == [0]
+        assert quantize(lat, [-0.5]).tolist() == [-1]
+        assert quantize(lat, [1.5]).tolist() == [1]
 
     def test_construction_a_exhaustive_oracle(self):
         lat = Lattice(dimension=2, family=CONSTRUCTION_A, scale_sq=1.0,
                       modulus=2, generator=((1, 1),),
                       codewords=((0, 0), (1, 1)))
-        assert quantize(lat, [0.9, 1.1]).coords == (1, 1)
+        assert quantize(lat, [0.9, 1.1]).tolist() == [1, 1]
         rng = np.random.default_rng(5)
         for _ in range(100):
             x = rng.uniform(-4, 4, size=2)
@@ -138,23 +154,23 @@ class TestQuantize:
                  for c in [(0, 0), (1, 1)]
                  for z in itertools.product(range(-4, 5), repeat=2)),
             )
-            assert quantize(lat, x).coords == best[1]
+            assert quantize(lat, x).tolist() == list(best[1])
 
     def test_lattice_points_are_fixed(self):
         rng = np.random.default_rng(3)
         pair = make_cubic_pair(3, 3)
         for _ in range(50):
-            coords = tuple(int(c) for c in rng.integers(-20, 20, size=3))
-            pt = pair.fine.point(coords)
-            assert quantize(pair.fine, pt.embed()).coords == coords
+            coords = rng.integers(-20, 20, size=3)
+            assert np.array_equal(
+                quantize(pair.fine, embed(pair.fine, coords)), coords)
         lat = Lattice(dimension=2, family=CONSTRUCTION_A, scale_sq=1.0,
                       modulus=2, generator=((1, 1),),
                       codewords=((0, 0), (1, 1)))
         for _ in range(50):
             z = rng.integers(-10, 10, size=2)
             c = [(0, 0), (1, 1)][rng.integers(0, 2)]
-            coords = tuple(int(v) for v in np.array(c) + 2 * z)
-            assert quantize(lat, lat.point(coords).embed()).coords == coords
+            coords = np.array(c) + 2 * z
+            assert np.array_equal(quantize(lat, embed(lat, coords)), coords)
 
     def test_rejects_bad_input(self):
         lat = unit_cubic(2)
@@ -281,8 +297,8 @@ class TestMod:
 
     def test_exact_zero_on_lattice_coords(self):
         pair = make_cubic_pair(2, 2)
-        pt = pair.coarse.point((3, -2))
-        assert np.all(mod_lattice(pair.coarse, pt.embed()) == 0.0)
+        on_lattice = embed(pair.coarse, (3, -2))
+        assert np.all(mod_lattice(pair.coarse, on_lattice) == 0.0)
 
     def test_difference_is_lattice_point(self):
         rng = np.random.default_rng(8)
@@ -371,7 +387,63 @@ class TestSecondMoment:
             second_moment_mc(pair.fine, 10, np.random.default_rng(0))
 
 
+def centered(v, q):
+    r = v % q
+    return r - q if 2 * r > q else r
+
+
+@st.composite
+def codebook_pairs(draw):
+    """A cubic pair, or a Construction-A pair with a random full-rank
+    generator, with at most 256 leaders; and the literal enumeration of
+    its leaders.  The generator has an identity block on k random
+    columns, random residues elsewhere, and its second row has a random
+    multiple of the first added, so its rank is k mod any q."""
+    q = draw(st.integers(2, 6))
+    digits = max(r for r in range(1, 6) if q ** r <= 256)
+    if draw(st.booleans()):
+        n = draw(st.integers(1, digits))
+        residues = sorted(centered(r, q) for r in range(q))
+        return make_cubic_pair(q, n), list(itertools.product(residues,
+                                                             repeat=n))
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, min(n, digits)))
+    rows = [draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
+            for _ in range(k)]
+    pivots = draw(st.permutations(range(n)))[:k]
+    for i, row in enumerate(rows):
+        for j, col in enumerate(pivots):
+            row[col] = int(i == j)
+    if k > 1:
+        mult = draw(st.integers(0, q - 1))
+        rows[1] = [(a + mult * b) % q for a, b in zip(rows[1], rows[0])]
+    words = {tuple(sum(m * g for m, g in zip(msg, col)) % q
+                   for col in zip(*rows))
+             for msg in itertools.product(range(q), repeat=k)}
+    return (make_construction_a_pair(q, n, rows),
+            sorted(tuple(centered(v, q) for v in w) for w in words))
+
+
 class TestCodebook:
+    @settings(max_examples=100, deadline=None)
+    @given(codebook_pairs())
+    def test_codebook_properties(self, case):
+        pair, expected = case
+        q, n = pair.q, pair.dimension
+        leaders = codebook(pair)
+        assert isinstance(leaders, np.ndarray)
+        assert leaders.dtype == np.int64
+        assert leaders.shape == (pair.nesting_ratio, n)
+        assert not leaders.flags.writeable
+        assert leaders.flags.c_contiguous
+        rows = [tuple(r) for r in leaders.tolist()]
+        assert all(a < b for a, b in zip(rows, rows[1:]))
+        assert np.all((2 * leaders > -q) & (2 * leaders <= q))
+        assert np.all(in_voronoi(pair.coarse, pair.fine.scale * leaders))
+        sums = pair.reduce(leaders[:, None, :] + leaders[None, :, :])
+        assert {tuple(r) for r in sums.reshape(-1, n).tolist()} == set(rows)
+        assert rows == expected
+
     def test_sizes(self):
         assert len(codebook(make_cubic_pair(2, 2))) == 4
         assert len(codebook(make_construction_a_pair(2, 2, [(1, 1)]))) == 2
@@ -385,11 +457,11 @@ class TestCodebook:
                      make_cubic_pair(4, 2),
                      make_construction_a_pair(2, 3, [(1, 1, 0), (0, 1, 1)])):
             points = codebook(pair)
-            coords = [p.coords for p in points]
+            coords = [tuple(p) for p in points.tolist()]
             assert len(set(coords)) == pair.nesting_ratio
             assert coords == sorted(coords)
             for p in points:
-                assert in_voronoi(pair.coarse, p.embed())
+                assert in_voronoi(pair.coarse, embed(pair.fine, p))
 
     def test_group_closure_exhaustive(self):
         for pair in (make_cubic_pair(2, 2), make_cubic_pair(4, 2),
@@ -397,9 +469,9 @@ class TestCodebook:
                      make_construction_a_pair(2, 3, [(1, 1, 0), (0, 1, 1)])):
             points = codebook(pair)
             assert pair.nesting_ratio <= 256
-            members = {p.coords for p in points}
+            members = {tuple(p) for p in points.tolist()}
             for s, t in itertools.product(points, repeat=2):
-                assert pair.reduce(s + t).coords in members
+                assert tuple(pair.reduce(s + t).tolist()) in members
 
 
 class TestDiagnostics:

@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -239,6 +240,23 @@ class TestEnsembleValidation:
             DiscreteEnsemble(elements=((0,), (0,)), q=2, dimension=1,
                              num_users=3)
 
+    @pytest.mark.parametrize("elements,dimension", [
+        (((0, 0), (1, 1)), 1),   # longer than the dimension
+        (((0, 0), (1, 1)), 3),   # shorter than the dimension
+        (((0,), (1, 1)), 1),     # ragged
+        (((0.5,), (1,)), 1),     # not integers
+        (((2 ** 70,), (1,)), 1),  # past int64
+        (([0], [1]), 1),         # not tuples
+    ])
+    def test_malformed_elements_rejected(self, elements, dimension):
+        with pytest.raises(ValueError, match="integer tuples"):
+            DiscreteEnsemble(elements=elements, q=2, dimension=dimension,
+                             num_users=3)
+
+    def test_dimension_must_be_positive(self):
+        with pytest.raises(ValueError):
+            DiscreteEnsemble(elements=((),), q=2, dimension=0, num_users=3)
+
 
 class TestSharedTally:
     def test_ops_reuse_the_ensemble_tallies(self):
@@ -253,6 +271,14 @@ class TestSharedTally:
         assert ens._sum_counts(3) is triple_sums
         for array in (*pair_sums, *triple_sums):
             assert not array.flags.writeable
+
+    def test_elements_become_one_int64_array(self):
+        ens = DiscreteEnsemble.from_pair(make_cubic_pair(3, 2), 4)
+        assert ens._coords.dtype == np.int64
+        assert not ens._coords.flags.writeable
+        assert ens._coords.tolist() == [list(e) for e in ens.elements]
+        # the one-element tally is that array, row for row
+        assert ens._sum_counts(1)[0].tolist() == ens._coords.tolist()
 
     def test_tallies_do_not_change_identity(self):
         used = DiscreteEnsemble.from_pair(make_cubic_pair(3, 2), 4)

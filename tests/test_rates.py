@@ -1,5 +1,6 @@
 """Closed-form rate expressions, thresholds, exponents and splits."""
 
+import itertools
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from lsl.rates import (
     rate_split,
     secrecy_cost_curve,
     upper_bound_sum_rate,
+    very_strong_gain_threshold,
     very_strong_interference,
 )
 
@@ -81,6 +83,15 @@ class TestVeryStrong:
         # max(1.1 * (0.5 + 10), 1.1)
         assert check.threshold == pytest.approx(11.55, rel=1e-12)
         assert check.satisfied
+
+    def test_gain_threshold_bits(self):
+        # bit-equal to the formula evaluated in this order, the order the
+        # sweep goldens were printed with
+        for k, p_j, p_min, p_k in itertools.product(
+                (3, 7, 1000), (0.3, 3.7, 10.0), (0.1, 2.5), (0.5, 1.9, 10.0)):
+            base = (p_k + 1.0) / p_j
+            assert very_strong_gain_threshold(k, p_j, p_min, p_k) == max(
+                base * ((k - 2) / (k - 1) + p_min), base)
 
     def test_just_below(self):
         cfg = SystemConfig(K=3, P=(10, 10, 10), a=(11, 11))

@@ -147,8 +147,7 @@ class TestEncoding:
                     (scheme.user_k_pair, scheme.user_k_leaders)):
                 assert leaders.dtype == np.int64
                 assert not leaders.flags.writeable
-                assert [tuple(row) for row in leaders.tolist()] == [
-                    p.coords for p in codebook(pair)]
+                assert np.array_equal(leaders, codebook(pair))
 
 
 class TestChannel:
@@ -221,8 +220,8 @@ class TestDecoding:
                 leaders[idx[:, user - 1]])
         s_hat = decode_mod_sum(scheme, y_k, dithers)
         for row, (t1, t2) in zip(s_hat, idx):
-            total = pair.fine.point(leaders[t1]) + pair.fine.point(leaders[t2])
-            assert tuple(row) == pair.reduce(total).coords
+            assert np.array_equal(row,
+                                  pair.reduce(leaders[t1] + leaders[t2]))
         residual = subtract_interference(scheme, y_k, s_hat, dithers)
         assert np.array_equal(decode_user_k(scheme, residual, d_k),
                               scheme.user_k_leaders[idx_k])
@@ -242,9 +241,8 @@ class TestDecoding:
                                           np.zeros((3, 2)))
                 folded = mod_lattice(pair.coarse,
                                      y_k / math.sqrt(scheme.aligned_power))
-                total = pair.fine.point(leaders[t1]) \
-                    + pair.fine.point(leaders[t2])
-                expected = pair.reduce(total).embed()
+                expected = embed(pair,
+                                 pair.reduce(leaders[t1] + leaders[t2]))
                 assert np.allclose(folded, expected, atol=1e-9)
 
     def test_residual_equals_unwrapped_value(self):
@@ -263,9 +261,8 @@ class TestDecoding:
             noise = rng.standard_normal((3, 2))
             _, _, y_k = apply_channel(scheme, signals, signal_k, noise)
             s_hat = decode_mod_sum(scheme, y_k, dithers)
-            total = pair.fine.point(leaders[idx[0]]) \
-                + pair.fine.point(leaders[idx[1]])
-            if tuple(s_hat) != pair.reduce(total).coords:
+            s_true = pair.reduce(leaders[idx[0]] + leaders[idx[1]])
+            if not np.array_equal(s_hat, s_true):
                 continue
             u_k = mod_lattice(scheme.user_k_pair.coarse,
                               embed(scheme.user_k_pair,
