@@ -41,7 +41,6 @@ from .leakage import (
 from .rates import (
     DecodingThresholds,
     MmseCoefficients,
-    RateReport,
     RateSplit,
     SystemConfig,
     VeryStrongCheck,
@@ -49,11 +48,11 @@ from .rates import (
     alignment_index,
     awgn_capacity,
     decoding_thresholds,
+    interferer_sum_rate,
     mmse_coefficients,
     per_user_secrecy_cost,
     poltyrev_exponent,
     rate_gap,
-    rate_report,
     rate_split,
     secrecy_cost_curve,
     upper_bound_sum_rate,

@@ -53,8 +53,19 @@ from .leakage import (
     conditional_entropy_given_modsum,
     leakage_bound_check,
 )
-from .rates import (SystemConfig, decoding_thresholds, rate_report,
-                    very_strong_gain_threshold)
+from .rates import (
+    SystemConfig,
+    achievable_sum_rate,
+    decoding_thresholds,
+    interferer_sum_rate,
+    mmse_coefficients,
+    per_user_secrecy_cost,
+    poltyrev_exponent,
+    rate_split,
+    upper_bound_sum_rate,
+    very_strong_gain_threshold,
+    very_strong_interference,
+)
 from .representation import certify_batch, reconstruct_batch
 from .simulate import Scheme, run_campaign
 
@@ -63,7 +74,8 @@ from .simulate import Scheme, run_campaign
 SWEEP_GAIN_MARGIN = 1.05
 
 #: Most grid points in one sweep, and the largest K a K sweep may reach
-#: (a rate report costs time and memory linear in K).
+#: (each point's configuration, alignment and upper bound cost time and
+#: memory linear in K).
 SWEEP_MAX = 10_000
 
 #: Uniform draws per repr-check chunk: K*N per trial, at least one trial.
@@ -139,7 +151,7 @@ def _fmt_generator(rows) -> str:
 
 
 def _fmt_rate(x) -> str:
-    return "" if x is None else f"{x:.6f}"
+    return f"{x:.6f}"
 
 
 def _fmt_prob(x) -> str:
@@ -293,41 +305,59 @@ def _symmetric_config(k: int, p_min: float, p_k: float) -> SystemConfig:
                         a=(gain,) * (k - 1))
 
 
+def _sum_rate_cells(system: SystemConfig) -> tuple[str, str, str, str]:
+    """Cells of the achievable sum, its clamp flag, the upper bound and the
+    gap; the last two are empty when some a_i < 1."""
+    achievable = achievable_sum_rate(system)
+    clamp = _fmt_bool(interferer_sum_rate(system) < 0.0)
+    try:
+        upper = upper_bound_sum_rate(system)
+    except InfeasibleConfigError:
+        return _fmt_rate(achievable), clamp, "", ""
+    return (_fmt_rate(achievable), clamp, _fmt_rate(upper),
+            _fmt_rate(upper - achievable))
+
+
 def cmd_rates(cfg: RunConfig) -> int:
-    r = rate_report(cfg.system())
+    system = cfg.system()
+    vs = very_strong_interference(system)
+    achievable, clamp, upper, gap = _sum_rate_cells(system)
+    thr = decoding_thresholds(system)
+    mmse = mmse_coefficients(system)
+    split = rate_split(system)
     _report(cfg, [
-        ("users K", "K", str(r.config.K)),
-        ("powers P", None, _fmt_list(r.config.P)),
-        ("cross gains a", None, _fmt_list(r.config.a)),
-        ("aligned user j*", "j_star", str(r.j_star)),
-        ("aligned received power P", "P_aligned", _fmt_rate(r.p_aligned)),
-        ("smallest power P_min", "P_min", _fmt_rate(r.p_min)),
-        ("very strong interference", "very_strong", _fmt_bool(r.very_strong)),
-        ("very-strong threshold", None, _fmt_rate(r.very_strong_threshold)),
-        ("achievable sum, bits/use", "achievable_sum",
-         _fmt_rate(r.achievable_sum)),
-        ("achievable sum clamped", "clamp_active", _fmt_bool(r.clamp_active)),
-        ("upper bound, bits/use", "upper_sum", _fmt_rate(r.upper_sum)),
-        ("gap, bits/use", "gap", _fmt_rate(r.gap)),
-        ("mod-sum threshold", "threshold_modsum",
-         _fmt_rate(r.threshold_modsum)),
-        ("residual ok", "distortion_ok", _fmt_bool(r.distortion_ok)),
-        ("user-K threshold", "threshold_user_k",
-         _fmt_rate(r.threshold_user_k)),
-        ("alpha*", "alpha_star", f"{r.alpha_star:.9f}"),
+        ("users K", "K", str(system.K)),
+        ("powers P", None, _fmt_list(system.P)),
+        ("cross gains a", None, _fmt_list(system.a)),
+        ("aligned user j*", "j_star", str(vs.j_star)),
+        ("aligned received power P", "P_aligned",
+         _fmt_rate(system.p_aligned)),
+        ("smallest power P_min", "P_min", _fmt_rate(system.p_min)),
+        ("very strong interference", "very_strong", _fmt_bool(vs.satisfied)),
+        ("very-strong threshold", None, _fmt_rate(vs.threshold)),
+        ("achievable sum, bits/use", "achievable_sum", achievable),
+        ("achievable sum clamped", "clamp_active", clamp),
+        ("upper bound, bits/use", "upper_sum", upper),
+        ("gap, bits/use", "gap", gap),
+        ("mod-sum threshold", "threshold_modsum", _fmt_rate(thr.mod_sum)),
+        ("residual ok", "distortion_ok", _fmt_bool(thr.distortion_ok)),
+        ("user-K threshold", "threshold_user_k", _fmt_rate(thr.user_k)),
+        ("alpha*", "alpha_star", f"{mmse.alpha:.9f}"),
         ("effective noise variance", "eff_noise_var",
-         f"{r.eff_noise_var:.9f}"),
-        ("mu = P/(P_K+1)", "mu", _fmt_rate(r.mu)),
-        ("Poltyrev exponent", "poltyrev", _fmt_rate(r.poltyrev)),
-        ("rate split r_x", "rate_split_x", _fmt_rate(r.rate_split_x)),
-        ("rate split r_e", "rate_split_e", _fmt_rate(r.rate_split_e)),
+         f"{mmse.effective_noise_var:.9f}"),
+        ("mu = P/(P_K+1)", "mu", _fmt_rate(thr.mu)),
+        ("Poltyrev exponent", "poltyrev",
+         _fmt_rate(poltyrev_exponent(thr.mu)) if thr.distortion_ok else ""),
+        ("rate split r_x", "rate_split_x", _fmt_rate(split.r_x)),
+        ("rate split r_e", "rate_split_e", _fmt_rate(split.r_e)),
         ("rate split feasible", "rate_split_feasible",
-         _fmt_bool(r.rate_split_feasible)),
-        ("per-user secrecy cost", "per_user_cost", _fmt_rate(r.per_user_cost)),
+         _fmt_bool(split.feasible)),
+        ("per-user secrecy cost", "per_user_cost",
+         _fmt_rate(per_user_secrecy_cost(system.p_min, system.K))),
         ("direct thresholds", "threshold_direct",
-         _joined(_fmt_rate, r.threshold_direct)),
+         _joined(_fmt_rate, thr.direct)),
         ("direct thresholds (phys)", "threshold_direct_physical",
-         _joined(_fmt_rate, r.threshold_direct_physical)),
+         _joined(_fmt_rate, thr.direct_physical)),
     ])
     return 0
 
@@ -347,30 +377,29 @@ def cmd_sweep(cfg: RunConfig) -> int:
             raise UsageError("K sweep must start at 3 or above")
         if ks[-1] > SWEEP_MAX:
             raise CapacityError(f"K sweep goes above K={SWEEP_MAX}")
-        points = ((str(k), _symmetric_config(k, base.p_min, base.p_k))
-                  for k in ks)
+        points = ((str(k), k, base.p_min) for k in ks)
     else:
         if lo <= 0:
             raise UsageError("Pmin sweep values must be positive")
         # np.arange makes ceil((stop - start) / step) points
         if (hi + 1e-12 - lo) / step > SWEEP_MAX:
             raise CapacityError(f"Pmin sweep has more than {SWEEP_MAX} points")
-        points = ((_fmt_rate(v), _symmetric_config(base.K, float(v), base.p_k))
+        points = ((_fmt_rate(v), base.K, float(v))
                   for v in np.arange(lo, hi + 1e-12, step))
-    # Each config holds two K-long tuples: build, report and drop them one
+    # Each config holds two K-long tuples: build, read and drop them one
     # at a time, so memory stays O(K_max), not O(K_max^2).
     records = []
-    for value, sym in points:
-        rep = rate_report(sym)
+    for value, k, p_min in points:
+        sym = _symmetric_config(k, p_min, base.p_k)
+        achievable, clamp, upper, gap = _sum_rate_cells(sym)
         records.append([
-            ("var", cfg.var), ("value", value), ("K", str(sym.K)),
+            ("var", cfg.var), ("value", value), ("K", str(k)),
             ("a_auto", _fmt_rate(sym.a[0])),
-            ("per_user_cost", _fmt_rate(rep.per_user_cost)),
-            ("achievable_sum", _fmt_rate(rep.achievable_sum)),
-            ("upper_sum", _fmt_rate(rep.upper_sum)),
-            ("gap", _fmt_rate(rep.gap)),
-            ("clamp_active", _fmt_bool(rep.clamp_active)),
-            ("very_strong", _fmt_bool(rep.very_strong))])
+            ("per_user_cost", _fmt_rate(per_user_secrecy_cost(p_min, k))),
+            ("achievable_sum", achievable), ("upper_sum", upper),
+            ("gap", gap), ("clamp_active", clamp),
+            ("very_strong",
+             _fmt_bool(very_strong_interference(sym).satisfied))])
     _emit(cfg, records)
     return 0
 

@@ -44,8 +44,12 @@ def _round_half_down(t):
 
 
 def _centered_mod(v, q):
-    """Residues of ``v`` mod q in the centered range (-q/2, q/2]."""
-    r = np.mod(np.asarray(v, dtype=np.int64), q)
+    """Residues of the integers ``v`` mod q in the centered range
+    (-q/2, q/2]; a non-integer dtype is rejected, not truncated."""
+    v = np.asarray(v)
+    if v.dtype.kind not in "iu":
+        raise ValueError(f"expected integer coordinates, got {v.dtype}")
+    r = np.mod(v.astype(np.int64, copy=False), q)
     return np.where(2 * r > q, r - q, r)
 
 

@@ -28,6 +28,12 @@ from .representation import window_index
 DEFAULT_STATE_CAP = 10_000_000
 
 
+def _check_states(size: int, exponent: int, cap: int):
+    if size ** exponent > cap:
+        raise CapacityError(
+            f"state space {size}^{exponent} exceeds cap {cap}")
+
+
 @dataclass(frozen=True)
 class DiscreteEnsemble:
     """K-1 iid uniform codewords over a quotient-group codebook.
@@ -81,6 +87,8 @@ class DiscreteEnsemble:
     @classmethod
     def from_pair(cls, pair: NestedPair, num_users: int,
                   state_cap: int = DEFAULT_STATE_CAP) -> "DiscreteEnsemble":
+        # The closure check's M^2 cap, before the codebook is built.
+        _check_states(pair.nesting_ratio, 2, state_cap)
         leaders = tuple(map(tuple, codebook(pair).tolist()))
         return cls(elements=leaders, q=pair.q, dimension=pair.dimension,
                    num_users=num_users, state_cap=state_cap)
@@ -98,10 +106,7 @@ class DiscreteEnsemble:
         return math.log2(self.size) / self.dimension
 
     def _check_cap(self, exponent: int):
-        if self.size ** exponent > self.state_cap:
-            raise CapacityError(
-                f"state space {self.size}^{exponent} exceeds cap "
-                f"{self.state_cap}")
+        _check_states(self.size, exponent, self.state_cap)
 
     def _sum_counts(self, num_vars: int):
         """Exact tally of the raw integer sum of ``num_vars`` elements.

@@ -7,11 +7,19 @@ K-1 senders into receiver K, which is also the eavesdropper for their
 messages.  All rates are bits per channel use with
 C(x) = 0.5*log2(1 + x).  The Poltyrev exponent helper uses natural logs
 internally, the usual convention for unconstrained AWGN decoding.
+
+Each closed form lives in exactly one function, and callers such as the
+``rates`` and ``sweep`` subcommands read the functions they need: the
+unclamped interferer part (``interferer_sum_rate``) feeds both the
+achievable sum rate and its clamp test, ``rate_split`` takes its
+sacrificed rate from ``per_user_secrecy_cost``, and the a_i >= 1
+hypothesis of the converse is checked only by ``upper_bound_sum_rate``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import InfeasibleConfigError
@@ -40,15 +48,17 @@ class SystemConfig:
     def __post_init__(self):
         if self.K < 3:
             raise ValueError("need at least 3 users")
-        object.__setattr__(self, "P", tuple(float(p) for p in self.P))
-        object.__setattr__(self, "a", tuple(float(g) for g in self.a))
+        object.__setattr__(self, "P", tuple(map(float, self.P)))
+        object.__setattr__(self, "a", tuple(map(float, self.a)))
         if len(self.P) != self.K:
             raise ValueError("P must list one power per user")
         if len(self.a) != self.K - 1:
             raise ValueError("a must list one cross gain per interfering user")
-        if any(p <= 0 for p in self.P):
+        if not all(map(math.isfinite, self.P + self.a)):
+            raise ValueError("powers and cross gains must be finite")
+        if min(self.P) <= 0:
             raise ValueError("powers must be positive")
-        if any(g <= 0 for g in self.a):
+        if min(self.a) <= 0:
             raise ValueError("cross gains must be positive")
 
     @property
@@ -64,7 +74,7 @@ class SystemConfig:
     @property
     def p_aligned(self) -> float:
         """Common received interference power min_i a_i*P_i at receiver K."""
-        return min(g * p for g, p in zip(self.a, self.P))
+        return min(map(operator.mul, self.a, self.P))
 
 
 def alignment_index(cfg: SystemConfig) -> int:
@@ -73,8 +83,8 @@ def alignment_index(cfg: SystemConfig) -> int:
     Ties resolve to the smallest index; every interferer scales down to
     this user's received power so all arrive at the same amplitude.
     """
-    products = [g * p for g, p in zip(cfg.a, cfg.P)]
-    return min(range(cfg.K - 1), key=lambda i: (products[i], i)) + 1
+    products = list(map(operator.mul, cfg.a, cfg.P))
+    return products.index(min(products)) + 1
 
 
 @dataclass(frozen=True)
@@ -104,16 +114,21 @@ def very_strong_interference(cfg: SystemConfig) -> VeryStrongCheck:
                            a_j=a_j, j_star=j)
 
 
+def interferer_sum_rate(cfg: SystemConfig) -> float:
+    """Unclamped interferer part (K-2)*C(P_min) - log2(K-1) of the
+    achievable sum rate; the zero clamp is active exactly when it is
+    negative."""
+    return (cfg.K - 2) * awgn_capacity(cfg.p_min) - math.log2(cfg.K - 1)
+
+
 def achievable_sum_rate(cfg: SystemConfig) -> float:
     """Achievable secrecy sum rate of the mod-sum scheme.
 
     max((K-2)*C(P_min) - log2(K-1), 0) + C(P_K).  The value is computed
     for any configuration; it is only guaranteed achievable under the
-    very-strong-interference condition (see the report's flag).
+    very-strong-interference condition (``very_strong_interference``).
     """
-    interferer_part = (cfg.K - 2) * awgn_capacity(cfg.p_min) \
-        - math.log2(cfg.K - 1)
-    return max(interferer_part, 0.0) + awgn_capacity(cfg.p_k)
+    return max(interferer_sum_rate(cfg), 0.0) + awgn_capacity(cfg.p_k)
 
 
 def upper_bound_sum_rate(cfg: SystemConfig) -> float:
@@ -121,12 +136,12 @@ def upper_bound_sum_rate(cfg: SystemConfig) -> float:
 
     sum_i C(P_i) - C( sum_i a_i*P_i / ((K-1)*max_i a_i) ).
     """
-    if any(g < 1.0 for g in cfg.a):
+    if min(cfg.a) < 1.0:
         raise InfeasibleConfigError(
             "upper bound requires every cross gain a_i >= 1")
     c_max = max(cfg.a)
-    received = sum(g * p for g, p in zip(cfg.a, cfg.P))
-    return (sum(awgn_capacity(p) for p in cfg.P)
+    received = sum(map(operator.mul, cfg.a, cfg.P))
+    return (sum(map(awgn_capacity, cfg.P))
             - awgn_capacity(received / ((cfg.K - 1) * c_max)))
 
 
@@ -237,13 +252,11 @@ class RateSplit:
 def rate_split(cfg: SystemConfig) -> RateSplit:
     """Split C(P_min) into sacrificed and confidential parts per user.
 
-    r_x = (C(P_min) + log2(K-1))/(K-1), r_e = C(P_min) - r_x; the K-1
-    confidential rates telescope to (K-2)*C(P_min) - log2(K-1), the
-    unclamped interferer part of the achievable sum rate.
+    r_x is ``per_user_secrecy_cost`` and r_e = C(P_min) - r_x; the K-1
+    confidential rates telescope to ``interferer_sum_rate``.
     """
-    r = awgn_capacity(cfg.p_min)
-    r_x = (r + math.log2(cfg.K - 1)) / (cfg.K - 1)
-    r_e = r - r_x
+    r_x = per_user_secrecy_cost(cfg.p_min, cfg.K)
+    r_e = awgn_capacity(cfg.p_min) - r_x
     return RateSplit(r_x=r_x, r_e=r_e, feasible=r_e >= 0.0,
                      interferer_total=(cfg.K - 1) * r_e)
 
@@ -262,88 +275,3 @@ def per_user_secrecy_cost(p_min: float, num_users: int) -> float:
 def secrecy_cost_curve(p_min: float, k_values) -> list[tuple[int, float]]:
     """Per-user secrecy cost along a grid of user counts."""
     return [(int(k), per_user_secrecy_cost(p_min, int(k))) for k in k_values]
-
-
-@dataclass(frozen=True)
-class RateReport:
-    """Every closed-form quantity evaluated for one configuration.
-
-    ``upper_sum`` and ``gap`` are None when some cross gain is below one
-    (the converse hypothesis fails).  ``poltyrev`` is None when mu <= 1.
-    """
-
-    config: SystemConfig
-    j_star: int
-    p_aligned: float
-    p_min: float
-    very_strong: bool
-    very_strong_threshold: float
-    achievable_sum: float
-    clamp_active: bool
-    upper_sum: float | None
-    gap: float | None
-    c_max: float
-    h: tuple[float, ...]
-    threshold_direct: tuple[float, ...]
-    threshold_direct_physical: tuple[float, ...]
-    threshold_modsum: float
-    distortion_ok: bool
-    threshold_user_k: float
-    gamma: float
-    p_x: float
-    p_n: float
-    alpha_star: float
-    eff_noise_var: float
-    mu: float
-    poltyrev: float | None
-    rate_split_x: float
-    rate_split_e: float
-    rate_split_feasible: bool
-    per_user_cost: float
-
-
-def rate_report(cfg: SystemConfig) -> RateReport:
-    """Assemble the full report for one configuration."""
-    vs = very_strong_interference(cfg)
-    thr = decoding_thresholds(cfg)
-    mmse = mmse_coefficients(cfg)
-    split = rate_split(cfg)
-    achievable = achievable_sum_rate(cfg)
-    clamp = ((cfg.K - 2) * awgn_capacity(cfg.p_min)
-             - math.log2(cfg.K - 1)) < 0.0
-    if all(g >= 1.0 for g in cfg.a):
-        upper = upper_bound_sum_rate(cfg)
-        gap = upper - achievable
-    else:
-        upper = None
-        gap = None
-    c_max = max(cfg.a)
-    return RateReport(
-        config=cfg,
-        j_star=vs.j_star,
-        p_aligned=cfg.p_aligned,
-        p_min=cfg.p_min,
-        very_strong=vs.satisfied,
-        very_strong_threshold=vs.threshold,
-        achievable_sum=achievable,
-        clamp_active=clamp,
-        upper_sum=upper,
-        gap=gap,
-        c_max=c_max,
-        h=tuple(g / c_max for g in cfg.a),
-        threshold_direct=thr.direct,
-        threshold_direct_physical=thr.direct_physical,
-        threshold_modsum=thr.mod_sum,
-        distortion_ok=thr.distortion_ok,
-        threshold_user_k=thr.user_k,
-        gamma=mmse.gamma,
-        p_x=mmse.p_x,
-        p_n=mmse.p_n,
-        alpha_star=mmse.alpha,
-        eff_noise_var=mmse.effective_noise_var,
-        mu=thr.mu,
-        poltyrev=poltyrev_exponent(thr.mu) if thr.mu > 1.0 else None,
-        rate_split_x=split.r_x,
-        rate_split_e=split.r_e,
-        rate_split_feasible=split.feasible,
-        per_user_cost=per_user_secrecy_cost(cfg.p_min, cfg.K))

@@ -2,7 +2,8 @@
 
 The files under ``tests/golden`` were written by the CLI and are the
 byte-level output contract: a refactor of the CLI must reproduce each of
-them exactly.  ``lattice-info`` also pins its human-readable block.
+them exactly.  ``rates`` and ``lattice-info`` also pin their
+human-readable blocks.
 """
 
 from pathlib import Path
@@ -19,8 +20,11 @@ CODE = ["--family", "construction-a", "--q", "3", "--N", "4",
 CASES = {
     "rates": ["rates", "--K", "4", "--P", "8,9,10,6", "--a", "11,12,13"],
     "rates-no-upper": ["rates", "--a", "0.5,2"],
+    "rates-clamp": ["rates", "--P", "0.2,0.2,5", "--a", "1,1"],
     "sweep-K": ["sweep", "--var", "K", "--from", "3", "--to", "8",
                 "--step", "2"],
+    "sweep-K-clamp": ["sweep", "--var", "K", "--from", "3", "--to", "9",
+                      "--step", "3", "--P", "0.2,0.2,5"],
     "sweep-Pmin": ["sweep", "--var", "Pmin", "--from", "5", "--to", "10",
                    "--step", "2.5"],
     "simulate": ["simulate", "--trials", "300", "--seed", "7"],
@@ -33,6 +37,10 @@ CASES = {
     "lattice-info-coded": ["lattice-info"] + CODE,
 }
 
+#: Cases whose human-readable block is pinned too, as ``<name>.txt``.
+TEXT = {"rates", "rates-no-upper", "rates-clamp", "lattice-info",
+        "lattice-info-coded"}
+
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_csv_matches_golden(name, tmp_path, monkeypatch, capsys):
@@ -40,6 +48,6 @@ def test_csv_matches_golden(name, tmp_path, monkeypatch, capsys):
     out = tmp_path / f"{name}.csv"
     assert main(CASES[name] + ["--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
-    if name.startswith("lattice-info"):
+    if name in TEXT:
         text = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
         assert capsys.readouterr().out == text

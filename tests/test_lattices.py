@@ -82,6 +82,21 @@ class TestPairConstruction:
         with pytest.raises(ValueError):
             make_cubic_pair(2, 0)
 
+    @pytest.mark.parametrize("coords", [[0.5, 2.7], np.array([1.0, 2.0]),
+                                        np.array([True, False])])
+    def test_reduce_rejects_non_integer_coordinates(self, coords):
+        with pytest.raises(ValueError, match="integer coordinates"):
+            make_cubic_pair(2, 2).reduce(coords)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint16])
+    def test_reduce_on_any_integer_dtype(self, dtype):
+        pair = make_cubic_pair(4, 3)
+        raw = [[5, 2, 0], [7, 126, 3]]
+        want = [[((v + 1) % 4) - 1 for v in row] for row in raw]
+        out = pair.reduce(np.array(raw, dtype=dtype))
+        assert out.dtype == np.int64 and out.tolist() == want
+        assert pair.reduce(raw).tolist() == want
+
 
 class TestConstructionA:
     def test_single_row_codebook(self):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import lsl.leakage
 from lsl.cli import main
 from lsl.errors import CapacityError, InvalidCodeError
 from lsl.lattices import make_construction_a_pair, make_cubic_pair
@@ -138,6 +139,15 @@ class TestConditionalEntropy:
                                          state_cap=100)
         with pytest.raises(CapacityError):
             conditional_entropy_given_modsum(ens)
+
+    def test_cap_checked_before_the_codebook(self, monkeypatch):
+        def no_codebook(*args, **kwargs):
+            raise AssertionError("codebook built before the cap check")
+
+        monkeypatch.setattr(lsl.leakage, "codebook", no_codebook)
+        with pytest.raises(CapacityError,
+                           match=r"^state space 65536\^2 exceeds cap 10000000$"):
+            DiscreteEnsemble.from_pair(make_cubic_pair(2, 16), 3)
 
     def test_cap_checked_at_construction(self):
         # 27^2 pair sums exceed the cap before the closure check runs

@@ -13,11 +13,11 @@ from lsl.rates import (
     alignment_index,
     awgn_capacity,
     decoding_thresholds,
+    interferer_sum_rate,
     mmse_coefficients,
     per_user_secrecy_cost,
     poltyrev_exponent,
     rate_gap,
-    rate_report,
     rate_split,
     secrecy_cost_curve,
     upper_bound_sum_rate,
@@ -48,6 +48,16 @@ def random_very_strong_config(rng):
         cfg = SystemConfig(K=k, P=p, a=tuple(g * factor for g in a))
         assert very_strong_interference(cfg).satisfied
     return cfg
+
+
+class TestConfig:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field, slot", [("P", 0), ("P", 2), ("a", 1)])
+    def test_rejects_non_finite_entries(self, field, slot, bad):
+        values = {"P": [10.0, 10.0, 10.0], "a": [12.0, 12.0]}
+        values[field][slot] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            SystemConfig(K=3, P=values["P"], a=values["a"])
 
 
 class TestCapacity:
@@ -122,7 +132,18 @@ class TestAchievable:
         cfg = SystemConfig(K=3, P=(0.5, 0.5, 10), a=(50, 50))
         # (K-2)*C(0.5) < 1 bit, so only user K's rate survives
         assert (cfg.K - 2) * awgn_capacity(0.5) < math.log2(cfg.K - 1)
+        assert interferer_sum_rate(cfg) < 0.0
         assert achievable_sum_rate(cfg) == awgn_capacity(10)
+
+    def test_interferer_part_bits(self):
+        rng = np.random.default_rng(10)
+        for _ in range(200):
+            cfg = random_very_strong_config(rng)
+            part = interferer_sum_rate(cfg)
+            assert part == ((cfg.K - 2) * awgn_capacity(cfg.p_min)
+                            - math.log2(cfg.K - 1))
+            assert achievable_sum_rate(cfg) == (
+                max(part, 0.0) + awgn_capacity(cfg.p_k))
 
 
 class TestUpperBound:
@@ -276,6 +297,17 @@ class TestRateSplit:
             total = (cfg.K - 1) * r - (cfg.K - 1) * split.r_x
             assert total == pytest.approx(unclamped, abs=1e-12)
 
+    def test_sacrifice_is_the_secrecy_cost_bits(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            cfg = random_very_strong_config(rng)
+            split = rate_split(cfg)
+            r = awgn_capacity(cfg.p_min)
+            # (C(P_min) + log2(K-1))/(K-1) written out, bit for bit
+            assert split.r_x == (r + math.log2(cfg.K - 1)) / (cfg.K - 1)
+            assert split.r_x == per_user_secrecy_cost(cfg.p_min, cfg.K)
+            assert split.r_e == r - split.r_x
+
     def test_infeasible_flag(self):
         cfg = SystemConfig(K=3, P=(1, 1, 10), a=(50, 50))
         split = rate_split(cfg)
@@ -313,34 +345,41 @@ class TestCostCurve:
 
 
 class TestReport:
+    """What the ``rates`` subcommand reads off the component functions."""
+
     def test_default_fields(self):
-        rep = rate_report(default_config())
-        assert rep.j_star == 1
-        assert rep.p_aligned == 120.0
-        assert rep.very_strong
-        assert not rep.clamp_active
-        assert rep.upper_sum is not None
-        assert rep.gap == pytest.approx(1.0, abs=1e-12)
-        assert rep.achievable_sum >= rep.threshold_user_k
-        assert rep.mu == pytest.approx(120 / 11, rel=1e-12)
-        assert rep.poltyrev == pytest.approx(120 / 88, rel=1e-12)
-        assert rep.c_max == 12.0
-        assert rep.h == (1.0, 1.0)
+        cfg = default_config()
+        check = very_strong_interference(cfg)
+        thr = decoding_thresholds(cfg)
+        assert check.j_star == 1
+        assert cfg.p_aligned == 120.0
+        assert check.satisfied
+        assert interferer_sum_rate(cfg) >= 0.0
+        upper = upper_bound_sum_rate(cfg)
+        assert upper - achievable_sum_rate(cfg) == pytest.approx(1.0,
+                                                                 abs=1e-12)
+        assert rate_gap(cfg) == upper - achievable_sum_rate(cfg)
+        assert achievable_sum_rate(cfg) >= thr.user_k
+        assert thr.mu == pytest.approx(120 / 11, rel=1e-12)
+        assert poltyrev_exponent(thr.mu) == pytest.approx(120 / 88, rel=1e-12)
 
     def test_upper_absent_when_gain_below_one(self):
-        rep = rate_report(SystemConfig(K=3, P=(10, 10, 10), a=(0.5, 2)))
-        assert rep.upper_sum is None and rep.gap is None
-        assert rep.achievable_sum >= awgn_capacity(10) - 1e-12
+        cfg = SystemConfig(K=3, P=(10, 10, 10), a=(0.5, 2))
+        with pytest.raises(InfeasibleConfigError):
+            upper_bound_sum_rate(cfg)
+        with pytest.raises(InfeasibleConfigError):
+            rate_gap(cfg)
+        assert achievable_sum_rate(cfg) >= awgn_capacity(10) - 1e-12
 
     def test_poltyrev_absent_when_mu_small(self):
-        rep = rate_report(SystemConfig(K=3, P=(2, 2, 10), a=(1, 1)))
-        assert rep.mu <= 1.0
-        assert rep.poltyrev is None
-        assert not rep.distortion_ok
+        thr = decoding_thresholds(SystemConfig(K=3, P=(2, 2, 10), a=(1, 1)))
+        assert thr.mu <= 1.0
+        with pytest.raises(ValueError):
+            poltyrev_exponent(thr.mu)
+        assert not thr.distortion_ok
 
     def test_achievable_includes_user_k(self):
         rng = np.random.default_rng(9)
         for _ in range(100):
             cfg = random_very_strong_config(rng)
-            rep = rate_report(cfg)
-            assert rep.achievable_sum >= awgn_capacity(cfg.p_k) - 1e-12
+            assert achievable_sum_rate(cfg) >= awgn_capacity(cfg.p_k) - 1e-12
