@@ -8,7 +8,7 @@ contract (infeasible configuration vs. internal invariant violation).
 
 
 class InvalidCodeError(ValueError):
-    """Linear code generator is rank deficient mod q."""
+    """Linear code generator maps two messages to one codeword mod q."""
 
 
 class CapacityError(RuntimeError):

@@ -80,7 +80,6 @@ class Lattice:
     family: str
     scale_sq: float
     modulus: int | None = None
-    generator: tuple[tuple[int, ...], ...] | None = None
     codewords: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
@@ -89,12 +88,12 @@ class Lattice:
         if not self.scale_sq > 0:
             raise ValueError("scale_sq must be positive")
         if self.family == CUBIC:
-            if self.generator is not None or self.codewords is not None:
+            if self.codewords is not None:
                 raise ValueError("cubic lattices carry no code")
         elif self.family == CONSTRUCTION_A:
             if self.modulus is None or self.modulus < 2:
                 raise ValueError("construction-A requires a modulus q >= 2")
-            if not self.generator or not self.codewords:
+            if not self.codewords:
                 raise ValueError("construction-A requires a code")
         else:
             raise ValueError(f"unknown lattice family {self.family!r}")
@@ -108,16 +107,15 @@ class Lattice:
 class NestedPair:
     """Fine/coarse lattice pair with coarse = q * fine (as point sets).
 
-    The codebook is the quotient fine/coarse, of size ``nesting_ratio``,
-    represented by coset leaders inside the half-open coarse cell.
-    ``rate_per_dim`` is log2(nesting_ratio)/dimension.
+    The codebook is the quotient fine/coarse, represented by coset
+    leaders inside the half-open coarse cell.  Its size and rate are read
+    off the fine lattice, never stored: a Construction-A fine lattice has
+    one coset per codeword, a cubic one has q^N.
     """
 
     fine: Lattice
     coarse: Lattice
     q: int
-    nesting_ratio: int
-    rate_per_dim: float
 
     def __post_init__(self):
         if self.fine.dimension != self.coarse.dimension:
@@ -126,6 +124,8 @@ class NestedPair:
             raise ValueError("coarse lattice must be cubic")
         if self.q < 2:
             raise ValueError("nesting modulus must be >= 2")
+        if self.fine.family == CONSTRUCTION_A and self.fine.modulus != self.q:
+            raise ValueError("fine code modulus differs from the nesting q")
         expect = self.fine.scale_sq * self.q * self.q
         if abs(expect - self.coarse.scale_sq) > 1e-9 * self.coarse.scale_sq:
             raise ValueError("coarse scale is not q times the fine scale")
@@ -133,6 +133,18 @@ class NestedPair:
     @property
     def dimension(self) -> int:
         return self.fine.dimension
+
+    @property
+    def nesting_ratio(self) -> int:
+        """Codebook size M: the codeword count, or q^N for a cubic pair."""
+        if self.fine.family == CUBIC:
+            return self.q ** self.dimension
+        return len(self.fine.codewords)
+
+    @property
+    def rate_per_dim(self) -> float:
+        """log2(M)/N bits per dimension."""
+        return math.log2(self.nesting_ratio) / self.dimension
 
     def reduce(self, coords) -> np.ndarray:
         """Coset leaders of the integer fine coordinates ``coords`` (..., N):
@@ -145,7 +157,7 @@ def make_cubic_pair(q: int, dimension: int) -> NestedPair:
     """Nested pair fine = s*Z^N, coarse = s*q*Z^N with unit coarse moment.
 
     The coarse cell has per-dimension second moment (s*q)^2/12 = 1, so
-    s = sqrt(12)/q.  Rate is log2(q) bits per dimension.
+    s = sqrt(12)/q.
     """
     if q < 2:
         raise ValueError("q must be an integer >= 2")
@@ -153,44 +165,7 @@ def make_cubic_pair(q: int, dimension: int) -> NestedPair:
         raise ValueError("dimension must be a positive integer")
     fine = Lattice(dimension=dimension, family=CUBIC, scale_sq=12.0 / (q * q))
     coarse = Lattice(dimension=dimension, family=CUBIC, scale_sq=12.0)
-    return NestedPair(fine=fine, coarse=coarse, q=q,
-                      nesting_ratio=q ** dimension,
-                      rate_per_dim=math.log2(q))
-
-
-def _mod_q_rank(rows, q):
-    """Row rank over the integers mod q via unit-pivot elimination.
-
-    For composite q only entries coprime to q can serve as pivots; a
-    leftover nonzero row without a unit entry cannot contribute, which is
-    exactly the case where the message-to-codeword map fails injectivity.
-    """
-    a = [[int(x) % q for x in row] for row in rows]
-    k, n = len(a), len(a[0])
-    used_cols: set[int] = set()
-    rank = 0
-    while rank < k:
-        pivot = None
-        for i in range(rank, k):
-            for j in range(n):
-                if j not in used_cols and math.gcd(a[i][j], q) == 1:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        i, j = pivot
-        a[rank], a[i] = a[i], a[rank]
-        inv = pow(a[rank][j], -1, q)
-        a[rank] = [(inv * x) % q for x in a[rank]]
-        for r in range(k):
-            if r != rank and a[r][j]:
-                f = a[r][j]
-                a[r] = [(x - f * y) % q for x, y in zip(a[r], a[rank])]
-        used_cols.add(j)
-        rank += 1
-    return rank
+    return NestedPair(fine=fine, coarse=coarse, q=q)
 
 
 def make_construction_a_pair(q: int, dimension: int, generator,
@@ -198,10 +173,11 @@ def make_construction_a_pair(q: int, dimension: int, generator,
                              ) -> NestedPair:
     """Nested pair with fine = s*(C + q*Z^N) for a linear code C mod q.
 
-    ``generator`` is a k x N integer matrix whose rows span C; it must
-    have rank k mod q (checked by row reduction, and independently by
-    enumerating all q^k codewords).  Rate is (k/N)*log2(q) bits per
-    dimension.
+    ``generator`` is a k x N integer matrix whose rows span C.  The one
+    validity rule is injectivity: the q^k messages, enumerated under
+    ``enumeration_cap`` (checked first), must give q^k distinct
+    codewords.  This accepts every injective code, also over composite q
+    where a generator need not have unit pivots.
     """
     if q < 2:
         raise ValueError("q must be an integer >= 2")
@@ -211,8 +187,6 @@ def make_construction_a_pair(q: int, dimension: int, generator,
     k = len(rows)
     if k > dimension:
         raise InvalidCodeError("more generator rows than dimensions")
-    if _mod_q_rank(rows, q) != k:
-        raise InvalidCodeError("generator is rank deficient mod q")
     if q ** k > enumeration_cap:
         raise CapacityError(
             f"codeword enumeration would exceed cap ({q ** k} > {enumeration_cap})")
@@ -221,14 +195,12 @@ def make_construction_a_pair(q: int, dimension: int, generator,
     residues = np.array([[x % q for x in row] for row in rows], np.int64)
     words = sorted(set(map(tuple, (messages @ residues % q).tolist())))
     if len(words) != q ** k:
-        raise InvalidCodeError("generator rows are dependent mod q")
+        raise InvalidCodeError(
+            f"the {q ** k} messages give only {len(words)} distinct codewords mod q")
     fine = Lattice(dimension=dimension, family=CONSTRUCTION_A,
-                   scale_sq=12.0 / (q * q), modulus=q,
-                   generator=tuple(rows), codewords=tuple(words))
+                   scale_sq=12.0 / (q * q), modulus=q, codewords=tuple(words))
     coarse = Lattice(dimension=dimension, family=CUBIC, scale_sq=12.0)
-    return NestedPair(fine=fine, coarse=coarse, q=q,
-                      nesting_ratio=q ** k,
-                      rate_per_dim=k * math.log2(q) / dimension)
+    return NestedPair(fine=fine, coarse=coarse, q=q)
 
 
 def nearest_coords(lat: Lattice, x) -> np.ndarray:

@@ -60,6 +60,8 @@ class SystemConfig:
             raise ValueError("powers must be positive")
         if min(self.a) <= 0:
             raise ValueError("cross gains must be positive")
+        if not math.isfinite(sum(map(operator.mul, self.a, self.P))):
+            raise ValueError("received power sum a_i*P_i must be finite")
 
     @property
     def p_k(self) -> float:

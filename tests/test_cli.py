@@ -80,26 +80,32 @@ class TestExitCodes:
             "infeasible configuration: aligned interference power must "
             "exceed P_K + 1 (mu = 0.181818)\n")
 
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("command, values", [
-        (["rates"], ["--P", "{},10,10"]),
-        (["rates"], ["--a", "12,{}"]),
-        (["sweep", "--var", "K", "--from", "3", "--to", "5"],
-         ["--P", "{},10,10"]),
-        (["sweep", "--var", "Pmin", "--from", "1", "--to", "2"],
-         ["--a", "{},12"]),
-        (["simulate", "--trials", "10"], ["--P", "10,10,{}"]),
-        (["simulate", "--trials", "10"], ["--a", "12,{}"]),
+    @pytest.mark.parametrize("argv, message", [
+        *(pytest.param(
+            # --flag=value, since argparse reads a leading "-inf" as a flag
+            command + [f"{flag}={template.format(bad)}"],
+            "powers and cross gains must be finite",
+            id=f"command{i}-values{i}-{bad}")
+          for i, (command, (flag, template)) in enumerate([
+              (["rates"], ["--P", "{},10,10"]),
+              (["rates"], ["--a", "12,{}"]),
+              (["sweep", "--var", "K", "--from", "3", "--to", "5"],
+               ["--P", "{},10,10"]),
+              (["sweep", "--var", "Pmin", "--from", "1", "--to", "2"],
+               ["--a", "{},12"]),
+              (["simulate", "--trials", "10"], ["--P", "10,10,{}"]),
+              (["simulate", "--trials", "10"], ["--a", "12,{}"]),
+          ])
+          for bad in ["nan", "inf", "-inf"]),
+        pytest.param(["rates", "--P", "1e308,1e308,1e308",
+                      "--a", "1e308,1e308"],
+                     "received power sum a_i*P_i must be finite",
+                     id="received-overflow"),
     ])
-    def test_non_finite_power_or_gain(self, command, values, bad, tmp_path,
-                                      capsys):
+    def test_non_finite_power_or_gain(self, argv, message, tmp_path, capsys):
         out = tmp_path / "out.csv"
-        flag, template = values
-        # --flag=value, since argparse reads a leading "-inf" as a flag
-        assert main(command + [f"{flag}={template.format(bad)}",
-                               "--out", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            "error: powers and cross gains must be finite\n")
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_sweep_needs_var(self, capsys):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -14,6 +14,7 @@ from lsl.lattices import (
     CONSTRUCTION_A,
     CUBIC,
     Lattice,
+    NestedPair,
     ball_normalized_second_moment,
     codebook,
     covering_ball_second_moment,
@@ -135,8 +136,21 @@ class TestConstructionA:
     def test_composite_modulus_rank(self):
         with pytest.raises(InvalidCodeError):
             make_construction_a_pair(4, 2, [(2, 0), (0, 2)])
-        pair = make_construction_a_pair(4, 2, [(1, 2), (0, 3)])
-        assert pair.nesting_ratio == 16
+        for q, gen in ((4, [(1, 2), (0, 3)]), (6, [(2, 3)])):
+            pair = make_construction_a_pair(q, 2, gen)
+            assert pair.nesting_ratio == q ** len(gen)
+
+    def test_enumeration_cap_checked_first(self):
+        # 2^17 messages over the cap; the zero rows are never enumerated
+        with pytest.raises(CapacityError):
+            make_construction_a_pair(2, 17, [(0,) * 17] * 17)
+
+    def test_pair_rejects_fine_modulus_other_than_q(self):
+        fine = Lattice(dimension=2, family=CONSTRUCTION_A, scale_sq=3.0,
+                       modulus=3, codewords=((0, 0), (1, 1), (2, 2)))
+        coarse = Lattice(dimension=2, family=CUBIC, scale_sq=12.0)
+        with pytest.raises(ValueError, match="modulus"):
+            NestedPair(fine=fine, coarse=coarse, q=2)
 
     def test_too_many_rows(self):
         with pytest.raises(InvalidCodeError):
@@ -157,8 +171,7 @@ class TestQuantize:
 
     def test_construction_a_exhaustive_oracle(self):
         lat = Lattice(dimension=2, family=CONSTRUCTION_A, scale_sq=1.0,
-                      modulus=2, generator=((1, 1),),
-                      codewords=((0, 0), (1, 1)))
+                      modulus=2, codewords=((0, 0), (1, 1)))
         assert quantize(lat, [0.9, 1.1]).tolist() == [1, 1]
         rng = np.random.default_rng(5)
         for _ in range(100):
@@ -179,8 +192,7 @@ class TestQuantize:
             assert np.array_equal(
                 quantize(pair.fine, embed(pair.fine, coords)), coords)
         lat = Lattice(dimension=2, family=CONSTRUCTION_A, scale_sq=1.0,
-                      modulus=2, generator=((1, 1),),
-                      codewords=((0, 0), (1, 1)))
+                      modulus=2, codewords=((0, 0), (1, 1)))
         for _ in range(50):
             z = rng.integers(-10, 10, size=2)
             c = [(0, 0), (1, 1)][rng.integers(0, 2)]
@@ -201,12 +213,10 @@ class TestQuantize:
 PROPERTY_LATTICES = (
     Lattice(dimension=2, family=CUBIC, scale_sq=1.0),
     Lattice(dimension=2, family=CONSTRUCTION_A, scale_sq=1.0, modulus=2,
-            generator=((1, 1),), codewords=((0, 0), (1, 1))),
+            codewords=((0, 0), (1, 1))),
     Lattice(dimension=3, family=CONSTRUCTION_A, scale_sq=1.0, modulus=3,
-            generator=((1, 1, 1),),
             codewords=((0, 0, 0), (1, 1, 1), (2, 2, 2))),
     Lattice(dimension=3, family=CONSTRUCTION_A, scale_sq=1.0, modulus=2,
-            generator=((1, 1, 0), (0, 1, 1)),
             codewords=((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))),
 )
 
@@ -437,6 +447,41 @@ def codebook_pairs(draw):
              for msg in itertools.product(range(q), repeat=k)}
     return (make_construction_a_pair(q, n, rows),
             sorted(tuple(centered(v, q) for v in w) for w in words))
+
+
+@st.composite
+def generators(draw):
+    """A modulus q in 2..8, composites included, and a random k x N
+    integer generator, entries unreduced and of either sign."""
+    q = draw(st.integers(2, 8))
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, n))
+    entry = st.integers(-2 * q, 2 * q)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=k, max_size=k))
+    return q, n, rows
+
+
+class TestValidityRule:
+    @settings(max_examples=300, deadline=None)
+    @given(generators())
+    @example((6, 2, [[2, 3]]))
+    def test_accepted_exactly_when_injective(self, case):
+        """The pair exists iff the q^k messages give q^k distinct
+        codewords, and then its size and rate are those of the code."""
+        q, n, rows = case
+        k = len(rows)
+        words = {tuple(sum(m * g for m, g in zip(msg, col)) % q
+                       for col in zip(*rows))
+                 for msg in itertools.product(range(q), repeat=k)}
+        if len(words) < q ** k:
+            with pytest.raises(InvalidCodeError):
+                make_construction_a_pair(q, n, rows)
+            return
+        pair = make_construction_a_pair(q, n, rows)
+        m = pair.nesting_ratio
+        assert m == len(codebook(pair)) == q ** k
+        assert pair.rate_per_dim == math.log2(m) / n
 
 
 class TestCodebook:

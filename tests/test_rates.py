@@ -50,14 +50,23 @@ def random_very_strong_config(rng):
     return cfg
 
 
+def _non_finite_case(field, slot, bad):
+    values = {"P": [10.0, 10.0, 10.0], "a": [12.0, 12.0]}
+    values[field][slot] = bad
+    return pytest.param(values["P"], values["a"], id=f"{field}-{slot}-{bad}")
+
+
 class TestConfig:
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("field, slot", [("P", 0), ("P", 2), ("a", 1)])
-    def test_rejects_non_finite_entries(self, field, slot, bad):
-        values = {"P": [10.0, 10.0, 10.0], "a": [12.0, 12.0]}
-        values[field][slot] = bad
+    @pytest.mark.parametrize("P, a", [
+        *(_non_finite_case(field, slot, bad)
+          for field, slot in [("P", 0), ("P", 2), ("a", 1)]
+          for bad in [math.nan, math.inf, -math.inf]),
+        # every entry finite, but the received power sum overflows
+        pytest.param([1e308] * 3, [1e308] * 2, id="received-overflow"),
+    ])
+    def test_rejects_non_finite_entries(self, P, a):
         with pytest.raises(ValueError, match="must be finite"):
-            SystemConfig(K=3, P=values["P"], a=values["a"])
+            SystemConfig(K=3, P=P, a=a)
 
 
 class TestCapacity:

@@ -195,8 +195,7 @@ class TestNonCubicLattice:
     def test_is_rejected(self):
         # certificates live on the coarse lattice, which is always cubic
         lat = Lattice(dimension=2, family=CONSTRUCTION_A, scale_sq=1.0,
-                      modulus=2, generator=((1, 1),),
-                      codewords=((0, 0), (1, 1)))
+                      modulus=2, codewords=((0, 0), (1, 1)))
         pts = [np.zeros(2), np.zeros(2), np.zeros(2)]
         with pytest.raises(ValueError, match="cubic"):
             candidate_set(np.zeros(2), 3, lat)

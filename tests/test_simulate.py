@@ -58,6 +58,12 @@ def coded_wrap_scheme():
     return Scheme.for_config(cfg, make_construction_a_pair(2, 3, [(1, 1, 1)]))
 
 
+def composite_scheme():
+    # q = 6: an injective code without a unit entry in its generator
+    cfg = SystemConfig(K=3, P=(10, 10, 10), a=(12, 12))
+    return Scheme.for_config(cfg, make_construction_a_pair(6, 2, [(2, 3)]))
+
+
 def draw_dithers(lat, rng, *shape):
     """``sample_dither(lat, rng)`` for every index of ``shape``, in one draw.
 
@@ -134,8 +140,7 @@ class TestEncoding:
         from lsl.lattices import Lattice, NestedPair
         fine = Lattice(dimension=1, family="cubic", scale_sq=1.0)
         coarse = Lattice(dimension=1, family="cubic", scale_sq=4.0)
-        pair = NestedPair(fine=fine, coarse=coarse, q=2,
-                          nesting_ratio=2, rate_per_dim=1.0)
+        pair = NestedPair(fine=fine, coarse=coarse, q=2)
         cfg = SystemConfig(K=3, P=(10, 10, 10), a=(12, 12))
         with pytest.raises(ValueError):
             Scheme.for_config(cfg, pair)
@@ -468,10 +473,10 @@ class TestReproducibility:
 
     def test_campaign_matches_reference_trials(self):
         # the vectorized engine must reproduce run_trial bit for bit, on
-        # cubic and Construction-A pairs alike
+        # cubic and Construction-A pairs alike, composite q included
         wrap = coded_wrap_scheme()
         for scheme in (default_scheme(q=2, dim=2), default_scheme(q=3, dim=3),
-                       coded_benchmark_scheme(), wrap):
+                       coded_benchmark_scheme(), wrap, composite_scheme()):
             seeds = [derive_trial_seed(31, i) for i in range(400)]
             outcomes = [run_trial(scheme, s) for s in seeds]
             rep = run_campaign(scheme, 400, 31)
