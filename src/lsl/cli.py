@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -62,6 +63,7 @@ from .rates import (
     per_user_secrecy_cost,
     poltyrev_exponent,
     rate_split,
+    symmetric_upper_bound_sum_rate,
     upper_bound_sum_rate,
     very_strong_gain_threshold,
     very_strong_interference,
@@ -73,9 +75,9 @@ from .simulate import Scheme, run_campaign
 #: choose symmetric cross gains automatically.
 SWEEP_GAIN_MARGIN = 1.05
 
-#: Most grid points in one sweep, and the largest K a K sweep may reach
-#: (each point's configuration, alignment and upper bound cost time and
-#: memory linear in K).
+#: Most grid points in one sweep, and the largest K a K sweep may reach.
+#: A point costs O(1) whatever its K, so the caps bound only the rows,
+#: time and memory of one sweep's CSV.
 SWEEP_MAX = 10_000
 
 #: Uniform draws per repr-check chunk: K*N per trial, at least one trial.
@@ -297,31 +299,15 @@ def _report(cfg: RunConfig, fields) -> None:
         _emit(cfg, [[(column, cell) for _, column, cell in fields if column]])
 
 
-def _symmetric_config(k: int, p_min: float, p_k: float) -> SystemConfig:
-    """Symmetric configuration with auto-chosen very-strong cross gains."""
-    gain = SWEEP_GAIN_MARGIN * very_strong_gain_threshold(
-        k, p_j=p_min, p_min=p_min, p_k=p_k)
-    return SystemConfig(K=k, P=(p_min,) * (k - 1) + (p_k,),
-                        a=(gain,) * (k - 1))
-
-
-def _sum_rate_cells(system: SystemConfig) -> tuple[str, str, str, str]:
-    """Cells of the achievable sum, its clamp flag, the upper bound and the
-    gap; the last two are empty when some a_i < 1."""
-    achievable = achievable_sum_rate(system)
-    clamp = _fmt_bool(interferer_sum_rate(system) < 0.0)
-    try:
-        upper = upper_bound_sum_rate(system)
-    except InfeasibleConfigError:
-        return _fmt_rate(achievable), clamp, "", ""
-    return (_fmt_rate(achievable), clamp, _fmt_rate(upper),
-            _fmt_rate(upper - achievable))
-
-
 def cmd_rates(cfg: RunConfig) -> int:
     system = cfg.system()
     vs = very_strong_interference(system)
-    achievable, clamp, upper, gap = _sum_rate_cells(system)
+    achievable = achievable_sum_rate(system.K, system.p_min, system.p_k)
+    try:  # the converse needs every a_i >= 1; its cells stay empty if not
+        upper = upper_bound_sum_rate(system)
+        upper_cell, gap_cell = _fmt_rate(upper), _fmt_rate(upper - achievable)
+    except InfeasibleConfigError:
+        upper_cell = gap_cell = ""
     thr = decoding_thresholds(system)
     mmse = mmse_coefficients(system)
     split = rate_split(system)
@@ -335,10 +321,12 @@ def cmd_rates(cfg: RunConfig) -> int:
         ("smallest power P_min", "P_min", _fmt_rate(system.p_min)),
         ("very strong interference", "very_strong", _fmt_bool(vs.satisfied)),
         ("very-strong threshold", None, _fmt_rate(vs.threshold)),
-        ("achievable sum, bits/use", "achievable_sum", achievable),
-        ("achievable sum clamped", "clamp_active", clamp),
-        ("upper bound, bits/use", "upper_sum", upper),
-        ("gap, bits/use", "gap", gap),
+        ("achievable sum, bits/use", "achievable_sum",
+         _fmt_rate(achievable)),
+        ("achievable sum clamped", "clamp_active",
+         _fmt_bool(interferer_sum_rate(system.K, system.p_min) < 0.0)),
+        ("upper bound, bits/use", "upper_sum", upper_cell),
+        ("gap, bits/use", "gap", gap_cell),
         ("mod-sum threshold", "threshold_modsum", _fmt_rate(thr.mod_sum)),
         ("residual ok", "distortion_ok", _fmt_bool(thr.distortion_ok)),
         ("user-K threshold", "threshold_user_k", _fmt_rate(thr.user_k)),
@@ -386,20 +374,29 @@ def cmd_sweep(cfg: RunConfig) -> int:
             raise CapacityError(f"Pmin sweep has more than {SWEEP_MAX} points")
         points = ((_fmt_rate(v), base.K, float(v))
                   for v in np.arange(lo, hi + 1e-12, step))
-    # Each config holds two K-long tuples: build, read and drop them one
-    # at a time, so memory stays O(K_max), not O(K_max^2).
+    # A point is the symmetric channel (K, P_min, P_K) with every cross
+    # gain set to the margin times its very-strong threshold: a gain >= 1,
+    # so the converse is its symmetric closed form.
+    p_k = base.p_k
     records = []
     for value, k, p_min in points:
-        sym = _symmetric_config(k, p_min, base.p_k)
-        achievable, clamp, upper, gap = _sum_rate_cells(sym)
+        threshold = very_strong_gain_threshold(k, p_min, p_min, p_k)
+        gain = SWEEP_GAIN_MARGIN * threshold
+        if not math.isfinite((k - 1) * gain * p_min):
+            raise ValueError(
+                f"auto cross gain overflows the received power at "
+                f"{cfg.var}={value}")
+        achievable = achievable_sum_rate(k, p_min, p_k)
+        upper = symmetric_upper_bound_sum_rate(k, p_min, p_k)
         records.append([
             ("var", cfg.var), ("value", value), ("K", str(k)),
-            ("a_auto", _fmt_rate(sym.a[0])),
+            ("a_auto", _fmt_rate(gain)),
             ("per_user_cost", _fmt_rate(per_user_secrecy_cost(p_min, k))),
-            ("achievable_sum", achievable), ("upper_sum", upper),
-            ("gap", gap), ("clamp_active", clamp),
-            ("very_strong",
-             _fmt_bool(very_strong_interference(sym).satisfied))])
+            ("achievable_sum", _fmt_rate(achievable)),
+            ("upper_sum", _fmt_rate(upper)),
+            ("gap", _fmt_rate(upper - achievable)),
+            ("clamp_active", _fmt_bool(interferer_sum_rate(k, p_min) < 0.0)),
+            ("very_strong", _fmt_bool(gain > threshold))])
     _emit(cfg, records)
     return 0
 
@@ -554,8 +551,11 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (InfeasibleConfigError, CapacityError) as exc:
+    except InfeasibleConfigError as exc:
         print(f"infeasible configuration: {exc}", file=sys.stderr)
+        return 2
+    except CapacityError as exc:
+        print(f"cap exceeded: {exc}", file=sys.stderr)
         return 2
     except InvariantViolationError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)

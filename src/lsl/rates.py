@@ -14,6 +14,9 @@ unclamped interferer part (``interferer_sum_rate``) feeds both the
 achievable sum rate and its clamp test, ``rate_split`` takes its
 sacrificed rate from ``per_user_secrecy_cost``, and the a_i >= 1
 hypothesis of the converse is checked only by ``upper_bound_sum_rate``.
+A closed form that reads only K, P_min and P_K takes those scalars, not
+a ``SystemConfig``; with ``symmetric_upper_bound_sum_rate`` they give a
+symmetric sweep point in O(1).
 """
 
 from __future__ import annotations
@@ -116,21 +119,21 @@ def very_strong_interference(cfg: SystemConfig) -> VeryStrongCheck:
                            a_j=a_j, j_star=j)
 
 
-def interferer_sum_rate(cfg: SystemConfig) -> float:
+def interferer_sum_rate(k: int, p_min: float) -> float:
     """Unclamped interferer part (K-2)*C(P_min) - log2(K-1) of the
     achievable sum rate; the zero clamp is active exactly when it is
     negative."""
-    return (cfg.K - 2) * awgn_capacity(cfg.p_min) - math.log2(cfg.K - 1)
+    return (k - 2) * awgn_capacity(p_min) - math.log2(k - 1)
 
 
-def achievable_sum_rate(cfg: SystemConfig) -> float:
+def achievable_sum_rate(k: int, p_min: float, p_k: float) -> float:
     """Achievable secrecy sum rate of the mod-sum scheme.
 
     max((K-2)*C(P_min) - log2(K-1), 0) + C(P_K).  The value is computed
     for any configuration; it is only guaranteed achievable under the
     very-strong-interference condition (``very_strong_interference``).
     """
-    return max(interferer_sum_rate(cfg), 0.0) + awgn_capacity(cfg.p_k)
+    return max(interferer_sum_rate(k, p_min), 0.0) + awgn_capacity(p_k)
 
 
 def upper_bound_sum_rate(cfg: SystemConfig) -> float:
@@ -147,13 +150,25 @@ def upper_bound_sum_rate(cfg: SystemConfig) -> float:
             - awgn_capacity(received / ((cfg.K - 1) * c_max)))
 
 
+def symmetric_upper_bound_sum_rate(k: int, p_min: float, p_k: float) -> float:
+    """Converse bound (K-2)*C(P_min) + C(P_K) of a symmetric channel.
+
+    Equals ``upper_bound_sum_rate`` for any configuration whose K-1
+    interferers share the power P_min and one gain a >= 1: the subtracted
+    term is then C(P_min).  The sweep's automatic gain, 1.05 times
+    ``very_strong_gain_threshold``, is always >= 1.05*(P_K+1) > 1.
+    """
+    return (k - 2) * awgn_capacity(p_min) + awgn_capacity(p_k)
+
+
 def rate_gap(cfg: SystemConfig) -> float:
     """Upper bound minus achievable rate.
 
     In symmetric very-strong configurations without the zero clamp this
     equals log2(K-1) exactly.
     """
-    return upper_bound_sum_rate(cfg) - achievable_sum_rate(cfg)
+    return (upper_bound_sum_rate(cfg)
+            - achievable_sum_rate(cfg.K, cfg.p_min, cfg.p_k))
 
 
 @dataclass(frozen=True)

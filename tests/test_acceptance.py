@@ -35,6 +35,7 @@ from lsl.rates import (
     poltyrev_exponent,
     rate_gap,
     secrecy_cost_curve,
+    symmetric_upper_bound_sum_rate,
     upper_bound_sum_rate,
     very_strong_interference,
 )
@@ -91,7 +92,7 @@ def test_criterion_02_symmetric_converse_reduction():
             gain = float(rng.uniform(1.0, 50.0))
             cfg = SystemConfig(K=k, P=(p_min,) * (k - 1) + (p_k,),
                                a=(gain,) * (k - 1))
-            expected = (k - 2) * awgn_capacity(p_min) + awgn_capacity(p_k)
+            expected = symmetric_upper_bound_sum_rate(k, p_min, p_k)
             assert abs(upper_bound_sum_rate(cfg) - expected) <= 1e-12
 
 
@@ -170,9 +171,8 @@ def test_criterion_06_effective_noise():
 
 def test_criterion_07_monte_carlo_monotonicity():
     with criterion(7, "seeded error-rate monotonicity and event consistency"):
-        # (a) residual-wrap rate strictly decreasing in mu; the coded
-        # pair keeps the wrap event decodable (a wrap under a cubic pair
-        # always forces a mod-sum error, leaving e2 identically zero)
+        # (a) residual-wrap rate strictly decreasing in mu, under the
+        # coded pair
         pair = make_construction_a_pair(2, 3, [(1, 1, 1)])
         e2_counts = []
         for p_aligned, p_k in ((3.0, 1.5), (4.5, 0.125), (12.0, 0.2)):
@@ -255,4 +255,5 @@ def test_achievable_always_covers_user_k():
         cfg = SystemConfig(
             K=k, P=tuple(rng.uniform(0.1, 40.0, size=k)),
             a=tuple(rng.uniform(0.2, 40.0, size=k - 1)))
-        assert achievable_sum_rate(cfg) >= awgn_capacity(cfg.p_k) - 1e-12
+        assert (achievable_sum_rate(cfg.K, cfg.p_min, cfg.p_k)
+                >= awgn_capacity(cfg.p_k) - 1e-12)

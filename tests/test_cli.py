@@ -1,6 +1,7 @@
 """CLI contract: subcommands, config precedence, CSV determinism, exits."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from lsl.cli import (
     main,
 )
 from lsl.lattices import make_cubic_pair, sample_dither
-from lsl.rates import very_strong_interference
+from lsl.rates import SystemConfig, very_strong_interference
 
 
 def read(path):
@@ -79,6 +80,15 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "infeasible configuration: aligned interference power must "
             "exceed P_K + 1 (mu = 0.181818)\n")
+
+    def test_cap_exceeded(self, tmp_path, capsys):
+        # a size cap has its own prefix, not "infeasible configuration"
+        out = tmp_path / "leak.csv"
+        assert main(["leakage", "--q", "4", "--N", "6",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "cap exceeded: state space 4096^2 exceeds cap 10000000\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
         *(pytest.param(
@@ -222,14 +232,48 @@ class TestConfigKeys:
         assert main(["simulate", "--jobs", "0"]) == 1
 
 
+def sweep_row(tmp_path, *argv):
+    """The one row of a one-point sweep, keyed by the header."""
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", *argv, "--out", str(out)]) == 0
+    _, header, row = read(out).decode().splitlines()
+    return dict(zip(header.split(","), row.split(",")))
+
+
 class TestSweep:
-    def test_gains_are_the_rates_threshold_with_margin(self):
-        # bit-equal, so the sweep and the rate report share one formula
+    def test_gains_are_the_rates_threshold_with_margin(self, tmp_path):
+        # the rate report's threshold for the equal symmetric channel
         for k, p_min, p_k in itertools.product((3, 4, 50), (0.1, 1.0, 7.5),
                                                (0.5, 10.0)):
-            sym = lsl.cli._symmetric_config(k, p_min, p_k)
-            threshold = very_strong_interference(sym).threshold
-            assert sym.a == (lsl.cli.SWEEP_GAIN_MARGIN * threshold,) * (k - 1)
+            sym = SystemConfig(K=k, P=(p_min,) * (k - 1) + (p_k,),
+                               a=(1.0,) * (k - 1))
+            gain = (lsl.cli.SWEEP_GAIN_MARGIN
+                    * very_strong_interference(sym).threshold)
+            cells = sweep_row(tmp_path, "--var", "K", "--from", str(k),
+                              "--to", str(k), "--P", f"{p_min},{p_min},{p_k}")
+            assert cells["a_auto"] == f"{gain:.6f}"
+            assert cells["very_strong"] == "1"
+            assert very_strong_interference(
+                replace(sym, a=(gain,) * (k - 1))).satisfied
+
+    @pytest.mark.parametrize("k, column, cell", [
+        # exact values 6626.5412654997... and 13.2610664999994...
+        (3832, "upper_sum", "6626.541265"),
+        (9818, "gap", "13.261066"),
+    ])
+    def test_closed_form_cells_are_correctly_rounded(self, tmp_path, k,
+                                                     column, cell):
+        cells = sweep_row(tmp_path, "--var", "K", "--from", str(k),
+                          "--to", str(k))
+        assert cells[column] == cell
+
+    def test_overflowing_auto_gain_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--var", "K", "--from", "3", "--to", "4",
+                     "--P", "1e-300,1e-300,1e300", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: auto cross gain overflows the received power at K=3\n")
+        assert not out.exists()
 
     def test_cost_curve_endpoints(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -272,14 +316,17 @@ class TestSweep:
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--var", "Pmin", "--from", "1",
                      "--to", str(SWEEP_MAX + 1), "--out", str(out)]) == 2
-        assert "10000" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "cap exceeded: Pmin sweep has more than 10000 points\n")
         assert not out.exists()
 
-    def test_k_sweep_over_cap(self, tmp_path):
+    def test_k_sweep_over_cap(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         big = str(SWEEP_MAX + 1)
         assert main(["sweep", "--var", "K", "--from", big, "--to", big,
                      "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "cap exceeded: K sweep goes above K=10000\n")
         assert not out.exists()
         assert main(["sweep", "--var", "K", "--from", "3", "--to", "1e300",
                      "--out", str(out)]) == 2

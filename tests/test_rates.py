@@ -2,10 +2,16 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lsl.rates
 from lsl.errors import InfeasibleConfigError
 from lsl.rates import (
     SystemConfig,
@@ -20,6 +26,7 @@ from lsl.rates import (
     rate_gap,
     rate_split,
     secrecy_cost_curve,
+    symmetric_upper_bound_sum_rate,
     upper_bound_sum_rate,
     very_strong_gain_threshold,
     very_strong_interference,
@@ -129,29 +136,30 @@ class TestVeryStrong:
 class TestAchievable:
     def test_symmetric_example(self):
         expected = (C10 - 1.0) + C10
-        assert achievable_sum_rate(default_config()) == pytest.approx(
+        assert achievable_sum_rate(3, 10.0, 10.0) == pytest.approx(
             expected, rel=1e-12)
 
     def test_ten_users(self):
         cfg = SystemConfig(K=10, P=(10,) * 10, a=(200,) * 9)
         expected = 8 * C10 - math.log2(9) + C10
-        assert achievable_sum_rate(cfg) == pytest.approx(expected, rel=1e-12)
+        assert achievable_sum_rate(cfg.K, cfg.p_min, cfg.p_k) == \
+            pytest.approx(expected, rel=1e-12)
 
     def test_clamp(self):
         cfg = SystemConfig(K=3, P=(0.5, 0.5, 10), a=(50, 50))
         # (K-2)*C(0.5) < 1 bit, so only user K's rate survives
         assert (cfg.K - 2) * awgn_capacity(0.5) < math.log2(cfg.K - 1)
-        assert interferer_sum_rate(cfg) < 0.0
-        assert achievable_sum_rate(cfg) == awgn_capacity(10)
+        assert interferer_sum_rate(cfg.K, cfg.p_min) < 0.0
+        assert achievable_sum_rate(3, 0.5, 10.0) == awgn_capacity(10)
 
     def test_interferer_part_bits(self):
         rng = np.random.default_rng(10)
         for _ in range(200):
             cfg = random_very_strong_config(rng)
-            part = interferer_sum_rate(cfg)
+            part = interferer_sum_rate(cfg.K, cfg.p_min)
             assert part == ((cfg.K - 2) * awgn_capacity(cfg.p_min)
                             - math.log2(cfg.K - 1))
-            assert achievable_sum_rate(cfg) == (
+            assert achievable_sum_rate(cfg.K, cfg.p_min, cfg.p_k) == (
                 max(part, 0.0) + awgn_capacity(cfg.p_k))
 
 
@@ -178,6 +186,37 @@ class TestUpperBound:
         cfg = SystemConfig(K=3, P=(10, 10, 10), a=(0.5, 2))
         with pytest.raises(InfeasibleConfigError):
             upper_bound_sum_rate(cfg)
+
+
+class TestSymmetricClosedForms:
+    """The scalar closed forms against the ``SystemConfig`` path."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(3, 200), p_min=st.floats(0.05, 1000.0),
+           p_k=st.floats(0.05, 1000.0))
+    def test_equal_the_general_path(self, k, p_min, p_k):
+        # the symmetric channel with the sweep's automatic cross gain
+        gain = 1.05 * very_strong_gain_threshold(k, p_min, p_min, p_k)
+        cfg = SystemConfig(K=k, P=(p_min,) * (k - 1) + (p_k,),
+                           a=(gain,) * (k - 1))
+        assert gain >= 1.05 * (p_k + 1.0)
+        interferer = rate_split(cfg).interferer_total
+        assert interferer_sum_rate(k, p_min) == pytest.approx(
+            interferer, rel=1e-12, abs=1e-12)
+        assert achievable_sum_rate(k, p_min, p_k) == pytest.approx(
+            max(interferer, 0.0) + decoding_thresholds(cfg).user_k,
+            rel=1e-12)
+        assert symmetric_upper_bound_sum_rate(k, p_min, p_k) == \
+            pytest.approx(upper_bound_sum_rate(cfg), rel=1e-12)
+
+    def test_import_leaves_numpy_out(self):
+        # a fresh interpreter, on the path this lsl.rates was found on
+        src = os.path.dirname(os.path.dirname(lsl.rates.__file__))
+        code = "import sys, lsl.rates; print('numpy' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code],
+                                env={**os.environ, "PYTHONPATH": src},
+                                capture_output=True, text=True, check=True)
+        assert result.stdout == "False\n"
 
 
 class TestGap:
@@ -363,12 +402,12 @@ class TestReport:
         assert check.j_star == 1
         assert cfg.p_aligned == 120.0
         assert check.satisfied
-        assert interferer_sum_rate(cfg) >= 0.0
+        assert interferer_sum_rate(cfg.K, cfg.p_min) >= 0.0
         upper = upper_bound_sum_rate(cfg)
-        assert upper - achievable_sum_rate(cfg) == pytest.approx(1.0,
-                                                                 abs=1e-12)
-        assert rate_gap(cfg) == upper - achievable_sum_rate(cfg)
-        assert achievable_sum_rate(cfg) >= thr.user_k
+        achievable = achievable_sum_rate(cfg.K, cfg.p_min, cfg.p_k)
+        assert upper - achievable == pytest.approx(1.0, abs=1e-12)
+        assert rate_gap(cfg) == upper - achievable
+        assert achievable >= thr.user_k
         assert thr.mu == pytest.approx(120 / 11, rel=1e-12)
         assert poltyrev_exponent(thr.mu) == pytest.approx(120 / 88, rel=1e-12)
 
@@ -378,7 +417,7 @@ class TestReport:
             upper_bound_sum_rate(cfg)
         with pytest.raises(InfeasibleConfigError):
             rate_gap(cfg)
-        assert achievable_sum_rate(cfg) >= awgn_capacity(10) - 1e-12
+        assert achievable_sum_rate(3, 10.0, 10.0) >= awgn_capacity(10) - 1e-12
 
     def test_poltyrev_absent_when_mu_small(self):
         thr = decoding_thresholds(SystemConfig(K=3, P=(2, 2, 10), a=(1, 1)))
@@ -391,4 +430,5 @@ class TestReport:
         rng = np.random.default_rng(9)
         for _ in range(100):
             cfg = random_very_strong_config(rng)
-            assert achievable_sum_rate(cfg) >= awgn_capacity(cfg.p_k) - 1e-12
+            assert (achievable_sum_rate(cfg.K, cfg.p_min, cfg.p_k)
+                    >= awgn_capacity(cfg.p_k) - 1e-12)
