@@ -69,7 +69,7 @@ from .rates import (
     very_strong_interference,
 )
 from .representation import certify_batch, reconstruct_batch
-from .simulate import Scheme, run_campaign
+from .simulate import Scheme, chunk_bounds, run_campaign, wilson_interval
 
 #: Margin applied to the very-strong-interference threshold when sweeps
 #: choose symmetric cross gains automatically.
@@ -79,9 +79,6 @@ SWEEP_GAIN_MARGIN = 1.05
 #: A point costs O(1) whatever its K, so the caps bound only the rows,
 #: time and memory of one sweep's CSV.
 SWEEP_MAX = 10_000
-
-#: Uniform draws per repr-check chunk: K*N per trial, at least one trial.
-CERT_CHUNK_DRAWS = 1 << 14
 
 _SWEEP_VARS = ("K", "Pmin")
 
@@ -409,21 +406,22 @@ def cmd_simulate(cfg: RunConfig) -> int:
             "aligned interference power must exceed P_K + 1 "
             f"(mu = {mu:.6f})")
     scheme = Scheme.for_config(system, cfg.pair())
-    c = run_campaign(scheme, cfg.trials, cfg.seed, config_echo=cfg.echo())
+    c = run_campaign(scheme, cfg.trials, cfg.seed)
     record = [("config_hash", cfg.hash()), ("trials", str(c.trials)),
               ("seed", str(cfg.seed))]
-    for event, count, rate, (lo, hi) in (
-            ("e1", c.e1_count, c.e1_rate, c.e1_interval),
-            ("e2", c.e2_count, c.e2_rate, c.e2_interval),
-            ("e3", c.e3_count, c.e3_rate, c.e3_interval)):
+    for event, count in (("e1", c.e1_count), ("e2", c.e2_count),
+                         ("e3", c.e3_count)):
+        lo, hi = wilson_interval(count, c.trials)
         record += [(f"{event}_count", str(count)),
-                   (f"{event}_rate", _fmt_prob(rate)),
+                   (f"{event}_rate", _fmt_prob(count / c.trials)),
                    (f"{event}_lo", _fmt_prob(lo)),
                    (f"{event}_hi", _fmt_prob(hi))]
-    direct_lo, direct_hi = zip(*c.direct_error_intervals)
+    direct_rates, direct_lo, direct_hi = zip(*(
+        (count / c.trials, *wilson_interval(count, c.trials))
+        for count in c.direct_error_counts))
     record += [
         ("direct_counts", _joined(str, c.direct_error_counts)),
-        ("direct_rates", _joined(_fmt_prob, c.direct_error_rates)),
+        ("direct_rates", _joined(_fmt_prob, direct_rates)),
         ("direct_lo", _joined(_fmt_prob, direct_lo)),
         ("direct_hi", _joined(_fmt_prob, direct_hi)),
         ("mean_eff_noise_power", _fmt_rate(c.mean_effective_noise_power)),
@@ -467,13 +465,12 @@ def cmd_repr_check(cfg: RunConfig) -> int:
     k = cfg.K
     if k < 1:
         raise ValueError("need at least one point")
-    rows = max(1, CERT_CHUNK_DRAWS // (k * cfg.N))
     failures = 0
     max_index = 0
-    for start in range(0, cfg.trials, rows):
+    for lo, hi in chunk_bounds(cfg.trials, k * cfg.N):
         # Row-major, so chunk by chunk the same stream as K dither draws
         # per trial in turn.
-        draws = rng.random((min(rows, cfg.trials - start), k, cfg.N))
+        draws = rng.random((hi - lo, k, cfg.N))
         points = mod_lattice(lattice, lattice.scale * draws)
         folded, index = certify_batch(points, lattice)
         rec = reconstruct_batch(folded, index, k, lattice)

@@ -21,7 +21,8 @@ Stages: ``encode_interferer``, ``encode_user_k``, ``apply_channel``,
 pipeline, once.  They take arrays with leading batch axes: a codeword is
 an index into the scheme's (M, N) leader array, the K-1 interferers form
 a (..., K-1, N) stack, and a decoder returns centered leader coordinates
-of shape (..., N).
+of shape (..., N).  The user axis is an ordinary batch axis: no stage
+loops over users in Python.
 
 Reproducibility: per-trial seeds are SHA-256 hashes of
 ``"{master_seed}:{trial_index}"`` (first 8 big-endian digest bytes).
@@ -31,7 +32,8 @@ Reproducibility: per-trial seeds are SHA-256 hashes of
 pairs alike: it replays the same draws without building a generator per
 trial (``_replay_draws`` mirrors numpy's SeedSequence and PCG64 seeding
 on whole chunks), then calls the same stages on (trials, ...) arrays, so
-its reports are bit-identical to folding ``run_trial``.
+its reports are bit-identical to folding ``run_trial``.  A chunk holds
+``CHUNK_DRAWS`` draws whatever K and N, and is folded as it finishes.
 """
 
 from __future__ import annotations
@@ -56,8 +58,9 @@ from .rates import SystemConfig, mmse_coefficients
 
 _WILSON_Z95 = 1.959963984540054
 
-#: Most trials one campaign chunk holds in memory at once.
-_BLOCK = 4096
+#: Draws one chunk holds in memory at once: a campaign or repr-check
+#: chunk is max(1, CHUNK_DRAWS // (K*N)) trials.
+CHUNK_DRAWS = 1 << 15
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx) and the
 # multiplier of PCG64's 128-bit LCG (numpy/random/src/pcg64/pcg64.h).
@@ -163,51 +166,12 @@ class CampaignReport:
     direct_error_counts: tuple[int, ...]
     mean_effective_noise_power: float
     mean_residual_power: float
-    config_echo: str = ""
 
     def __post_init__(self):
         for c in (self.e1_count, self.e2_count, self.e3_count,
                   *self.direct_error_counts):
             if not 0 <= c <= self.trials:
                 raise InvariantViolationError("event count exceeds trials")
-
-    @property
-    def e1_rate(self) -> float:
-        return self.e1_count / self.trials
-
-    @property
-    def e2_rate(self) -> float:
-        return self.e2_count / self.trials
-
-    @property
-    def e3_rate(self) -> float:
-        return self.e3_count / self.trials
-
-    @property
-    def direct_error_rates(self) -> tuple[float, ...]:
-        return tuple(c / self.trials for c in self.direct_error_counts)
-
-    @property
-    def direct_error_rate_pooled(self) -> float:
-        return sum(self.direct_error_counts) / (
-            self.trials * len(self.direct_error_counts))
-
-    @property
-    def e1_interval(self) -> tuple[float, float]:
-        return wilson_interval(self.e1_count, self.trials)
-
-    @property
-    def e2_interval(self) -> tuple[float, float]:
-        return wilson_interval(self.e2_count, self.trials)
-
-    @property
-    def e3_interval(self) -> tuple[float, float]:
-        return wilson_interval(self.e3_count, self.trials)
-
-    @property
-    def direct_error_intervals(self) -> tuple[tuple[float, float], ...]:
-        return tuple(wilson_interval(c, self.trials)
-                     for c in self.direct_error_counts)
 
 
 def wilson_interval(count: int, trials: int,
@@ -221,6 +185,15 @@ def wilson_interval(count: int, trials: int,
     half = z * math.sqrt(p * (1 - p) / trials
                          + z * z / (4 * trials * trials)) / denom
     return max(center - half, 0.0), min(center + half, 1.0)
+
+
+def chunk_bounds(trials: int, draws_per_trial: int) -> list[tuple[int, int]]:
+    """Balanced, contiguous ``(lo, hi)`` trial ranges in order, each of at
+    most max(1, CHUNK_DRAWS // draws_per_trial) trials."""
+    rows = max(1, CHUNK_DRAWS // draws_per_trial)
+    chunks = math.ceil(trials / rows)
+    bounds = [i * trials // chunks for i in range(chunks + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def _codewords(leaders: np.ndarray, index) -> np.ndarray:
@@ -292,28 +265,32 @@ def apply_channel(scheme: Scheme, signals: np.ndarray, signal_k: np.ndarray,
     ``(direct, interference, y_k)``: the (..., K-1, N) direct outputs, the
     noiseless interference at receiver K and its (..., N) output.
     """
-    interference = np.zeros(scheme.dimension)
-    for g, x in zip(scheme.config.a, np.moveaxis(signals, -2, 0)):
-        interference = interference + math.sqrt(g) * x
+    weighted = np.sqrt(np.asarray(scheme.config.a))[:, None] * signals
+    # cumsum adds the users left to right; np.sum would add them pairwise
+    interference = np.cumsum(weighted, axis=-2)[..., -1, :]
     y_k = interference + signal_k + noise[..., -1, :]
     return signals + noise[..., :-1, :], interference, y_k
 
 
-def decode_direct(scheme: Scheme, user: int, y: np.ndarray,
-                  dither: np.ndarray) -> np.ndarray:
-    """MMSE lattice decoding on the interference-free direct link.
+def decode_direct(scheme: Scheme, direct: np.ndarray,
+                  dithers: np.ndarray) -> np.ndarray:
+    """MMSE lattice decoding on the K-1 interference-free direct links.
 
-    ``user`` is 1-based; ``y`` and ``dither`` have shape (..., N).
-    Physical SNR is S = P/a_user (the power actually transmitted); scale
-    by alpha = S/(S+1), remove the dither, fold, quantize to the fine
-    lattice and reduce to the centered coset-leader coordinates.
+    ``direct`` and ``dithers`` are (..., K-1, N) stacks, user 1 first; a
+    user axis of another length raises ``ValueError``.  User j's physical
+    SNR is S_j = P/a_j (the power actually transmitted): its output is
+    scaled by alpha_j = S_j/(S_j+1) and 1/sqrt(S_j), its dither removed,
+    and every link is folded, quantized to the fine lattice and reduced
+    to centered coset-leader coordinates in one decode.  Returns the
+    (..., K-1, N) decoded leaders.
     """
-    if not 1 <= user <= scheme.config.K - 1:
-        raise ValueError("interferer index out of range")
-    snr = scheme.interferer_amplitudes[user - 1] ** 2
+    k1 = scheme.config.K - 1
+    if np.shape(direct)[-2:-1] != (k1,) or np.shape(dithers)[-2:-1] != (k1,):
+        raise ValueError(f"direct-link stacks need a user axis of length {k1}")
+    snr = np.array([amp ** 2 for amp in scheme.interferer_amplitudes])[:, None]
     alpha = snr / (snr + 1.0)
     return _decode(scheme.interferer_pair,
-                   alpha * y / math.sqrt(snr) - dither)
+                   alpha * direct / np.sqrt(snr) - dithers)
 
 
 def decode_mod_sum(scheme: Scheme, y_k: np.ndarray,
@@ -400,10 +377,8 @@ def run_trial(scheme: Scheme, trial_seed: int,
     direct, interference, y_k = apply_channel(scheme, signals, signal_k,
                                               noise)
 
-    direct_errors = tuple(
-        not np.array_equal(decode_direct(scheme, j + 1, direct[j], dithers[j]),
-                           leaders[i])
-        for j, i in enumerate(idx))
+    decoded = decode_direct(scheme, direct, dithers)
+    direct_errors = tuple(np.any(decoded != leaders[idx], axis=1).tolist())
 
     s_hat = decode_mod_sum(scheme, y_k, dithers)
     s_true = pair.reduce(leaders[idx].sum(axis=0))
@@ -547,10 +522,10 @@ def _batch_trial_arrays(scheme: Scheme, seeds, noiseless: bool) -> dict:
 
     Takes run_trial's draws from ``_replay_draws`` (the v1 draw contract,
     replayed on the whole chunk) and calls the same stage functions on
-    (trials, ...) arrays, each once per chunk (``decode_direct`` once per
-    user).  Only the bookkeeping between the stages is its own, written
-    apart from run_trial's so that the oracle engine = run_trial checks
-    it; every per-trial value is bit-identical to the reference.
+    (trials, ...) arrays, each once per chunk.  Only the bookkeeping
+    between the stages is its own, written apart from run_trial's so that
+    the oracle engine = run_trial checks it; every per-trial value is
+    bit-identical to the reference.
     """
     k1 = scheme.config.K - 1
     pair = scheme.interferer_pair
@@ -568,10 +543,8 @@ def _batch_trial_arrays(scheme: Scheme, seeds, noiseless: bool) -> dict:
     direct, interference, y_k = apply_channel(scheme, signals, signal_k,
                                               noise)
 
-    direct_errors = np.stack([
-        np.any(decode_direct(scheme, j + 1, direct[:, j], dithers[:, j])
-               != leaders[idx[:, j]], axis=1)
-        for j in range(k1)], axis=1)
+    direct_errors = np.any(decode_direct(scheme, direct, dithers)
+                           != leaders[idx], axis=-1)
 
     s_hat = decode_mod_sum(scheme, y_k, dithers)
     s_true = pair.reduce(np.sum(leaders[idx], axis=1))
@@ -600,36 +573,34 @@ def _batch_trial_arrays(scheme: Scheme, seeds, noiseless: bool) -> dict:
 
 
 def run_campaign(scheme: Scheme, trials: int, master_seed: int,
-                 noiseless: bool = False,
-                 config_echo: str = "") -> CampaignReport:
+                 noiseless: bool = False) -> CampaignReport:
     """Run ``trials`` independent trials and fold the outcomes.
 
-    The trials run in order, on one thread, in ``ceil(trials / _BLOCK)``
-    contiguous chunks; each chunk derives its own seeds, so memory stays
-    bounded for any ``trials``.  The per-trial results are concatenated in
-    index order before the single final aggregation.
+    The trials run in order, on one thread, in the chunks of
+    ``chunk_bounds`` at K*N draws a trial, so a chunk's memory is bounded
+    whatever K and N.  Each chunk derives its own seeds and is folded as
+    it finishes: its event and direct-link counts are added as integers,
+    and only its two per-trial power arrays are kept, so that the mean of
+    their concatenation does not depend on the chunking.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    chunks = math.ceil(trials / _BLOCK)
-    bounds = [i * trials // chunks for i in range(chunks + 1)]
-    parts = [
-        _batch_trial_arrays(
+    events = np.zeros(3, dtype=np.int64)
+    direct = np.zeros(scheme.config.K - 1, dtype=np.int64)
+    eff_power, residual_power = [], []
+    for lo, hi in chunk_bounds(trials, scheme.config.K * scheme.dimension):
+        part = _batch_trial_arrays(
             scheme, [derive_trial_seed(master_seed, i) for i in range(lo, hi)],
             noiseless)
-        for lo, hi in zip(bounds[:-1], bounds[1:])]
-    merged = {key: np.concatenate([p[key] for p in parts])
-              for key in parts[0]}
-    direct_counts = tuple(
-        int(np.sum(merged["direct_errors"][:, j]))
-        for j in range(scheme.config.K - 1))
+        events += [np.count_nonzero(part[e]) for e in ("e1", "e2", "e3")]
+        direct += np.count_nonzero(part["direct_errors"], axis=0)
+        eff_power.append(part["eff_power"])
+        residual_power.append(part["residual_power"])
+    e1, e2, e3 = events.tolist()
     return CampaignReport(
         trials=trials,
         master_seed=master_seed,
-        e1_count=int(np.sum(merged["e1"])),
-        e2_count=int(np.sum(merged["e2"])),
-        e3_count=int(np.sum(merged["e3"])),
-        direct_error_counts=direct_counts,
-        mean_effective_noise_power=float(np.mean(merged["eff_power"])),
-        mean_residual_power=float(np.mean(merged["residual_power"])),
-        config_echo=config_echo)
+        e1_count=e1, e2_count=e2, e3_count=e3,
+        direct_error_counts=tuple(direct.tolist()),
+        mean_effective_noise_power=float(np.mean(np.concatenate(eff_power))),
+        mean_residual_power=float(np.mean(np.concatenate(residual_power))))

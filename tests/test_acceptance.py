@@ -190,7 +190,7 @@ def test_criterion_07_monte_carlo_monotonicity():
             cfg = SystemConfig(K=3, P=(snr, snr, 0.5), a=(1, 1))
             rep = run_campaign(Scheme.for_config(cfg, pair_direct),
                                10_000, 314)
-            direct_rates.append(rep.direct_error_rate_pooled)
+            direct_rates.append(sum(rep.direct_error_counts))
         assert direct_rates[0] > direct_rates[1] > direct_rates[2] > 0
         # (c) conditional event flags are consistent on every trial; the
         # engine's per-trial flags equal run_trial's (see test_simulate)

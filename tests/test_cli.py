@@ -1,6 +1,9 @@
 """CLI contract: subcommands, config precedence, CSV determinism, exits."""
 
 import itertools
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 
 import lsl.cli
 import lsl.representation
+import lsl.simulate
 from lsl.cli import (
     SWEEP_MAX,
     _KEYS,
@@ -358,6 +362,33 @@ class TestSimulateCsv:
         assert len(lines) == 3
 
 
+class TestSimulateMemory:
+    # A direct child of this process would inherit the test runner's peak
+    # RSS through fork, so a small interpreter starts the CLI and prints
+    # its exit code and ru_maxrss (kilobytes on Linux) from wait4.
+    LAUNCH = ("import os, subprocess, sys\n"
+              "child = subprocess.Popen(sys.argv[1:], "
+              "stdout=subprocess.DEVNULL)\n"
+              "_, status, usage = os.wait4(child.pid, 0)\n"
+              "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="ru_maxrss is in kilobytes on Linux")
+    def test_wide_campaign_stays_small(self):
+        # A chunk is a fixed number of draws, so 199 interferers take no
+        # more memory than two: the peak stays near start-up.
+        src = os.path.dirname(os.path.dirname(lsl.cli.__file__))
+        argv = [sys.executable, "-c", self.LAUNCH,
+                sys.executable, "-m", "lsl.cli", "simulate", "--K", "200",
+                "--P", ",".join(["10"] * 200), "--a", ",".join(["12"] * 199),
+                "--trials", "4096"]
+        result = subprocess.run(argv, env={**os.environ, "PYTHONPATH": src},
+                                capture_output=True, text=True, check=True)
+        code, max_rss_kb = map(int, result.stdout.split())
+        assert code == 0
+        assert max_rss_kb < 80 * 1024
+
+
 class TestLeakageCommand:
     def test_identity_columns(self, tmp_path):
         out = tmp_path / "leak.csv"
@@ -401,12 +432,13 @@ class TestReprCheck:
             seen.append(points.copy())
             return certify(points, lat)
 
-        # K=4, N=2: eight draws a trial, three trials a chunk
-        monkeypatch.setattr(lsl.cli, "CERT_CHUNK_DRAWS", 24)
+        # K=4, N=2: eight draws a trial, at most three trials a chunk,
+        # balanced over seven chunks
+        monkeypatch.setattr(lsl.simulate, "CHUNK_DRAWS", 24)
         monkeypatch.setattr(lsl.cli, "certify_batch", recording_certify)
         assert main(["repr-check", "--K", "4", "--q", "3", "--trials", "20",
                      "--seed", "5"]) == 0
-        assert [len(c) for c in seen] == [3] * 6 + [2]
+        assert [len(c) for c in seen] == [2] + [3] * 6
         lat = make_cubic_pair(3, 2).coarse
         rng = np.random.default_rng(5)
         sequential = [[sample_dither(lat, rng) for _ in range(4)]
@@ -426,10 +458,13 @@ class TestReprCheck:
             return certify(points, lat)
 
         # K=3, N=2: six draws a trial
-        monkeypatch.setattr(lsl.cli, "CERT_CHUNK_DRAWS", draws)
+        monkeypatch.setattr(lsl.simulate, "CHUNK_DRAWS", draws)
         monkeypatch.setattr(lsl.cli, "certify_batch", recording_certify)
         assert main(argv + [str(tmp_path / "chunked.csv")]) == 0
-        assert sum(sizes) == 50 and max(sizes) == rows
+        # at most ``rows`` trials a chunk, in as few chunks as that
+        # allows, balanced to within one trial
+        assert sum(sizes) == 50 and len(sizes) == -(-50 // rows)
+        assert max(sizes) <= rows and max(sizes) - min(sizes) <= 1
         assert read(tmp_path / "chunked.csv") == read(tmp_path / "whole.csv")
 
     def test_window_miss_exits_3_and_names_the_row(self, monkeypatch,

@@ -17,6 +17,9 @@ GOLDEN = Path(__file__).parent / "golden"
 CODE = ["--family", "construction-a", "--q", "3", "--N", "4",
         "--generator", "1,0,1,1;0,1,1,2"]
 
+ASYM = ["simulate", "--K", "6", "--P", "9,8,7,6,5,3", "--a",
+        "1.5,2,2.5,3,3.5", "--trials", "3000", "--seed", "11"]
+
 CASES = {
     "rates": ["rates", "--K", "4", "--P", "8,9,10,6", "--a", "11,12,13"],
     "rates-no-upper": ["rates", "--a", "0.5,2"],
@@ -29,6 +32,9 @@ CASES = {
                    "--step", "2.5"],
     "simulate": ["simulate", "--trials", "300", "--seed", "7"],
     "simulate-coded": ["simulate", "--trials", "60", "--seed", "2"] + CODE,
+    # unequal powers and gains, over more than one campaign chunk
+    "simulate-asym": ASYM,
+    "simulate-asym-coded": ASYM + CODE,
     "leakage": ["leakage"],
     "leakage-coded": ["leakage", "--family", "construction-a",
                       "--generator", "1,1", "--N", "2", "--q", "2"],

@@ -58,6 +58,15 @@ def coded_wrap_scheme():
     return Scheme.for_config(cfg, make_construction_a_pair(2, 3, [(1, 1, 1)]))
 
 
+def unequal_schemes():
+    # every user has its own power and gain, so a per-user constant
+    # applied along the wrong axis changes the outcome
+    cfg = SystemConfig(K=5, P=(8, 6, 5, 4, 2), a=(1.5, 2, 2.5, 3))
+    return (Scheme.for_config(cfg, make_cubic_pair(3, 2)),
+            Scheme.for_config(cfg, make_construction_a_pair(
+                3, 4, [(1, 0, 1, 1), (0, 1, 1, 2)])))
+
+
 def composite_scheme():
     # q = 6: an injective code without a unit entry in its generator
     cfg = SystemConfig(K=3, P=(10, 10, 10), a=(12, 12))
@@ -132,9 +141,13 @@ class TestEncoding:
         for bad in (len(scheme.user_k_leaders), -1, [0, -2]):
             with pytest.raises(ValueError):
                 encode_user_k(scheme, bad, np.zeros(np.shape(bad) + (2,)))
-        for user in (0, 3, -1):
+        # the user axis must hold all K-1 = 2 links: a length-1 axis
+        # would otherwise broadcast the first user's constants silently
+        for direct, dithers in (((1, 2), (1, 2)), ((3, 2), (3, 2)),
+                                ((2,), (2,)), ((5, 1, 2), (5, 2, 2)),
+                                ((5, 2, 2), (5, 1, 2))):
             with pytest.raises(ValueError):
-                decode_direct(scheme, user, np.zeros(2), np.zeros(2))
+                decode_direct(scheme, np.zeros(direct), np.zeros(dithers))
 
     def test_rejects_unnormalized_pair(self):
         from lsl.lattices import Lattice, NestedPair
@@ -218,11 +231,8 @@ class TestDecoding:
         _, signal_k = encode_user_k(scheme, idx_k, d_k)
         direct, _, y_k = apply_channel(scheme, signals, signal_k,
                                        np.zeros((len(combos), 3, 1)))
-        for user in (1, 2):
-            assert np.array_equal(
-                decode_direct(scheme, user, direct[:, user - 1],
-                              dithers[:, user - 1]),
-                leaders[idx[:, user - 1]])
+        assert np.array_equal(decode_direct(scheme, direct, dithers),
+                              leaders[idx])
         s_hat = decode_mod_sum(scheme, y_k, dithers)
         for row, (t1, t2) in zip(s_hat, idx):
             assert np.array_equal(row,
@@ -288,7 +298,7 @@ class TestDecoding:
         for snr in (5.0, 10.0, 20.0):
             cfg = SystemConfig(K=3, P=(snr, snr, 0.5), a=(1, 1))
             rep = run_campaign(Scheme.for_config(cfg, pair), 4000, 314)
-            rates.append(rep.direct_error_rate_pooled)
+            rates.append(sum(rep.direct_error_counts))
         assert rates[0] > rates[1] > rates[2] > 0
 
     def test_direct_error_tiny_at_high_snr(self):
@@ -297,7 +307,7 @@ class TestDecoding:
         cfg = SystemConfig(K=3, P=(100, 100, 2), a=(1, 1))
         scheme = Scheme.for_config(cfg, make_cubic_pair(2, 1))
         rep = run_campaign(scheme, 10_000, 271)
-        rate = rep.direct_error_rate_pooled
+        rate = sum(rep.direct_error_counts) / (2 * rep.trials)
         half_cell = scheme.interferer_pair.fine.scale / 2
         post_mmse_std = math.sqrt(1.0 / 101.0)
         q_bound = math.erfc(half_cell / post_mmse_std / math.sqrt(2))
@@ -324,7 +334,7 @@ def stage_schemes():
     split = Scheme.for_config(SystemConfig(K=4, P=(3, 3, 3, 1), a=(1, 1, 1)),
                               make_cubic_pair(2, 2), make_cubic_pair(5, 2))
     return (default_scheme(q=2, dim=2), default_scheme(q=3, dim=3), split,
-            coded_benchmark_scheme(), coded_wrap_scheme())
+            coded_benchmark_scheme(), coded_wrap_scheme(), *unequal_schemes())
 
 
 def same_bits(a, b):
@@ -335,7 +345,7 @@ def same_bits(a, b):
 
 class TestStages:
     @settings(max_examples=80, deadline=None)
-    @given(st.integers(0, 4), st.integers(1, 6), st.integers(0, 2**32 - 1),
+    @given(st.integers(0, 6), st.integers(1, 6), st.integers(0, 2**32 - 1),
            st.booleans())
     def test_batch_equals_row_by_row(self, which, t, seed, noiseless):
         scheme = stage_schemes()[which]
@@ -354,8 +364,7 @@ class TestStages:
         enc_k = encode_user_k(scheme, idx_k, d_k)
         channel = apply_channel(scheme, enc[1], enc_k[1], noise)
         direct, _, y_k = channel
-        decoded = [decode_direct(scheme, j + 1, direct[:, j], dithers[:, j])
-                   for j in range(k1)]
+        decoded = decode_direct(scheme, direct, dithers)
         s_hat = decode_mod_sum(scheme, y_k, dithers)
         residual = subtract_interference(scheme, y_k, s_hat, dithers)
         t_k_hat = decode_user_k(scheme, residual, d_k)
@@ -367,8 +376,7 @@ class TestStages:
                 (enc_k, encode_user_k(scheme, idx_k[r], d_k[r])),
                 (channel, apply_channel(scheme, enc[1][r], enc_k[1][r],
                                         noise[r])),
-                (decoded, [decode_direct(scheme, j + 1, direct[r, j],
-                                         dithers[r, j]) for j in range(k1)]),
+                ((decoded,), (decode_direct(scheme, direct[r], dithers[r]),)),
                 ((s_hat,), (decode_mod_sum(scheme, y_k[r], dithers[r]),)),
                 ((residual,), (subtract_interference(
                     scheme, y_k[r], s_hat[r], dithers[r]),)),
@@ -381,8 +389,8 @@ class TestStages:
                     assert same_bits(b[r], one)
 
     def test_campaign_and_trial_call_each_stage(self, monkeypatch):
-        # the engine runs every stage once per chunk (decode_direct once
-        # per user), and run_trial runs the same stages once per trial
+        # the engine runs every stage once per chunk, and run_trial runs
+        # the same stages once per trial
         import lsl.simulate
         cfg = SystemConfig(K=4, P=(10, 10, 10, 10), a=(12, 12, 12))
         scheme = Scheme.for_config(cfg, make_cubic_pair(2, 2))
@@ -398,14 +406,13 @@ class TestStages:
         for name in STAGES:
             monkeypatch.setattr(lsl.simulate, name,
                                 counting(name, getattr(lsl.simulate, name)))
-        monkeypatch.setattr(lsl.simulate, "_BLOCK", 16)
+        # K=4, N=2: eight draws a trial, 16 trials a chunk, four chunks
+        monkeypatch.setattr(lsl.simulate, "CHUNK_DRAWS", 128)
         assert run_campaign(scheme, 50, 4) == expected
-        assert calls == {name: 4 * (3 if name == "decode_direct" else 1)
-                         for name in STAGES}
+        assert calls == {name: 4 for name in STAGES}
         calls.clear()
         run_trial(scheme, derive_trial_seed(4, 0))
-        assert calls == {name: 3 if name == "decode_direct" else 1
-                         for name in STAGES}
+        assert calls == {name: 1 for name in STAGES}
 
 
 class TestEvents:
@@ -476,7 +483,8 @@ class TestReproducibility:
         # cubic and Construction-A pairs alike, composite q included
         wrap = coded_wrap_scheme()
         for scheme in (default_scheme(q=2, dim=2), default_scheme(q=3, dim=3),
-                       coded_benchmark_scheme(), wrap, composite_scheme()):
+                       coded_benchmark_scheme(), wrap, composite_scheme(),
+                       *unequal_schemes()):
             seeds = [derive_trial_seed(31, i) for i in range(400)]
             outcomes = [run_trial(scheme, s) for s in seeds]
             rep = run_campaign(scheme, 400, 31)
@@ -486,7 +494,8 @@ class TestReproducibility:
             assert rep.e2_count == sum(o.e2 for o in outcomes)
             assert rep.e3_count == sum(o.e3 for o in outcomes)
             assert rep.direct_error_counts == tuple(
-                sum(o.direct_errors[j] for o in outcomes) for j in range(2))
+                sum(o.direct_errors[j] for o in outcomes)
+                for j in range(scheme.config.K - 1))
             assert rep.mean_effective_noise_power == float(
                 np.mean([o.effective_noise_power for o in outcomes]))
             assert rep.mean_residual_power == float(
@@ -509,7 +518,8 @@ class TestReproducibility:
             seen.append(list(seeds))
             return engine(scheme, seeds, noiseless)
 
-        monkeypatch.setattr(lsl.simulate, "_BLOCK", 16)
+        # K=3, N=2: six draws a trial, 16 trials a chunk
+        monkeypatch.setattr(lsl.simulate, "CHUNK_DRAWS", 96)
         monkeypatch.setattr(lsl.simulate, "_batch_trial_arrays",
                             recording_engine)
         assert run_campaign(scheme, 50, 4) == expected
@@ -519,9 +529,9 @@ class TestReproducibility:
     def test_chunk_count_is_trials_over_block(self, monkeypatch):
         import lsl.simulate
         scheme = default_scheme()
-        block = lsl.simulate._BLOCK
+        block = lsl.simulate.CHUNK_DRAWS // 6  # K=3, N=2
         cases = ((3, [3]), (block, [block]),
-                 (block + 1, [block // 2, block // 2 + 1]))
+                 (block + 1, [(block + 1) // 2, (block + 2) // 2]))
         expected = [run_campaign(scheme, trials, 12) for trials, _ in cases]
         sizes = []
         engine = lsl.simulate._batch_trial_arrays
@@ -539,8 +549,8 @@ class TestReproducibility:
 
     def test_report_is_independent_of_block_size(self, monkeypatch):
         import lsl.simulate
-        scheme = default_scheme()
-        expected = run_campaign(scheme, 50, 4)
+        schemes = (default_scheme(), coded_benchmark_scheme())
+        expected = [run_campaign(scheme, 50, 4) for scheme in schemes]
         sizes = []
         engine = lsl.simulate._batch_trial_arrays
 
@@ -548,11 +558,14 @@ class TestReproducibility:
             sizes.append(len(seeds))
             return engine(scheme, seeds, noiseless)
 
-        monkeypatch.setattr(lsl.simulate, "_BLOCK", 7)
+        # at most 7 trials a chunk for K=3, N=2; at most 3 for K=3, N=4
+        monkeypatch.setattr(lsl.simulate, "CHUNK_DRAWS", 47)
         monkeypatch.setattr(lsl.simulate, "_batch_trial_arrays",
                             recording_engine)
-        assert run_campaign(scheme, 50, 4) == expected
-        assert sum(sizes) == 50 and max(sizes) <= 7
+        for scheme, report, rows in zip(schemes, expected, (7, 3)):
+            sizes.clear()
+            assert run_campaign(scheme, 50, 4) == report
+            assert sum(sizes) == 50 and max(sizes) <= rows
 
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
