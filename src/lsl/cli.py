@@ -48,12 +48,7 @@ from .lattices import (
     mod_lattice,
     second_moment,
 )
-from .leakage import (
-    DiscreteEnsemble,
-    chain_conditional_entropy,
-    conditional_entropy_given_modsum,
-    leakage_bound_check,
-)
+from .leakage import leakage_row
 from .rates import (
     SystemConfig,
     achievable_sum_rate,
@@ -432,26 +427,22 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_leakage(cfg: RunConfig) -> int:
-    ens = DiscreteEnsemble.from_pair(cfg.pair(), cfg.K)
-    h_cond = conditional_entropy_given_modsum(ens)
-    target = (cfg.K - 2) * ens.dimension * ens.rate_per_dim
-    check = leakage_bound_check(ens)
+    row = leakage_row(cfg.pair(), cfg.K)
     _emit(cfg, [[
         ("K", str(cfg.K)), ("q", str(cfg.q)), ("N", str(cfg.N)),
-        ("M", str(ens.size)),
-        ("rate_per_dim", _fmt_rate(ens.rate_per_dim)),
-        ("h_cond", _fmt_rate(h_cond)),
-        ("identity_target", _fmt_rate(target)),
-        ("identity_ok", _fmt_bool(abs(h_cond - target) <= 1e-12)),
-        ("chain_first", _fmt_rate(chain_conditional_entropy(ens, 1))),
-        ("chain_last",
-         _fmt_rate(chain_conditional_entropy(ens, ens.num_senders))),
-        ("leakage", _fmt_rate(check.leakage)),
-        ("bound", _fmt_rate(check.bound)),
-        ("modsum_entropy", _fmt_rate(check.modsum_entropy)),
-        ("index_entropy", _fmt_rate(check.index_entropy)),
-        ("index_bound", _fmt_rate(check.index_bound)),
-        ("passed", _fmt_bool(check.passed))]])
+        ("M", str(row.M)),
+        ("rate_per_dim", _fmt_rate(row.rate_per_dim)),
+        ("h_cond", _fmt_rate(row.h_cond)),
+        ("identity_target", _fmt_rate(row.identity_target)),
+        ("identity_ok", _fmt_bool(row.identity_ok)),
+        ("chain_first", _fmt_rate(row.chain_first)),
+        ("chain_last", _fmt_rate(row.chain_last)),
+        ("leakage", _fmt_rate(row.leakage)),
+        ("bound", _fmt_rate(row.bound)),
+        ("modsum_entropy", _fmt_rate(row.modsum_entropy)),
+        ("index_entropy", _fmt_rate(row.index_entropy)),
+        ("index_bound", _fmt_rate(row.index_bound)),
+        ("passed", _fmt_bool(row.passed))]])
     return 0
 
 

@@ -10,6 +10,10 @@ the entropy identities hold to float rounding, not to sampling error.
 as int64 rows; the folded sums, the candidate indices and the chain terms
 are read off it, and its memory never exceeds the joint state count.
 
+``leakage_row`` gives every column of ``lsl leakage``.  A cubic pair's
+coordinates are iid, so each of its entropies is N times that of the
+one-dimensional pair: the row tallies q^(K-1) states, not q^(N(K-1)).
+
 Entropies are in bits.  Elements are centered coordinate tuples of the
 quotient fine/coarse, a group under coordinate addition mod q.
 """
@@ -22,10 +26,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError
-from .lattices import NestedPair, _centered_mod, codebook
+from .lattices import (
+    CUBIC,
+    NestedPair,
+    _centered_mod,
+    codebook,
+    make_cubic_pair,
+)
 from .representation import window_index
 
 DEFAULT_STATE_CAP = 10_000_000
+
+#: Most bits of a cubic pair's codebook size M = q^N, so N*log2(q).
+#: Its row tallies one coordinate whatever N, and this bounds the rest:
+#: M itself and the cells printed from it.
+MAX_CODEBOOK_BITS = 4096
 
 
 def _check_states(size: int, exponent: int, cap: int):
@@ -185,6 +200,12 @@ def chain_conditional_entropy(ens: DiscreteEnsemble, j: int) -> float:
     return math.log2(ens.size) + _entropy_bits(rest) - _entropy_bits(tail)
 
 
+def _bounds(dimension: int, rate_per_dim: float, num_senders: int):
+    """The leakage cap N*R + N*log2(K-1) and its index part N*log2(K-1)."""
+    index_bound = dimension * math.log2(num_senders)
+    return dimension * rate_per_dim + index_bound, index_bound
+
+
 @dataclass(frozen=True)
 class LeakageCheck:
     """Exact leakage of the (folded sum, index) observation vs. its bound."""
@@ -212,12 +233,11 @@ def leakage_bound_check(ens: DiscreteEnsemble) -> LeakageCheck:
     # coarse point has integer coordinates (raw - folded)/q.
     indices = window_index(folded / ens.q, (raw - folded) // ens.q,
                            ens.num_senders)
-    n = ens.dimension
     # (folded sum, index) determines the raw sum and back: same entropy.
     leakage = _entropy_bits(counts)
-    bound = n * ens.rate_per_dim + n * math.log2(ens.num_senders)
+    bound, index_bound = _bounds(ens.dimension, ens.rate_per_dim,
+                                 ens.num_senders)
     index_entropy = _entropy_bits(_tally(indices[:, None], counts)[1])
-    index_bound = n * math.log2(ens.num_senders)
     return LeakageCheck(
         leakage=leakage,
         bound=bound,
@@ -226,3 +246,66 @@ def leakage_bound_check(ens: DiscreteEnsemble) -> LeakageCheck:
         index_bound=index_bound,
         passed=(leakage <= bound + 1e-12
                 and index_entropy <= index_bound + 1e-12))
+
+
+@dataclass(frozen=True)
+class LeakageRow:
+    """The computed columns of an ``lsl leakage`` row, in its order."""
+
+    M: int
+    rate_per_dim: float
+    h_cond: float
+    identity_target: float
+    identity_ok: bool
+    chain_first: float
+    chain_last: float
+    leakage: float
+    bound: float
+    modsum_entropy: float
+    index_entropy: float
+    index_bound: float
+    passed: bool
+
+
+def leakage_row(pair: NestedPair, num_users: int) -> LeakageRow:
+    """Exact leakage accounting of ``pair`` with K = ``num_users`` users.
+
+    A Construction-A pair is tallied whole.  A cubic pair's codewords are
+    N iid coordinates, each uniform over the one-dimensional pair's
+    codebook, and the folded sum, the raw sum and the window index split
+    per coordinate (the index is a mixed-radix bijection of the
+    per-coordinate offsets).  So every entropy is N times the 1-D pair's,
+    and only the 1-D pair is tallied, under its q^(K-1) state cap, once
+    N*log2(q) is checked against ``MAX_CODEBOOK_BITS``.  M, the rate, the
+    identity target and both bounds are read off ``pair``; ``identity_ok``
+    and ``passed`` compare the tallied pair's own values, since at large N
+    the scaled floats can miss their targets by rounding alone.
+    """
+    n = pair.dimension
+    if pair.fine.family == CUBIC:
+        if n * math.log2(pair.q) > MAX_CODEBOOK_BITS:
+            raise CapacityError(f"codebook size {pair.q}^{n} exceeds "
+                                f"2^{MAX_CODEBOOK_BITS}")
+        tallied, scale = make_cubic_pair(pair.q, 1), n
+    else:
+        tallied, scale = pair, 1
+    ens = DiscreteEnsemble.from_pair(tallied, num_users)
+    h_cond = conditional_entropy_given_modsum(ens)
+    target = (num_users - 2) * ens.dimension * ens.rate_per_dim
+    check = leakage_bound_check(ens)
+    rate = pair.rate_per_dim
+    bound, index_bound = _bounds(n, rate, ens.num_senders)
+    return LeakageRow(
+        M=pair.nesting_ratio,
+        rate_per_dim=rate,
+        h_cond=scale * h_cond,
+        identity_target=(num_users - 2) * n * rate,
+        identity_ok=abs(h_cond - target) <= 1e-12,
+        chain_first=scale * chain_conditional_entropy(ens, 1),
+        chain_last=scale * chain_conditional_entropy(ens, ens.num_senders),
+        leakage=scale * check.leakage,
+        bound=bound,
+        modsum_entropy=scale * check.modsum_entropy,
+        index_entropy=scale * check.index_entropy,
+        index_bound=index_bound,
+        passed=check.passed)

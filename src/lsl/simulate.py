@@ -228,12 +228,16 @@ def encode_interferer(scheme: Scheme, index, dithers: np.ndarray):
     """Transmit signals of the K-1 interfering users.
 
     ``index`` holds codeword indices, shape (..., K-1), and ``dithers`` the
-    matching (..., K-1, N) stack.  Each codeword plus dither is folded over
-    the coarse cell, giving ``u``; user i's row is then scaled by
-    sqrt(P/a_i) so it arrives at receiver K with power P.  The transmit
-    power P/a_i never exceeds the user's constraint.  Returns
-    ``(u, signals)``, both of shape (..., K-1, N).
+    matching (..., K-1, N) stack; a user axis of another length raises
+    ``ValueError``.  Each codeword plus dither is folded over the coarse
+    cell, giving ``u``; user i's row is then scaled by sqrt(P/a_i) so it
+    arrives at receiver K with power P.  The transmit power P/a_i never
+    exceeds the user's constraint.  Returns ``(u, signals)``, both of
+    shape (..., K-1, N).
     """
+    k1 = scheme.config.K - 1
+    if np.shape(index)[-1:] != (k1,) or np.shape(dithers)[-2:-1] != (k1,):
+        raise ValueError(f"interferer stacks need a user axis of length {k1}")
     pair = scheme.interferer_pair
     points = _codewords(scheme.interferer_leaders, index) * pair.fine.scale
     u = mod_lattice(pair.coarse, points + dithers)
@@ -259,12 +263,16 @@ def apply_channel(scheme: Scheme, signals: np.ndarray, signal_k: np.ndarray,
     ``signals`` is the (..., K-1, N) interferer stack, ``signal_k`` user K's
     (..., N) signal and ``noise`` the (..., K, N) unit-variance channel
     noise, direct links first and receiver K last (zeros for a noiseless
-    block).  Receivers 1..K-1 each see only their own sender plus noise;
-    receiver K sees the cross-gain-weighted interference, accumulated
-    left to right, plus user K's signal and its own noise.  Returns
+    block); a user axis of another length raises ``ValueError``.
+    Receivers 1..K-1 each see only their own sender plus noise; receiver
+    K sees the cross-gain-weighted interference, accumulated left to
+    right, plus user K's signal and its own noise.  Returns
     ``(direct, interference, y_k)``: the (..., K-1, N) direct outputs, the
     noiseless interference at receiver K and its (..., N) output.
     """
+    k = scheme.config.K
+    if np.shape(signals)[-2:-1] != (k - 1,) or np.shape(noise)[-2:-1] != (k,):
+        raise ValueError(f"channel needs {k - 1} signals and {k} noise rows")
     weighted = np.sqrt(np.asarray(scheme.config.a))[:, None] * signals
     # cumsum adds the users left to right; np.sum would add them pairwise
     interference = np.cumsum(weighted, axis=-2)[..., -1, :]

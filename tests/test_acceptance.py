@@ -24,6 +24,7 @@ from lsl.leakage import (
     DiscreteEnsemble,
     conditional_entropy_given_modsum,
     leakage_bound_check,
+    leakage_row,
 )
 from lsl.rates import (
     SystemConfig,
@@ -153,6 +154,12 @@ def test_criterion_05_leakage_identities():
                        - target) <= 1e-12
             check = leakage_bound_check(ens)
             assert check.passed, (k, q, dim)
+            # the row tallies one coordinate and scales it by N
+            row = leakage_row(make_cubic_pair(q, dim), k)
+            assert row.identity_ok and row.passed, (k, q, dim)
+            assert abs(row.h_cond - target) <= 1e-12
+            assert abs(row.leakage - check.leakage) <= 1e-12
+            assert abs(row.index_entropy - check.index_entropy) <= 1e-12
 
 
 def test_criterion_06_effective_noise():

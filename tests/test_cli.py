@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import lsl.cli
+import lsl.leakage
 import lsl.representation
 import lsl.simulate
 from lsl.cli import (
@@ -86,13 +87,34 @@ class TestExitCodes:
             "exceed P_K + 1 (mu = 0.181818)\n")
 
     def test_cap_exceeded(self, tmp_path, capsys):
-        # a size cap has its own prefix, not "infeasible configuration"
+        # a size cap has its own prefix, not "infeasible configuration";
+        # a cubic pair tallies one coordinate, so K sets its state count
         out = tmp_path / "leak.csv"
-        assert main(["leakage", "--q", "4", "--N", "6",
+        assert main(["leakage", "--q", "4", "--K", "14",
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            "cap exceeded: state space 4096^2 exceeds cap 10000000\n")
+            "cap exceeded: state space 4^13 exceeds cap 10000000\n")
         assert not out.exists()
+
+    def test_codebook_bits_checked_before_any_tally(self, tmp_path, capsys,
+                                                   monkeypatch):
+        def no_tally(*args, **kwargs):
+            raise AssertionError("an ensemble was built")
+
+        out = tmp_path / "leak.csv"
+        bits = lsl.leakage.MAX_CODEBOOK_BITS
+        monkeypatch.setattr(lsl.leakage.DiscreteEnsemble, "from_pair",
+                            no_tally)
+        assert main(["leakage", "--q", "2", "--N", str(bits + 1),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"cap exceeded: codebook size 2^{bits + 1} exceeds 2^{bits}\n")
+        assert not out.exists()
+        monkeypatch.undo()
+        assert main(["leakage", "--q", "2", "--N", str(bits),
+                     "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[2].split(",")[3] == str(
+            2 ** bits)
 
     @pytest.mark.parametrize("argv, message", [
         *(pytest.param(
@@ -362,34 +384,48 @@ class TestSimulateCsv:
         assert len(lines) == 3
 
 
-class TestSimulateMemory:
-    # A direct child of this process would inherit the test runner's peak
-    # RSS through fork, so a small interpreter starts the CLI and prints
-    # its exit code and ru_maxrss (kilobytes on Linux) from wait4.
-    LAUNCH = ("import os, subprocess, sys\n"
-              "child = subprocess.Popen(sys.argv[1:], "
-              "stdout=subprocess.DEVNULL)\n"
-              "_, status, usage = os.wait4(child.pid, 0)\n"
-              "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+# A direct child of this process would inherit the test runner's peak RSS
+# through fork, so a small interpreter starts the CLI and prints its exit
+# code and ru_maxrss (kilobytes on Linux) from wait4.
+LAUNCH = ("import os, subprocess, sys\n"
+          "child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+          "_, status, usage = os.wait4(child.pid, 0)\n"
+          "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux"),
-                        reason="ru_maxrss is in kilobytes on Linux")
+linux_rss = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                               reason="ru_maxrss is in kilobytes on Linux")
+
+
+def child_usage(*args):
+    """Exit code and peak RSS in kilobytes of ``lsl *args`` in a child."""
+    src = os.path.dirname(os.path.dirname(lsl.cli.__file__))
+    argv = [sys.executable, "-c", LAUNCH,
+            sys.executable, "-m", "lsl.cli", *args]
+    result = subprocess.run(argv, env={**os.environ, "PYTHONPATH": src},
+                            capture_output=True, text=True, check=True)
+    return tuple(map(int, result.stdout.split()))
+
+
+class TestSimulateMemory:
+    @linux_rss
     def test_wide_campaign_stays_small(self):
         # A chunk is a fixed number of draws, so 199 interferers take no
         # more memory than two: the peak stays near start-up.
-        src = os.path.dirname(os.path.dirname(lsl.cli.__file__))
-        argv = [sys.executable, "-c", self.LAUNCH,
-                sys.executable, "-m", "lsl.cli", "simulate", "--K", "200",
-                "--P", ",".join(["10"] * 200), "--a", ",".join(["12"] * 199),
-                "--trials", "4096"]
-        result = subprocess.run(argv, env={**os.environ, "PYTHONPATH": src},
-                                capture_output=True, text=True, check=True)
-        code, max_rss_kb = map(int, result.stdout.split())
+        code, max_rss_kb = child_usage(
+            "simulate", "--K", "200", "--P", ",".join(["10"] * 200),
+            "--a", ",".join(["12"] * 199), "--trials", "4096")
         assert code == 0
         assert max_rss_kb < 80 * 1024
 
 
 class TestLeakageCommand:
+    @linux_rss
+    def test_cubic_row_tallies_one_coordinate(self):
+        # 3^14 joint states if enumerated, 3^2 per coordinate
+        code, max_rss_kb = child_usage("leakage", "--q", "3", "--N", "7")
+        assert code == 0
+        assert max_rss_kb < 80 * 1024
+
     def test_identity_columns(self, tmp_path):
         out = tmp_path / "leak.csv"
         assert main(["leakage", "--out", str(out)]) == 0

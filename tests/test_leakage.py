@@ -1,5 +1,6 @@
 """Exact finite-codebook secrecy accounting against brute-force oracles."""
 
+import dataclasses
 import itertools
 import math
 
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import lsl.leakage
-from lsl.cli import main
+from lsl.cli import _fmt_bool, _fmt_rate, main
 from lsl.errors import CapacityError, InvalidCodeError
 from lsl.lattices import make_construction_a_pair, make_cubic_pair
 from lsl.leakage import (
@@ -17,6 +18,7 @@ from lsl.leakage import (
     chain_conditional_entropy,
     conditional_entropy_given_modsum,
     leakage_bound_check,
+    leakage_row,
 )
 
 
@@ -341,3 +343,87 @@ class TestLongCodes:
         assert main(["leakage", "--family", "construction-a", *args,
                      "--out", str(out)]) == 0
         assert out.read_text().splitlines()[2] == row
+
+
+#: Cubic (K, q, N) with at most 2*10^5 joint states q^(N(K-1)).
+ENUMERABLE = [(k, q, n) for k in range(3, 9) for q in range(2, 8)
+              for n in range(1, 18) if q ** (n * (k - 1)) <= 200_000]
+
+
+def printed(values):
+    """Cells as ``lsl leakage`` prints them."""
+    return [_fmt_bool(v) if isinstance(v, bool)
+            else str(v) if isinstance(v, int) else _fmt_rate(v)
+            for v in values]
+
+
+def enumerated_row(k, q, n):
+    """The row's columns from the whole N-dimensional ensemble."""
+    ens = DiscreteEnsemble.from_pair(make_cubic_pair(q, n), k)
+    h_cond = conditional_entropy_given_modsum(ens)
+    target = (k - 2) * ens.dimension * ens.rate_per_dim
+    check = leakage_bound_check(ens)
+    return (ens.size, ens.rate_per_dim, h_cond, target,
+            abs(h_cond - target) <= 1e-12, chain_conditional_entropy(ens, 1),
+            chain_conditional_entropy(ens, k - 1), check.leakage,
+            check.bound, check.modsum_entropy, check.index_entropy,
+            check.index_bound, check.passed)
+
+
+# Rows printed by the whole-ensemble tally, K=3, near its state cap.
+CUBIC_ROWS = {
+    ("3", "7"): "3,3,7,2187,1.584963,11.094738,11.094738,1,11.094738,"
+                "0.000000,15.380118,18.094738,11.094738,6.428071,7.000000,1",
+    ("2", "11"): "3,2,11,2048,1.000000,11.000000,11.000000,1,11.000000,"
+                 "0.000000,16.500000,22.000000,11.000000,8.924059,"
+                 "11.000000,1",
+}
+
+
+class TestCubicRow:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(ENUMERABLE))
+    def test_row_equals_enumeration(self, config):
+        k, q, n = config
+        row = leakage_row(make_cubic_pair(q, n), k)
+        assert printed(dataclasses.astuple(row)) == printed(
+            enumerated_row(k, q, n))
+
+    @pytest.mark.parametrize("q, n", sorted(CUBIC_ROWS))
+    def test_row_is_pinned(self, q, n, tmp_path):
+        out = tmp_path / "leak.csv"
+        assert main(["leakage", "--q", q, "--N", n, "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[2] == CUBIC_ROWS[q, n]
+
+    def test_q4_n64_row_is_closed_form(self, tmp_path):
+        # Per coordinate, two uniform offsets on {-1, 0, 1, 2} sum to
+        # -2..4 with triangular counts of 16.  The index says which lift
+        # of the folded sum, s or s + 4, occurred: the upper lifts 2, 3
+        # and 4 take 3 + 2 + 1 = 6 of the 16.
+        def entropy_of(counts):
+            return entropy(dict(enumerate(counts)))
+
+        h_sum = entropy_of([1, 2, 3, 4, 3, 2, 1])
+        h_index = entropy_of([6, 10])
+        out = tmp_path / "leak.csv"
+        assert main(["leakage", "--q", "4", "--N", "64",
+                     "--out", str(out)]) == 0
+        cells = out.read_text().splitlines()[2].split(",")
+        assert cells == printed((
+            3, 4, 64, 4 ** 64, 2.0, 128.0, 128.0, True, 128.0, 0.0,
+            64 * h_sum, 192.0, 128.0, 64 * h_index, 64.0, True))
+        assert cells[5] == "128.000000" and cells[10] == "169.960900"
+
+    def test_construction_a_row_is_the_whole_tally(self):
+        pair = make_construction_a_pair(3, 4, [(1, 0, 1, 1), (0, 1, 1, 2)])
+        ens = DiscreteEnsemble.from_pair(pair, 4)
+        row = leakage_row(pair, 4)
+        check = leakage_bound_check(ens)
+        assert row.M == ens.size == 9
+        assert row.h_cond == conditional_entropy_given_modsum(ens)
+        assert row.chain_first == chain_conditional_entropy(ens, 1)
+        assert row.chain_last == chain_conditional_entropy(ens, 3)
+        assert (row.leakage, row.bound, row.modsum_entropy,
+                row.index_entropy, row.index_bound, row.passed) == (
+            check.leakage, check.bound, check.modsum_entropy,
+            check.index_entropy, check.index_bound, check.passed)

@@ -148,6 +148,20 @@ class TestEncoding:
                                 ((5, 2, 2), (5, 1, 2))):
             with pytest.raises(ValueError):
                 decode_direct(scheme, np.zeros(direct), np.zeros(dithers))
+        for index, dithers in (((1,), (1, 2)), ((3,), (3, 2)), ((), (2,)),
+                               ((2,), (1, 2)), ((5, 1), (5, 1, 2)),
+                               ((5, 2), (5, 1, 2)), ((5, 1), (5, 2, 2))):
+            with pytest.raises(ValueError):
+                encode_interferer(scheme, np.zeros(index, np.int64),
+                                  np.zeros(dithers))
+        # the channel takes K-1 = 2 signals and K = 3 noise rows
+        for signals, noise in (((1, 2), (3, 2)), ((3, 2), (3, 2)),
+                               ((2, 2), (2, 2)), ((2, 2), (1, 2)),
+                               ((2,), (3, 2)), ((5, 1, 2), (5, 3, 2)),
+                               ((5, 2, 2), (5, 4, 2))):
+            with pytest.raises(ValueError):
+                apply_channel(scheme, np.zeros(signals), np.zeros(2),
+                              np.zeros(noise))
 
     def test_rejects_unnormalized_pair(self):
         from lsl.lattices import Lattice, NestedPair
