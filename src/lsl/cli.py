@@ -8,6 +8,9 @@ derive from it, and a value goes through its key's parser whatever its
 source.  Config files are flat key=value lines, ``#`` comments allowed.
 Each subcommand builds ordered ``(column, cell)`` records, which
 ``_emit`` writes as the config-echo line, the header and the rows.
+``main`` builds the argument parser once per process, on its first call
+(never at import), and looks the subcommand's ``cmd_*`` function up by
+name on every call.
 
 CSV output is byte-deterministic for a fixed (config, seed): rates print
 with six fixed decimals, probabilities in scientific notation, and the
@@ -364,8 +367,11 @@ def cmd_sweep(cfg: RunConfig) -> int:
         # np.arange makes ceil((stop - start) / step) points
         if (hi + 1e-12 - lo) / step > SWEEP_MAX:
             raise CapacityError(f"Pmin sweep has more than {SWEEP_MAX} points")
+        grid = np.arange(lo, hi + 1e-12, step)
+        # From 2^14 up, hi + 1e-12 rounds to hi, so from == to gives no
+        # point; the from row is always swept.
         points = ((_fmt_rate(v), base.K, float(v))
-                  for v in np.arange(lo, hi + 1e-12, step))
+                  for v in (grid if grid.size else [lo]))
     # A point is the symmetric channel (K, P_min, P_K) with every cross
     # gain set to the margin times its very-strong threshold: a gain >= 1,
     # so the converse is its symmetric closed form.
@@ -522,20 +528,28 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("rates", "sweep", "simulate", "leakage", "repr-check",
                  "lattice-info"):
-        # looked up per call, so a patched module attribute is honoured
-        func = globals()["cmd_" + name.replace("-", "_")]
+        # Built once per process, so it holds the name only: main looks
+        # up cmd_<name> per call, and a patched module attribute is
+        # honoured.
         parents = [common, sweep_only] if name == "sweep" else [common]
-        sub.add_parser(name, parents=parents).set_defaults(func=func)
+        sub.add_parser(name, parents=parents)
     return parser
 
 
+#: Built by the first ``main`` call; parsing leaves it unchanged.
+_parser: _Parser | None = None
+
+
 def main(argv=None) -> int:
+    global _parser
     try:
-        args = _build_parser().parse_args(argv)
+        if _parser is None:
+            _parser = _build_parser()
+        args = _parser.parse_args(argv)
         cfg = _resolve_config(args)
         if cfg.out and not os.path.isdir(os.path.dirname(cfg.out) or "."):
             raise UsageError(f"cannot write {cfg.out}: no such directory")
-        return args.func(cfg)
+        return globals()["cmd_" + args.command.replace("-", "_")](cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -153,6 +153,15 @@ class NestedPair:
         return _centered_mod(coords, self.q)
 
 
+def _fine_scale_sq(q: int) -> float:
+    """12/q^2, the squared fine scale of a pair with unit coarse moment."""
+    try:
+        return 12.0 / (q * q)
+    except OverflowError:
+        raise ValueError(f"q={q} is too large: q^2 overflows a float") \
+            from None
+
+
 def make_cubic_pair(q: int, dimension: int) -> NestedPair:
     """Nested pair fine = s*Z^N, coarse = s*q*Z^N with unit coarse moment.
 
@@ -163,7 +172,8 @@ def make_cubic_pair(q: int, dimension: int) -> NestedPair:
         raise ValueError("q must be an integer >= 2")
     if dimension < 1:
         raise ValueError("dimension must be a positive integer")
-    fine = Lattice(dimension=dimension, family=CUBIC, scale_sq=12.0 / (q * q))
+    fine = Lattice(dimension=dimension, family=CUBIC,
+                   scale_sq=_fine_scale_sq(q))
     coarse = Lattice(dimension=dimension, family=CUBIC, scale_sq=12.0)
     return NestedPair(fine=fine, coarse=coarse, q=q)
 
@@ -198,7 +208,8 @@ def make_construction_a_pair(q: int, dimension: int, generator,
         raise InvalidCodeError(
             f"the {q ** k} messages give only {len(words)} distinct codewords mod q")
     fine = Lattice(dimension=dimension, family=CONSTRUCTION_A,
-                   scale_sq=12.0 / (q * q), modulus=q, codewords=tuple(words))
+                   scale_sq=_fine_scale_sq(q), modulus=q,
+                   codewords=tuple(words))
     coarse = Lattice(dimension=dimension, family=CUBIC, scale_sq=12.0)
     return NestedPair(fine=fine, coarse=coarse, q=q)
 

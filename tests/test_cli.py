@@ -144,6 +144,18 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["leakage", "lattice-info",
+                                         "simulate", "repr-check"])
+    def test_q_whose_square_overflows_is_an_error(self, command, tmp_path,
+                                                  capsys):
+        q = str(10 ** 200)
+        out = tmp_path / "out.csv"
+        assert main([command, "--q", q, "--N", "1", "--trials", "10",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: q={q} is too large: q^2 overflows a float\n")
+        assert not out.exists()
+
     def test_sweep_needs_var(self, capsys):
         assert main(["sweep"]) == 1
 
@@ -206,6 +218,55 @@ class TestConfigPrecedence:
 
 def resolve(argv):
     return _resolve_config(_build_parser().parse_args(argv))
+
+
+class TestParserCache:
+    def test_parser_is_built_once_and_not_at_import(self, monkeypatch,
+                                                    capsys):
+        built = []
+
+        def spy():
+            built.append(1)
+            return _build_parser()
+
+        monkeypatch.setattr(lsl.cli, "_parser", None)
+        monkeypatch.setattr(lsl.cli, "_build_parser", spy)
+        assert main(["rates"]) == 0
+        assert main(["rates"]) == 0
+        assert len(built) == 1
+        src = os.path.dirname(os.path.dirname(lsl.cli.__file__))
+        result = subprocess.run(
+            [sys.executable, "-c", "import lsl.cli; print(lsl.cli._parser)"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True, check=True)
+        assert result.stdout == "None\n"
+
+    def test_command_patched_after_first_call_runs(self, monkeypatch,
+                                                   capsys):
+        assert main(["rates"]) == 0
+        seen = []
+        monkeypatch.setattr(lsl.cli, "cmd_rates",
+                            lambda cfg: seen.append(cfg.K) or 7)
+        assert main(["rates", "--K", "4", "--P", "1,2,3,4",
+                     "--a", "5,6,7"]) == 7
+        assert seen == [4]
+
+    @pytest.mark.parametrize("failing", [["simulate", "--trials", "0"],
+                                         ["rates", "--bogus"],
+                                         ["frobnicate"]])
+    def test_failed_call_leaves_the_next_unchanged(self, failing, tmp_path,
+                                                   monkeypatch, capsys):
+        # the next call prints what a fresh process printed into the golden
+        monkeypatch.delenv("LSL_SEED", raising=False)
+        golden = os.path.join(os.path.dirname(__file__), "golden")
+        assert main(failing) == 1
+        capsys.readouterr()
+        out = tmp_path / "rates.csv"
+        assert main(["rates", "--K", "4", "--P", "8,9,10,6",
+                     "--a", "11,12,13", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == read(
+            os.path.join(golden, "rates.txt")).decode()
+        assert read(out) == read(os.path.join(golden, "rates.csv"))
 
 
 class TestConfigKeys:
@@ -321,6 +382,16 @@ class TestSweep:
                      "--step", "2.5", "--out", str(out)]) == 0
         lines = read(out).decode().splitlines()
         assert len(lines) == 2 + 3
+
+    @pytest.mark.parametrize("value", ["10000", "16384", "100000"])
+    def test_one_point_pmin_sweep(self, tmp_path, value):
+        # from 2^14 up, to + 1e-12 rounds back to to
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--var", "Pmin", "--from", value, "--to", value,
+                     "--out", str(out)]) == 0
+        lines = read(out).decode().splitlines()
+        assert len(lines) == 2 + 1
+        assert lines[2].startswith(f"Pmin,{float(value):.6f},3,")
 
     @pytest.mark.parametrize("var", ["K", "Pmin"])
     @pytest.mark.parametrize("bounds", [["10", "5"], ["3", "5", "-2"],
