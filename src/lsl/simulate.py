@@ -30,14 +30,26 @@ Reproducibility: per-trial seeds are SHA-256 hashes of
 ``np.random.default_rng(trial_seed)`` and calls the stages on one trial.
 ``run_campaign`` runs one vectorized engine for cubic and Construction-A
 pairs alike: it replays the same draws without building a generator per
-trial (``_replay_draws`` mirrors numpy's SeedSequence and PCG64 seeding
-on whole chunks), then calls the same stages on (trials, ...) arrays, so
-its reports are bit-identical to folding ``run_trial``.  A chunk holds
+trial, then calls the same stages on (trials, ...) arrays, so its
+reports are bit-identical to folding ``run_trial``.  A chunk holds
 ``CHUNK_DRAWS`` draws whatever K and N, and is folded as it finishes.
+
+The replay (``_replay_draws``) hashes a chunk's seeds in one pass and
+mirrors numpy's SeedSequence and PCG64 seeding on the whole chunk.  Up to
+``_STEPPED_DRAWS`` = 32 draws (K*N) a trial, it steps every trial's PCG64
+in numpy uint64 arithmetic, word by word (O'Neill, "PCG", 2014), and
+turns each normal's word into numpy's ziggurat fast-path value (Marsaglia
+& Tsang, JSS 2000) with numpy's own tables, read off
+``Generator.standard_normal`` once per process (``_ziggurat``).  A row
+with a normal off the fast path, about 1.5% of normals, redraws its
+normals on one reused PCG64.  Wider trials take that per-row path for
+all their draws: a stepped word costs about 0.15 us a trial, a per-row
+state set about 6 us, and a noisy trial reads about 2*K*N words.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -73,6 +85,21 @@ _MIX_MULT_R = 0x4973F715
 _PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
 _MASK32 = (1 << 32) - 1
 _MASK128 = (1 << 128) - 1
+
+# The same constants as uint64 words and shift counts: with numpy 1.24's
+# value-based casting a Python int operand could widen a uint64 array.
+_1, _8, _9, _32, _58, _63, _64 = map(np.uint64, (1, 8, 9, 32, 58, 63, 64))
+_LO32 = np.uint64(_MASK32)
+_BYTE = np.uint64(0xFF)
+_MANTISSA = np.uint64((1 << 52) - 1)
+_MULT_HI = np.uint64(_PCG64_MULT >> 64)
+_MULT_LO = np.uint64(_PCG64_MULT & ((1 << 64) - 1))
+_MULT_LO0, _MULT_LO1 = _MULT_LO & _LO32, _MULT_LO >> _32
+
+#: Widest trial, in draws (K*N), whose PCG64 words are stepped in numpy
+#: over the whole chunk; wider trials set one reused PCG64 per row.  The
+#: two paths cost the same near K*N = 32 (measured on 2 cores, numpy 2.4).
+_STEPPED_DRAWS = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,6 +385,15 @@ def derive_trial_seed(master_seed: int, index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def _trial_seeds(master_seed: int, lo: int, hi: int) -> np.ndarray:
+    """``derive_trial_seed(master_seed, i)`` for i in [lo, hi), in one pass,
+    as a uint64 array."""
+    prefix = b"%d:" % master_seed
+    digests = b"".join([hashlib.sha256(prefix + b"%d" % i).digest()[:8]
+                        for i in range(lo, hi)])
+    return np.frombuffer(digests, dtype=">u8").astype(np.uint64)
+
+
 def run_trial(scheme: Scheme, trial_seed: int,
               noiseless: bool = False) -> TrialOutcome:
     """Simulate one block: draw, encode, transmit, decode, classify.
@@ -437,8 +473,8 @@ def _seed_words(seeds) -> np.ndarray:
         return result ^ (result >> np.uint32(16))
 
     hashmix = hasher(_INIT_A, _MULT_A)
-    lo = (seeds & np.uint64(_MASK32)).astype(np.uint32)
-    hi = (seeds >> np.uint64(32)).astype(np.uint32)
+    lo = (seeds & _LO32).astype(np.uint32)
+    hi = (seeds >> _32).astype(np.uint32)
     zero = np.zeros_like(lo)
     pool = [hashmix(word) for word in (lo, hi, zero, zero)]
     for src in range(4):
@@ -450,16 +486,177 @@ def _seed_words(seeds) -> np.ndarray:
     output = hasher(_INIT_B, _MULT_B)
     halves = [output(pool[i % 4]).astype(np.uint64) for i in range(8)]
     # Little-endian pairs of 32-bit words, by shifts: no byte-order views.
-    return np.stack([halves[2 * j] | (halves[2 * j + 1] << np.uint64(32))
+    return np.stack([halves[2 * j] | (halves[2 * j + 1] << _32)
                      for j in range(4)], axis=-1)
 
 
-def _pcg64_state(words) -> tuple[int, int]:
-    """(state, inc) of ``PCG64`` seeded with the four 64-bit ``words``."""
-    w0, w1, w2, w3 = words
-    inc = ((((w2 << 64) | w3) << 1) | 1) & _MASK128
-    state = ((inc + ((w0 << 64) | w1)) * _PCG64_MULT + inc) & _MASK128
-    return state, inc
+def _pcg64_step(state):
+    """One LCG step, ``state*MULT + inc`` mod 2^128, on (hi, lo, inc_hi,
+    inc_lo) uint64 arrays; the increment words pass through unchanged."""
+    hi, lo, inc_hi, inc_lo = state
+    # high word of lo*MULT_LO from 32-bit halves, since numpy has no
+    # 64x64->128 multiply
+    lo0, lo1 = lo & _LO32, lo >> _32
+    p00, p01, p10 = lo0 * _MULT_LO0, lo0 * _MULT_LO1, lo1 * _MULT_LO0
+    mid = (p00 >> _32) + (p01 & _LO32) + (p10 & _LO32)
+    new_lo = lo * _MULT_LO + inc_lo
+    new_hi = (hi * _MULT_LO + lo * _MULT_HI + lo1 * _MULT_LO1 + (p01 >> _32)
+              + (p10 >> _32) + (mid >> _32) + inc_hi + (new_lo < inc_lo))
+    return new_hi, new_lo, inc_hi, inc_lo
+
+
+def _pcg64_seed_state(seeds):
+    """The (hi, lo, inc_hi, inc_lo) state of ``np.random.PCG64(seed)`` for
+    every seed, from ``_seed_words``: with words (w0, w1, w2, w3), the
+    increment is (w2:w3 << 1) | 1 and the state is one step on from
+    inc + w0:w1, as ``pcg_setseq_128_srandom_r`` seeds it."""
+    w0, w1, w2, w3 = _seed_words(seeds).T
+    inc_hi = (w2 << _1) | (w3 >> _63)
+    inc_lo = (w3 << _1) | _1
+    lo = inc_lo + w1
+    return _pcg64_step((inc_hi + w0 + (lo < w1), lo, inc_hi, inc_lo))
+
+
+def _pcg64_words(state, count: int):
+    """The next ``count`` PCG64 outputs of every row of ``state``.
+
+    Each step is an LCG step then the XSL-RR output of the new state
+    (high xor low word, rotated right by the top 6 bits), as numpy's
+    ``random_raw``.  Returns the (rows, count) uint64 words and the state
+    after them.
+    """
+    words = np.empty((count, len(state[0])), dtype=np.uint64)
+    for j in range(count):
+        state = _pcg64_step(state)
+        hi, lo = state[:2]
+        mixed = hi ^ lo
+        rot = hi >> _58
+        words[j] = (mixed >> rot) | (mixed << ((_64 - rot) & _63))
+    return words.T, state
+
+
+def _row_draws(state, rows, raw, normals) -> None:
+    """Per-row draws on one reused PCG64, for each row ``i`` in ``rows``.
+
+    Sets the generator to row i of ``state`` (the (hi, lo, inc_hi,
+    inc_lo) arrays), then fills ``raw[i]`` with raw words and
+    ``normals[i]`` with numpy's ``standard_normal``, in that order; either
+    may be None.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    if not len(rows):
+        return
+    bit_gen = np.random.PCG64(0)
+    gen = np.random.Generator(bit_gen)
+    inner = {"state": 0, "inc": 0}
+    full = {"bit_generator": "PCG64", "state": inner,
+            "has_uint32": 0, "uinteger": 0}
+    hi, lo, inc_hi, inc_lo = (word[rows].tolist() for word in state)
+    for i, h, l, ih, il in zip(rows.tolist(), hi, lo, inc_hi, inc_lo):
+        inner["state"], inner["inc"] = (h << 64) | l, (ih << 64) | il
+        bit_gen.state = full
+        if raw is not None:
+            raw[i] = bit_gen.random_raw(raw.shape[1])
+        if normals is not None:
+            gen.standard_normal(out=normals[i])
+
+
+def _table_normals(words, out, tables) -> np.ndarray:
+    """numpy's ziggurat fast path on whole (rows, count) word arrays.
+
+    A word's low byte is its layer j, bit 8 its sign and the next 52 bits
+    ``rabs``; the normal is ±rabs*wi[j] when rabs < ki[j].  Writes those
+    values to ``out`` and returns, per row, whether every word of the row
+    is under ``tables``' proven bound, so that its row is exact.
+    """
+    wi, bound = tables
+    layer = (words & _BYTE).astype(np.intp)
+    rabs = (words >> _9) & _MANTISSA
+    x = rabs.astype(np.float64) * wi[layer]
+    out[...] = np.where(((words >> _8) & _1).astype(bool), -x, x)
+    return np.all(rabs < bound[layer], axis=1)
+
+
+def _ziggurat_matches_numpy(tables) -> bool:
+    """The self-check of a read-off: 64 fixed rows of 16 table normals
+    equal ``standard_normal`` bit for bit wherever a row is exact."""
+    state = _pcg64_seed_state(np.arange(64))
+    got, want = np.empty((2, 64, 16))
+    exact = _table_normals(_pcg64_words(state, 16)[0], got, tables)
+    _row_draws(state, range(64), None, want)
+    return bool(exact.any()) and np.array_equal(
+        got[exact].view(np.uint64), want[exact].view(np.uint64))
+
+
+@functools.cache
+def _ziggurat():
+    """numpy's normal ziggurat as ``(wi, bound)`` arrays over its 256
+    layers, read off ``Generator.standard_normal`` once per process.
+
+    numpy reads a word: layer j is its low byte, bit 8 the sign and the
+    next 52 bits ``rabs``.  When rabs < ki[j] it returns ±rabs*wi[j] at
+    once (the fast path); otherwise it reads more words.  A probe sets a
+    PCG64 whose next two outputs are chosen words, draws normals, and
+    reads the number of words used off the state afterwards.  Two normals
+    that used two words both took the fast path.  One normal that used
+    at most two words returned rabs*wi[j] as well: a wedge acceptance
+    uses two words and returns that value, the tail of layer 0 at least
+    three.
+
+    wi is read at rabs = 1.  Marsaglia & Tsang's tables have ki[j] =
+    2^52 wi[j-1]/wi[j] for j >= 2, ki[0] = 2^52 wi[255]/wi[0] and
+    ki[1] = 0.  Such a candidate c becomes layer j's bound only once a
+    probe at rabs = c - 1 took the fast path and returned (c-1)*wi[j],
+    which proves that every rabs < c does.  If a probe or the self-check
+    fails, every bound is 0: every normal then counts as off the fast
+    path, and numpy draws each row's normals itself.
+    """
+    bit_gen = np.random.PCG64(0)
+    gen = np.random.Generator(bit_gen)
+    inner = {"state": 0, "inc": 0}
+    full = {"bit_generator": "PCG64", "state": inner,
+            "has_uint32": 0, "uinteger": 0}
+    mult_inv = pow(_PCG64_MULT, -1, 1 << 128)
+
+    def draw(first: int, second: int, count: int):
+        # The states s1 = first and s2 (high half h, low half second ^ h)
+        # output those two words.  h makes the increment odd, so the LCG
+        # has full period and the state after the draw counts the words.
+        h = (first ^ second ^ 1) & 1
+        s2 = (h << 64) | (second ^ h)
+        inc = (s2 - first * _PCG64_MULT) & _MASK128
+        inner["state"] = ((first - inc) * mult_inv) & _MASK128
+        inner["inc"] = inc
+        bit_gen.state = full
+        x = gen.standard_normal(count).tolist()
+        after = bit_gen.state["state"]["state"]
+        return x, {first: 1, s2: 2}.get(after, 0)
+
+    def fast_normals(words):
+        # the normals of ``words`` if each took the fast path, else None
+        padded = words + words[:len(words) % 2]
+        values = []
+        for first, second in zip(padded[::2], padded[1::2]):
+            x, used = draw(first, second, 2)
+            if used != 2:
+                return None
+            values += x
+        return values[:len(words)]
+
+    failed = np.zeros(256), np.zeros(256, dtype=np.uint64)
+    layers = [j for j in range(256) if j != 1]
+    wi = fast_normals([(1 << 9) | j for j in layers])
+    top, used = draw((1 << 9) | 1, 0, 1)
+    if wi is None or not used:
+        return failed
+    wi.insert(1, top[0])
+    bound = [int(2.0 ** 52 * (wi[j - 1] / wi[j])) for j in layers]
+    if fast_normals([((c - 1) << 9) | j for c, j in zip(bound, layers)]) != [
+            (c - 1) * wi[j] for c, j in zip(bound, layers)]:
+        return failed
+    bound.insert(1, 0)
+    tables = np.array(wi), np.array(bound, dtype=np.uint64)
+    return tables if _ziggurat_matches_numpy(tables) else failed
 
 
 def _replay_draws(seeds, m: int, m_k: int, k1: int, n: int,
@@ -472,13 +669,18 @@ def _replay_draws(seeds, m: int, m_k: int, k1: int, n: int,
     last, bit-identical to the draws of ``np.random.default_rng(seed)``
     in run_trial's order.
 
-    The seeds are hashed for the whole chunk at once (``_seed_words``);
-    per trial, one reused PCG64 gets its state set and hands out its raw
-    words, and numpy's own ziggurat draws the normals.  The indices are
-    Lemire's (x * m) >> 32 on the 32-bit halves, low half first, which is
-    how ``integers`` consumes them; the uniforms are (w >> 11) * 2^-53.
-    A row where ``integers`` would have rejected a draw, and every row
-    when a codebook size lies outside [2, 2^32), is replayed through
+    The seeds' PCG64 states are made for the whole chunk at once
+    (``_pcg64_seed_state``).  When a trial has at most ``_STEPPED_DRAWS``
+    draws (K*N), every trial's PCG64 is stepped in numpy uint64
+    arithmetic, word by word over the chunk, and the normals' words go
+    through numpy's ziggurat tables (``_ziggurat``); a row with a normal
+    off the fast path redraws its normals on one reused PCG64, from the
+    state saved before its first normal word.  Wider trials take that
+    per-row path for all their draws.  The indices are Lemire's
+    (x * m) >> 32 on the 32-bit halves, low half first, which is how
+    ``integers`` consumes them; the uniforms are (w >> 11) * 2^-53.  A
+    row where ``integers`` would have rejected a draw, and every row when
+    a codebook size lies outside [2, 2^32), is replayed through
     ``default_rng`` instead.
     """
     t_count = len(seeds)
@@ -490,29 +692,27 @@ def _replay_draws(seeds, m: int, m_k: int, k1: int, n: int,
     exact = range(t_count)
     if all(2 <= size < 2 ** 32 for size in sizes):
         index_words = (users + 1) // 2
-        raw = np.empty((t_count, index_words + users * n), dtype=np.uint64)
-        flat_noise = noise.reshape(t_count, users * n)
-        bit_gen = np.random.PCG64(0)
-        gen = np.random.Generator(bit_gen)
-        inner = {"state": 0, "inc": 0}
-        state = {"bit_generator": "PCG64", "state": inner,
-                 "has_uint32": 0, "uinteger": 0}
-        words = _seed_words(seeds)
-        for i in range(t_count):
-            inner["state"], inner["inc"] = _pcg64_state(words[i].tolist())
-            bit_gen.state = state
-            raw[i] = bit_gen.random_raw(raw.shape[1])
-            if not noiseless:
-                gen.standard_normal(out=flat_noise[i])
+        state = _pcg64_seed_state(seeds)
+        normals = None if noiseless else noise.reshape(t_count, users * n)
+        if users * n <= _STEPPED_DRAWS:
+            raw, state = _pcg64_words(state, index_words + users * n)
+            if normals is not None:
+                words = _pcg64_words(state, users * n)[0]
+                fast = _table_normals(words, normals, _ziggurat())
+                _row_draws(state, np.flatnonzero(~fast), None, normals)
+        else:
+            raw = np.empty((t_count, index_words + users * n),
+                           dtype=np.uint64)
+            _row_draws(state, range(t_count), raw, normals)
         halves = np.empty((t_count, 2 * index_words), dtype=np.uint64)
-        halves[:, 0::2] = raw[:, :index_words] & np.uint64(_MASK32)
-        halves[:, 1::2] = raw[:, :index_words] >> np.uint64(32)
+        halves[:, 0::2] = raw[:, :index_words] & _LO32
+        halves[:, 1::2] = raw[:, :index_words] >> _32
         scaled = halves[:, :users] * np.array(sizes, dtype=np.uint64)
-        idx[:] = scaled >> np.uint64(32)
+        idx[:] = scaled >> _32
         thresholds = np.array([2 ** 32 % size for size in sizes],
                               dtype=np.uint64)
         exact = np.flatnonzero(np.any(
-            (scaled & np.uint64(_MASK32)) < thresholds, axis=1)).tolist()
+            (scaled & _LO32) < thresholds, axis=1)).tolist()
         uniforms[:] = ((raw[:, index_words:] >> np.uint64(11))
                        * (1.0 / 9007199254740992.0)).reshape(uniforms.shape)
     for i in exact:
@@ -597,9 +797,8 @@ def run_campaign(scheme: Scheme, trials: int, master_seed: int,
     direct = np.zeros(scheme.config.K - 1, dtype=np.int64)
     eff_power, residual_power = [], []
     for lo, hi in chunk_bounds(trials, scheme.config.K * scheme.dimension):
-        part = _batch_trial_arrays(
-            scheme, [derive_trial_seed(master_seed, i) for i in range(lo, hi)],
-            noiseless)
+        part = _batch_trial_arrays(scheme, _trial_seeds(master_seed, lo, hi),
+                                   noiseless)
         events += [np.count_nonzero(part[e]) for e in ("e1", "e2", "e3")]
         direct += np.count_nonzero(part["direct_errors"], axis=0)
         eff_power.append(part["eff_power"])

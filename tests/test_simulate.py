@@ -21,9 +21,14 @@ from lsl.lattices import (
 from lsl.rates import SystemConfig, mmse_coefficients
 from lsl.simulate import (
     Scheme,
-    _pcg64_state,
+    _pcg64_seed_state,
+    _pcg64_words,
     _replay_draws,
+    _row_draws,
     _seed_words,
+    _table_normals,
+    _trial_seeds,
+    _ziggurat,
     TrialOutcome,
     apply_channel,
     classify_events,
@@ -581,6 +586,13 @@ class TestReproducibility:
             assert run_campaign(scheme, 50, 4) == report
             assert sum(sizes) == 50 and max(sizes) <= rows
 
+    def test_chunk_seeds_are_derive_trial_seed(self):
+        for master in (0, 31, -5, 2**70):
+            seeds = _trial_seeds(master, 990, 1010)
+            assert seeds.dtype == np.uint64
+            assert seeds.tolist() == [derive_trial_seed(master, i)
+                                      for i in range(990, 1010)]
+
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
             run_campaign(default_scheme(), 0, 1)
@@ -614,6 +626,19 @@ def literal_draws(seed, m, m_k, k1, n, noiseless):
     return idx, idx_k, uniforms, noise
 
 
+def pcg64_arrays(state: int, inc: int):
+    """A 128-bit PCG64 state and increment as one row of uint64 words."""
+    low = 2**64 - 1
+    return tuple(np.array([word], dtype=np.uint64)
+                 for word in (state >> 64, state & low, inc >> 64, inc & low))
+
+
+def pcg64_ints(arrays) -> dict:
+    """The first row of (hi, lo, inc_hi, inc_lo) words as numpy's state."""
+    hi, lo, inc_hi, inc_lo = (int(a[0]) for a in arrays)
+    return {"state": (hi << 64) | lo, "inc": (inc_hi << 64) | inc_lo}
+
+
 class TestReplayDraws:
     @settings(max_examples=300, deadline=None)
     @given(UINT64_SEEDS)
@@ -634,12 +659,38 @@ class TestReplayDraws:
     @given(UINT64_SEEDS)
     @with_edge_seeds
     def test_pcg64_state_matches_numpy(self, seed):
-        state, inc = _pcg64_state(_seed_words([seed])[0].tolist())
-        assert np.random.PCG64(seed).state["state"] == {"state": state,
-                                                        "inc": inc}
+        # the seeded state, and the words and state after a K=3, N=2
+        # chunk's draws: indices and uniforms, then normals when noisy
+        state = _pcg64_seed_state([seed])
+        assert pcg64_ints(state) == np.random.PCG64(seed).state["state"]
+        for noiseless in (False, True):
+            count = 2 + 6 * (1 if noiseless else 2)
+            bit_gen = np.random.PCG64(seed)
+            words, after = _pcg64_words(state, count)
+            assert words.tolist() == [bit_gen.random_raw(count).tolist()]
+            assert pcg64_ints(after) == bit_gen.state["state"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**128 - 1),
+           st.integers(0, 2**127 - 1).map(lambda x: 2 * x + 1))
+    @example(2**64 - 1, 1)
+    @example(2**64 - 1, 2**128 - 1)
+    @example(2**128 - 1, 2**128 - 1)
+    @example(0, 2**128 - 1)
+    def test_pcg64_step_matches_random_raw(self, state, inc):
+        # numpy uint64 (hi, lo) arithmetic against numpy's own PCG64, at
+        # any 128-bit state and odd increment, carry edges included
+        bit_gen = np.random.PCG64(0)
+        bit_gen.state = {"bit_generator": "PCG64",
+                         "state": {"state": state, "inc": inc},
+                         "has_uint32": 0, "uinteger": 0}
+        words, after = _pcg64_words(pcg64_arrays(state, inc), 5)
+        assert words.tolist() == [bit_gen.random_raw(5).tolist()]
+        assert pcg64_ints(after) == bit_gen.state["state"]
 
     @pytest.mark.parametrize("noiseless", [False, True])
-    @pytest.mark.parametrize("n", [1, 4])
+    # "wide": trials just past _STEPPED_DRAWS, on the per-row path
+    @pytest.mark.parametrize("n", [1, 4, "wide"])
     @pytest.mark.parametrize("k1", [2, 3])
     @pytest.mark.parametrize("m,m_k,exact", [
         (4, 4, "none"),
@@ -653,25 +704,94 @@ class TestReplayDraws:
     ])
     def test_replay_equals_default_rng(self, monkeypatch, m, m_k, exact,
                                        k1, n, noiseless):
+        import lsl.simulate
+        if n == "wide":
+            n = lsl.simulate._STEPPED_DRAWS // (k1 + 1) + 1
         seeds = list(EDGE_SEEDS) + [derive_trial_seed(7, i) for i in range(40)]
         expected = [literal_draws(s, m, m_k, k1, n, noiseless)
                     for s in seeds]
         exact_rows = []
+        redrawn = []
         default_rng = np.random.default_rng
 
         def counting_rng(seed):
             exact_rows.append(seed)
             return default_rng(seed)
 
+        def counting_row_draws(state, rows, raw, normals):
+            if raw is None:
+                redrawn.extend(rows)
+            _row_draws(state, rows, raw, normals)
+
         monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        monkeypatch.setattr(lsl.simulate, "_row_draws", counting_row_draws)
         idx, uniforms, noise = _replay_draws(seeds, m, m_k, k1, n, noiseless)
         assert exact == {0: "none", len(seeds): "all"}.get(len(exact_rows),
                                                            "some")
+        if exact != "all" and not noiseless and n == 4:
+            # at 12 or 16 normals a trial, about one row in eight leaves
+            # the ziggurat's fast path and redraws its normals
+            assert redrawn
         assert idx.dtype == np.int64 and idx.shape == (len(seeds), k1 + 1)
         assert uniforms.shape == noise.shape == (len(seeds), k1 + 1, n)
         for i, (e_idx, e_idx_k, e_uni, e_noise) in enumerate(expected):
             assert np.array_equal(idx[i, :k1], e_idx)
             assert idx[i, k1] == e_idx_k
+            assert np.array_equal(uniforms[i], np.stack(e_uni))
+            assert np.array_equal(noise[i], np.stack(e_noise))
+
+
+@pytest.fixture
+def fresh_ziggurat():
+    """Read the ziggurat tables anew in the test, and again after it."""
+    _ziggurat.cache_clear()
+    yield
+    _ziggurat.cache_clear()
+
+
+class TestZiggurat:
+    def test_read_off_proves_every_layer(self, fresh_ziggurat):
+        wi, bound = _ziggurat()
+        # Marsaglia & Tsang: layer 1 has no fast path, the layer widths
+        # grow from the top layer 1 to the base layer 255, and layer 0
+        # (the base strip with the tail) is wider still
+        assert bound[1] == 0 and np.all(bound[np.arange(256) != 1] > 0)
+        assert np.all(np.diff(wi[1:]) > 0) and wi[0] > wi[255]
+
+    def test_tables_reproduce_standard_normal(self):
+        # 17,000 rows of 6 normals from the PCG64 streams of seeds 0, 1,
+        # ...: each row from the tables, or redrawn by numpy when it
+        # leaves the fast path, against default_rng(seed)
+        rows, count = 17_000, 6
+        state = _pcg64_seed_state(np.arange(rows))
+        got = np.empty((rows, count))
+        fast = _table_normals(_pcg64_words(state, count)[0], got, _ziggurat())
+        _row_draws(state, np.flatnonzero(~fast), None, got)
+        want = np.stack([np.random.default_rng(seed).standard_normal(count)
+                         for seed in range(rows)])
+        assert 0 < np.count_nonzero(~fast) < rows // 10
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_failed_self_check_redraws_every_noisy_row(self, monkeypatch,
+                                                       fresh_ziggurat):
+        import lsl.simulate
+        monkeypatch.setattr(lsl.simulate, "_ziggurat_matches_numpy",
+                            lambda tables: False)
+        assert not _ziggurat()[1].any()
+        seeds = list(EDGE_SEEDS) + [derive_trial_seed(8, i) for i in range(40)]
+        redrawn = []
+
+        def counting_row_draws(state, rows, raw, normals):
+            redrawn.extend(rows)
+            _row_draws(state, rows, raw, normals)
+
+        monkeypatch.setattr(lsl.simulate, "_row_draws", counting_row_draws)
+        idx, uniforms, noise = _replay_draws(seeds, 9, 16, 2, 2, False)
+        assert sorted(redrawn) == list(range(len(seeds)))
+        for i, seed in enumerate(seeds):
+            e_idx, e_idx_k, e_uni, e_noise = literal_draws(seed, 9, 16, 2, 2,
+                                                           False)
+            assert np.array_equal(idx[i], [*e_idx, e_idx_k])
             assert np.array_equal(uniforms[i], np.stack(e_uni))
             assert np.array_equal(noise[i], np.stack(e_noise))
 
