@@ -364,14 +364,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     else:
         if lo <= 0:
             raise UsageError("Pmin sweep values must be positive")
-        # np.arange makes ceil((stop - start) / step) points
-        if (hi + 1e-12 - lo) / step > SWEEP_MAX:
-            raise CapacityError(f"Pmin sweep has more than {SWEEP_MAX} points")
-        grid = np.arange(lo, hi + 1e-12, step)
-        # From 2^14 up, hi + 1e-12 rounds to hi, so from == to gives no
-        # point; the from row is always swept.
-        points = ((_fmt_rate(v), base.K, float(v))
-                  for v in (grid if grid.size else [lo]))
+        points = ((_fmt_rate(v), base.K, v) for v in _pmin_grid(lo, hi, step))
     # A point is the symmetric channel (K, P_min, P_K) with every cross
     # gain set to the margin times its very-strong threshold: a gain >= 1,
     # so the converse is its symmetric closed form.
@@ -397,6 +390,22 @@ def cmd_sweep(cfg: RunConfig) -> int:
             ("very_strong", _fmt_bool(gain > threshold))])
     _emit(cfg, records)
     return 0
+
+
+def _pmin_grid(lo: float, hi: float, step: float) -> list[float]:
+    """The points lo, lo + step, ... up to hi, as ``np.arange(lo, hi +
+    1e-12, step)`` gives them below 2^14, capped at ``SWEEP_MAX``.
+
+    From 2^14 up, hi + 1e-12 rounds back to hi; the stop is then the
+    float after hi, so that hi stays on the grid.  Point i is
+    lo + i*((lo + step) - lo), as numpy fills it.
+    """
+    stop = max(hi + 1e-12, math.nextafter(hi, math.inf))
+    span = (stop - lo) / step
+    if span > SWEEP_MAX:
+        raise CapacityError(f"Pmin sweep has more than {SWEEP_MAX} points")
+    delta = (lo + step) - lo
+    return [lo] + [lo + i * delta for i in range(1, math.ceil(span))]
 
 
 def cmd_simulate(cfg: RunConfig) -> int:

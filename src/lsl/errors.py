@@ -12,7 +12,7 @@ class InvalidCodeError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """An enumeration would exceed its configured size cap."""
+    """An enumeration would exceed its size cap."""
 
 
 class InvalidCertificateError(ValueError):

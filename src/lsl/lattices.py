@@ -35,7 +35,9 @@ CONSTRUCTION_A = "construction-a"
 #: caller feeds deliberately should clear the boundary by more than this.
 BOUNDARY_TOL = 1e-9
 
-DEFAULT_ENUMERATION_CAP = 1 << 16
+#: Most codewords a Construction-A generator may enumerate, and the most
+#: coset leaders ``codebook`` may list.
+ENUMERATION_CAP = 1 << 16
 
 
 def _round_half_down(t):
@@ -178,14 +180,12 @@ def make_cubic_pair(q: int, dimension: int) -> NestedPair:
     return NestedPair(fine=fine, coarse=coarse, q=q)
 
 
-def make_construction_a_pair(q: int, dimension: int, generator,
-                             enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
-                             ) -> NestedPair:
+def make_construction_a_pair(q: int, dimension: int, generator) -> NestedPair:
     """Nested pair with fine = s*(C + q*Z^N) for a linear code C mod q.
 
     ``generator`` is a k x N integer matrix whose rows span C.  The one
     validity rule is injectivity: the q^k messages, enumerated under
-    ``enumeration_cap`` (checked first), must give q^k distinct
+    ``ENUMERATION_CAP`` (checked first), must give q^k distinct
     codewords.  This accepts every injective code, also over composite q
     where a generator need not have unit pivots.
     """
@@ -197,9 +197,9 @@ def make_construction_a_pair(q: int, dimension: int, generator,
     k = len(rows)
     if k > dimension:
         raise InvalidCodeError("more generator rows than dimensions")
-    if q ** k > enumeration_cap:
+    if q ** k > ENUMERATION_CAP:
         raise CapacityError(
-            f"codeword enumeration would exceed cap ({q ** k} > {enumeration_cap})")
+            f"codeword enumeration would exceed cap ({q ** k} > {ENUMERATION_CAP})")
     # Every message times the generator, reduced first to stay in int64.
     messages = np.indices((q,) * k).reshape(k, -1).T
     residues = np.array([[x % q for x in row] for row in rows], np.int64)
@@ -265,31 +265,18 @@ def mod_lattice(lat: Lattice, x) -> np.ndarray:
     return x - lat.scale * nearest_coords(lat, x)
 
 
-def in_voronoi(lat: Lattice, x, tol: float = BOUNDARY_TOL):
+def in_voronoi(lat: Lattice, x):
     """Membership in the half-open fundamental cell, per (..., N) row.
 
-    For cubic lattices the closed upper boundary is accepted with ``tol``
-    slack so that exact-coordinate points survive float embedding; the
-    open lower boundary stays strict.
+    For cubic lattices the closed upper boundary is accepted with
+    ``BOUNDARY_TOL`` slack so that exact-coordinate points survive float
+    embedding; the open lower boundary stays strict.
     """
     x = _check_vector(lat, x)
     if lat.family == CUBIC:
         u = x / lat.scale
-        return np.all((u <= 0.5 + tol) & (u > -0.5), axis=-1)
+        return np.all((u <= 0.5 + BOUNDARY_TOL) & (u > -0.5), axis=-1)
     return np.all(nearest_coords(lat, x) == 0, axis=-1)
-
-
-def sample_dither(lat: Lattice, rng: np.random.Generator) -> np.ndarray:
-    """Draw exactly uniform over the half-open fundamental cell.
-
-    Samples uniformly in the fundamental box [0, s)^N of the generator
-    and folds with ``mod_lattice``; the fold is a measure-preserving
-    bijection onto the cell.
-    """
-    if lat.family != CUBIC:
-        raise NotImplementedError("dither sampling implemented for cubic lattices")
-    box = lat.scale * rng.random(lat.dimension)
-    return mod_lattice(lat, box)
 
 
 def second_moment(lat: Lattice) -> float:
@@ -303,37 +290,17 @@ def second_moment(lat: Lattice) -> float:
     return lat.scale_sq / 12.0
 
 
-def second_moment_mc(lat: Lattice, samples: int,
-                     rng: np.random.Generator) -> tuple[float, float]:
-    """Monte Carlo estimate of the per-dimension second moment.
-
-    Returns ``(estimate, standard_error)`` from ``samples`` dither draws.
-    """
-    if samples < 2:
-        raise ValueError("need at least two samples")
-    if lat.family != CUBIC:
-        raise NotImplementedError("dither sampling implemented for cubic lattices")
-    # Row-major: the same stream and values as ``samples`` sample_dither
-    # calls in turn.
-    d = mod_lattice(lat, lat.scale * rng.random((samples, lat.dimension)))
-    per_draw = np.sum(d * d, axis=-1) / lat.dimension
-    est = float(np.mean(per_draw))
-    se = float(np.std(per_draw, ddof=1) / math.sqrt(samples))
-    return est, se
-
-
-def codebook(pair: NestedPair,
-             cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+def codebook(pair: NestedPair) -> np.ndarray:
     """All coset leaders of fine/coarse as a read-only (M, N) int64 array.
 
     Rows are in lexicographic order and hold coordinates in the centered
     residue range (-q/2, q/2], so each embeds inside the half-open coarse
     cell.  The rows form a group under addition followed by
-    ``pair.reduce``.  The cap is checked before any enumeration.
+    ``pair.reduce``.  ``ENUMERATION_CAP`` is checked before any enumeration.
     """
-    if pair.nesting_ratio > cap:
+    if pair.nesting_ratio > ENUMERATION_CAP:
         raise CapacityError(
-            f"codebook size {pair.nesting_ratio} exceeds cap {cap}")
+            f"codebook size {pair.nesting_ratio} exceeds cap {ENUMERATION_CAP}")
     if pair.fine.family == CUBIC:
         # q consecutive centered residues; copy() makes rows contiguous.
         grid = np.indices((pair.q,) * pair.dimension, dtype=np.int64)
@@ -386,7 +353,8 @@ class EpsilonDiagnostic:
 
     ``epsilon`` uses natural logarithms; ``amplification`` is
     exp(N * epsilon), the factor by which a dithered cell density may
-    exceed the matched Gaussian density.
+    exceed the matched Gaussian density, or ``inf`` where that overflows
+    a float (a cubic cell from N = 978 up).
     """
 
     epsilon: float
@@ -405,7 +373,11 @@ def gaussian_approx_epsilon(lat: Lattice) -> EpsilonDiagnostic:
     ratio = covering_radius(lat) / effective_radius(lat)
     g = ball_normalized_second_moment(n)
     eps = math.log(ratio) + 0.5 * math.log(2.0 * math.pi * math.e * g) + 1.0 / n
-    return EpsilonDiagnostic(epsilon=eps, amplification=math.exp(n * eps))
+    try:
+        amplification = math.exp(n * eps)
+    except OverflowError:
+        amplification = math.inf
+    return EpsilonDiagnostic(epsilon=eps, amplification=amplification)
 
 
 def covering_ball_second_moment(lat: Lattice) -> float:

@@ -35,7 +35,8 @@ from .lattices import (
 )
 from .representation import window_index
 
-DEFAULT_STATE_CAP = 10_000_000
+#: Most joint states one tally may enumerate.
+STATE_CAP = 10_000_000
 
 #: Most bits of a cubic pair's codebook size M = q^N, so N*log2(q).
 #: Its row tallies one coordinate whatever N, and this bounds the rest:
@@ -43,10 +44,12 @@ DEFAULT_STATE_CAP = 10_000_000
 MAX_CODEBOOK_BITS = 4096
 
 
-def _check_states(size: int, exponent: int, cap: int):
-    if size ** exponent > cap:
+def _check_states(size: int, exponent: int):
+    """Reject size^exponent states over ``STATE_CAP`` without building the
+    power: any size >= 2 raised to the cap's bit length passes the cap."""
+    if size ** min(exponent, STATE_CAP.bit_length()) > STATE_CAP:
         raise CapacityError(
-            f"state space {size}^{exponent} exceeds cap {cap}")
+            f"state space {size}^{exponent} exceeds cap {STATE_CAP}")
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,7 @@ class DiscreteEnsemble:
     ``elements`` are the coset leaders as length-``dimension`` integer
     tuples, the ensemble's identity; they form a group under coordinate
     addition mod q.  The joint state space has size M^(K-1) and each op
-    checks it against ``state_cap`` before enumerating; construction
+    checks it against ``STATE_CAP`` before enumerating; construction
     checks the M^2 pair sums of its closure test the same way, first.
     """
 
@@ -64,7 +67,6 @@ class DiscreteEnsemble:
     q: int
     dimension: int
     num_users: int
-    state_cap: int = DEFAULT_STATE_CAP
     #: ``_sum_counts`` results by number of summed elements.
     _tallies: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
@@ -100,13 +102,12 @@ class DiscreteEnsemble:
             raise ValueError("codebook is not closed under mod-q addition")
 
     @classmethod
-    def from_pair(cls, pair: NestedPair, num_users: int,
-                  state_cap: int = DEFAULT_STATE_CAP) -> "DiscreteEnsemble":
+    def from_pair(cls, pair: NestedPair, num_users: int) -> "DiscreteEnsemble":
         # The closure check's M^2 cap, before the codebook is built.
-        _check_states(pair.nesting_ratio, 2, state_cap)
+        _check_states(pair.nesting_ratio, 2)
         leaders = tuple(map(tuple, codebook(pair).tolist()))
         return cls(elements=leaders, q=pair.q, dimension=pair.dimension,
-                   num_users=num_users, state_cap=state_cap)
+                   num_users=num_users)
 
     @property
     def size(self) -> int:
@@ -121,7 +122,7 @@ class DiscreteEnsemble:
         return math.log2(self.size) / self.dimension
 
     def _check_cap(self, exponent: int):
-        _check_states(self.size, exponent, self.state_cap)
+        _check_states(self.size, exponent)
 
     def _sum_counts(self, num_vars: int):
         """Exact tally of the raw integer sum of ``num_vars`` elements.

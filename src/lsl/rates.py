@@ -161,16 +161,6 @@ def symmetric_upper_bound_sum_rate(k: int, p_min: float, p_k: float) -> float:
     return (k - 2) * awgn_capacity(p_min) + awgn_capacity(p_k)
 
 
-def rate_gap(cfg: SystemConfig) -> float:
-    """Upper bound minus achievable rate.
-
-    In symmetric very-strong configurations without the zero clamp this
-    equals log2(K-1) exactly.
-    """
-    return (upper_bound_sum_rate(cfg)
-            - achievable_sum_rate(cfg.K, cfg.p_min, cfg.p_k))
-
-
 @dataclass(frozen=True)
 class DecodingThresholds:
     """Rate thresholds for the three decoding stages.
@@ -288,7 +278,3 @@ def per_user_secrecy_cost(p_min: float, num_users: int) -> float:
         raise ValueError("cost defined for K >= 3")
     return (awgn_capacity(p_min) + math.log2(num_users - 1)) / (num_users - 1)
 
-
-def secrecy_cost_curve(p_min: float, k_values) -> list[tuple[int, float]]:
-    """Per-user secrecy cost along a grid of user counts."""
-    return [(int(k), per_user_secrecy_cost(p_min, int(k))) for k in k_values]

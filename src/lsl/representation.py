@@ -12,16 +12,13 @@ K^dimension entries (one length-K integer window per coordinate), so the
 index fits in dimension*log2(K) bits.
 
 Certificates are batched: ``certify_batch`` and ``reconstruct_batch``
-work on (..., K, N) arrays of tuples with one fold, one window lookup and
-one mixed-radix expansion per call, and ``certify_sum``/
-``reconstruct_sum`` are their one-row wrappers.  ``candidate_set`` builds
-the explicit list as a (K^N, N) int64 coordinate array and serves as the
-test oracle.
+work on (..., K, N) arrays of tuples, one row a tuple, with one fold, one
+window lookup and one mixed-radix expansion per call.  ``candidate_set``
+builds the explicit list as a (K^N, N) int64 coordinate array and serves
+as the test oracle.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,16 +30,6 @@ from .lattices import (
     in_voronoi,
     mod_lattice,
 )
-
-
-@dataclass(frozen=True)
-class SumCertificate:
-    """Lossless record of a K-fold sum of fundamental-cell points."""
-
-    folded: tuple[float, ...]
-    index: int
-    num_points: int
-    lattice: Lattice
 
 
 def _checked_sum(points, lat: Lattice) -> tuple[np.ndarray, int]:
@@ -61,15 +48,7 @@ def _checked_sum(points, lat: Lattice) -> tuple[np.ndarray, int]:
     return pts.sum(axis=-2), pts.shape[-2]
 
 
-def mod_sum(points, lat: Lattice) -> np.ndarray:
-    """Modulo reduction of the sum of fundamental-cell points.
-
-    ``points`` is a list of K points, or any (..., K, N) array.
-    """
-    return mod_lattice(lat, _checked_sum(points, lat)[0])
-
-
-def _snap_half_units(u, tol=BOUNDARY_TOL):
+def _snap_half_units(u):
     """Snap near-half-integer entries of ``u`` (cell-side units) exact.
 
     Embedded exact-coordinate points land within a few ulp of half-integer
@@ -78,7 +57,7 @@ def _snap_half_units(u, tol=BOUNDARY_TOL):
     """
     doubled = 2.0 * np.asarray(u, dtype=float)
     nearest = np.round(doubled)
-    return np.where(np.abs(doubled - nearest) <= 2.0 * tol,
+    return np.where(np.abs(doubled - nearest) <= 2.0 * BOUNDARY_TOL,
                     nearest / 2.0, u)
 
 
@@ -198,17 +177,3 @@ def reconstruct_batch(folded, index, num_points: int,
     coords = _window_lows(folded / lat.scale, num_points) + offsets
     return folded + lat.scale * coords.astype(float)
 
-
-def certify_sum(points, lat: Lattice) -> SumCertificate:
-    """The certificate (folded sum, candidate index) of K cell points: a
-    one-row ``certify_batch``."""
-    folded, index = certify_batch(points, lat)
-    return SumCertificate(folded=tuple(float(v) for v in folded),
-                          index=int(index), num_points=len(points),
-                          lattice=lat)
-
-
-def reconstruct_sum(cert: SumCertificate) -> np.ndarray:
-    """Invert ``certify_sum``: the exact real sum of the original points."""
-    return reconstruct_batch(cert.folded, cert.index, cert.num_points,
-                             cert.lattice)

@@ -201,12 +201,12 @@ class CampaignReport:
                 raise InvariantViolationError("event count exceeds trials")
 
 
-def wilson_interval(count: int, trials: int,
-                    z: float = _WILSON_Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (default 95%)."""
+def wilson_interval(count: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval at 95% for a binomial proportion."""
     if trials < 1:
         raise ValueError("trials must be positive")
     p = count / trials
+    z = _WILSON_Z95
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = z * math.sqrt(p * (1 - p) / trials
@@ -232,11 +232,12 @@ def _codewords(leaders: np.ndarray, index) -> np.ndarray:
 
 
 def _fold_dithers(scheme: Scheme, uniforms: np.ndarray):
-    """Dithers from (..., K, N) uniforms on [0, 1), as ``sample_dither``.
+    """Dithers from (..., K, N) uniforms on [0, 1), uniform over the cell.
 
-    Each uniform vector is scaled to the coarse cell's box and folded into
-    the cell.  Returns the (..., K-1, N) interferer dithers and user K's
-    (..., N) dither, which comes from the last row.
+    Each uniform vector is scaled to the coarse cell's box [0, s)^N and
+    folded into the cell, a measure-preserving bijection.  Returns the
+    (..., K-1, N) interferer dithers and user K's (..., N) dither, which
+    comes from the last row.
     """
     coarse = scheme.interferer_pair.coarse
     coarse_k = scheme.user_k_pair.coarse
@@ -394,15 +395,13 @@ def _trial_seeds(master_seed: int, lo: int, hi: int) -> np.ndarray:
     return np.frombuffer(digests, dtype=">u8").astype(np.uint64)
 
 
-def run_trial(scheme: Scheme, trial_seed: int,
-              noiseless: bool = False) -> TrialOutcome:
+def run_trial(scheme: Scheme, trial_seed: int) -> TrialOutcome:
     """Simulate one block: draw, encode, transmit, decode, classify.
 
     Draw order (fixed contract): interferer codeword indices, user K
     codeword index, the dither uniforms in user order (user K last), then
-    the channel noise in the same order; with ``noiseless`` no noise is
-    drawn.  ``rng.random((K, N))`` and ``standard_normal((K, N))`` read the
-    same stream as one call per user.
+    the channel noise in the same order.  ``rng.random((K, N))`` and
+    ``standard_normal((K, N))`` read the same stream as one call per user.
     """
     rng = np.random.default_rng(trial_seed)
     k = scheme.config.K
@@ -414,7 +413,7 @@ def run_trial(scheme: Scheme, trial_seed: int,
     idx = rng.integers(0, len(leaders), size=k - 1)
     idx_k = rng.integers(0, len(leaders_k))
     dithers, dither_k = _fold_dithers(scheme, rng.random((k, n)))
-    noise = np.zeros((k, n)) if noiseless else rng.standard_normal((k, n))
+    noise = rng.standard_normal((k, n))
 
     u, signals = encode_interferer(scheme, idx, dithers)
     u_k, signal_k = encode_user_k(scheme, idx_k, dither_k)
@@ -539,9 +538,8 @@ def _row_draws(state, rows, raw, normals) -> None:
     """Per-row draws on one reused PCG64, for each row ``i`` in ``rows``.
 
     Sets the generator to row i of ``state`` (the (hi, lo, inc_hi,
-    inc_lo) arrays), then fills ``raw[i]`` with raw words and
-    ``normals[i]`` with numpy's ``standard_normal``, in that order; either
-    may be None.
+    inc_lo) arrays), then fills ``raw[i]`` with raw words, unless ``raw``
+    is None, and ``normals[i]`` with numpy's ``standard_normal``.
     """
     rows = np.asarray(rows, dtype=np.intp)
     if not len(rows):
@@ -557,8 +555,7 @@ def _row_draws(state, rows, raw, normals) -> None:
         bit_gen.state = full
         if raw is not None:
             raw[i] = bit_gen.random_raw(raw.shape[1])
-        if normals is not None:
-            gen.standard_normal(out=normals[i])
+        gen.standard_normal(out=normals[i])
 
 
 def _table_normals(words, out, tables) -> np.ndarray:
@@ -659,15 +656,13 @@ def _ziggurat():
     return tables if _ziggurat_matches_numpy(tables) else failed
 
 
-def _replay_draws(seeds, m: int, m_k: int, k1: int, n: int,
-                  noiseless: bool):
+def _replay_draws(seeds, m: int, m_k: int, k1: int, n: int):
     """run_trial's draws for every seed, without a generator per trial.
 
     Returns ``(idx, uniforms, noise)``: the (trials, k1 + 1) codeword
     indices and the (trials, k1 + 1, n) dither uniforms and channel
-    normals (zeros when ``noiseless``), interferers first and user K
-    last, bit-identical to the draws of ``np.random.default_rng(seed)``
-    in run_trial's order.
+    normals, interferers first and user K last, bit-identical to the draws
+    of ``np.random.default_rng(seed)`` in run_trial's order.
 
     The seeds' PCG64 states are made for the whole chunk at once
     (``_pcg64_seed_state``).  When a trial has at most ``_STEPPED_DRAWS``
@@ -688,18 +683,17 @@ def _replay_draws(seeds, m: int, m_k: int, k1: int, n: int,
     sizes = [m] * k1 + [m_k]
     idx = np.empty((t_count, users), dtype=np.int64)
     uniforms = np.empty((t_count, users, n))
-    noise = np.zeros((t_count, users, n))
+    noise = np.empty((t_count, users, n))
     exact = range(t_count)
     if all(2 <= size < 2 ** 32 for size in sizes):
         index_words = (users + 1) // 2
         state = _pcg64_seed_state(seeds)
-        normals = None if noiseless else noise.reshape(t_count, users * n)
+        normals = noise.reshape(t_count, users * n)
         if users * n <= _STEPPED_DRAWS:
             raw, state = _pcg64_words(state, index_words + users * n)
-            if normals is not None:
-                words = _pcg64_words(state, users * n)[0]
-                fast = _table_normals(words, normals, _ziggurat())
-                _row_draws(state, np.flatnonzero(~fast), None, normals)
+            words = _pcg64_words(state, users * n)[0]
+            fast = _table_normals(words, normals, _ziggurat())
+            _row_draws(state, np.flatnonzero(~fast), None, normals)
         else:
             raw = np.empty((t_count, index_words + users * n),
                            dtype=np.uint64)
@@ -720,12 +714,11 @@ def _replay_draws(seeds, m: int, m_k: int, k1: int, n: int,
         idx[i, :k1] = rng.integers(0, m, size=k1)
         idx[i, k1] = rng.integers(0, m_k)
         uniforms[i] = rng.random((users, n))
-        if not noiseless:
-            noise[i] = rng.standard_normal((users, n))
+        noise[i] = rng.standard_normal((users, n))
     return idx, uniforms, noise
 
 
-def _batch_trial_arrays(scheme: Scheme, seeds, noiseless: bool) -> dict:
+def _batch_trial_arrays(scheme: Scheme, seeds) -> dict:
     """Vectorized engine: all trials for ``seeds`` as flat arrays.
 
     Takes run_trial's draws from ``_replay_draws`` (the v1 draw contract,
@@ -742,7 +735,7 @@ def _batch_trial_arrays(scheme: Scheme, seeds, noiseless: bool) -> dict:
     n = scheme.dimension
 
     idx_all, uniforms, noise = _replay_draws(seeds, len(leaders),
-                                             len(leaders_k), k1, n, noiseless)
+                                             len(leaders_k), k1, n)
     idx, idx_k = idx_all[:, :k1], idx_all[:, k1]
     dithers, dither_k = _fold_dithers(scheme, uniforms)
 
@@ -780,8 +773,8 @@ def _batch_trial_arrays(scheme: Scheme, seeds, noiseless: bool) -> dict:
     }
 
 
-def run_campaign(scheme: Scheme, trials: int, master_seed: int,
-                 noiseless: bool = False) -> CampaignReport:
+def run_campaign(scheme: Scheme, trials: int,
+                 master_seed: int) -> CampaignReport:
     """Run ``trials`` independent trials and fold the outcomes.
 
     The trials run in order, on one thread, in the chunks of
@@ -797,8 +790,7 @@ def run_campaign(scheme: Scheme, trials: int, master_seed: int,
     direct = np.zeros(scheme.config.K - 1, dtype=np.int64)
     eff_power, residual_power = [], []
     for lo, hi in chunk_bounds(trials, scheme.config.K * scheme.dimension):
-        part = _batch_trial_arrays(scheme, _trial_seeds(master_seed, lo, hi),
-                                   noiseless)
+        part = _batch_trial_arrays(scheme, _trial_seeds(master_seed, lo, hi))
         events += [np.count_nonzero(part[e]) for e in ("e1", "e2", "e3")]
         direct += np.count_nonzero(part["direct_errors"], axis=0)
         eff_power.append(part["eff_power"])

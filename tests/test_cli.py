@@ -4,10 +4,13 @@ import itertools
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lsl.cli
 import lsl.leakage
@@ -18,10 +21,11 @@ from lsl.cli import (
     _KEYS,
     RunConfig,
     _build_parser,
+    _pmin_grid,
     _resolve_config,
     main,
 )
-from lsl.lattices import make_cubic_pair, sample_dither
+from lsl.lattices import make_cubic_pair, mod_lattice
 from lsl.rates import SystemConfig, very_strong_interference
 
 
@@ -95,6 +99,15 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "cap exceeded: state space 4^13 exceeds cap 10000000\n")
         assert not out.exists()
+
+    def test_state_cap_at_huge_k_exits_at_once(self, capsys):
+        # 3^(10^8 - 1) states: the cap check never builds the power
+        start = time.perf_counter()
+        assert main(["leakage", "--q", "3", "--N", "1",
+                     "--K", "100000000"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            "cap exceeded: state space 3^99999999 exceeds cap 10000000\n")
 
     def test_codebook_bits_checked_before_any_tally(self, tmp_path, capsys,
                                                    monkeypatch):
@@ -385,7 +398,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("value", ["10000", "16384", "100000"])
     def test_one_point_pmin_sweep(self, tmp_path, value):
-        # from 2^14 up, to + 1e-12 rounds back to to
+        # from 2^14 up, to + 1e-12 rounds back to to, and to stays a point
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--var", "Pmin", "--from", value, "--to", value,
                      "--out", str(out)]) == 0
@@ -407,6 +420,30 @@ class TestSweep:
 
     def test_k_sweep_needs_integers(self):
         assert main(["sweep", "--var", "K", "--from", "3.5", "--to", "5"]) == 1
+
+    def test_pmin_sweep_keeps_to_from_2_to_the_14(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--var", "Pmin", "--from", "16384",
+                     "--to", "16386", "--out", str(out)]) == 0
+        values = [line.split(",")[1]
+                  for line in read(out).decode().splitlines()[2:]]
+        assert values == ["16384.000000", "16385.000000", "16386.000000"]
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(2.0 ** -20, 2.0 ** 14, exclude_max=True),
+           st.floats(0.0, 2.0 ** 14), st.floats(2.0 ** -10, 2.0 ** 14))
+    @example(5.0, 10.0, 2.5)
+    @example(0.1, 0.7, 0.1)
+    @example(1.0, 1.0, 1.0)
+    @example(8192.0, 8194.0, 1.0)
+    def test_pmin_grid_is_np_arange_below_2_to_the_14(self, lo, hi, step):
+        # the grid np.arange(lo, hi + 1e-12, step) made before, whenever
+        # it holds a point and stays under the cap
+        hi = min(max(lo, hi), np.nextafter(2.0 ** 14, 0))
+        if (hi + 1e-12 - lo) / step > SWEEP_MAX:
+            return
+        want = np.arange(lo, hi + 1e-12, step).tolist()
+        assert want and _pmin_grid(lo, hi, step) == want
 
     def test_pmin_sweep_over_cap(self, tmp_path, capsys):
         # 10,001 points at K=3: cheap even when the grid is built
@@ -531,7 +568,7 @@ class TestReprCheck:
 
     def test_chunked_draws_equal_sequential_dithers(self, monkeypatch):
         # repr-check draws (rows, K, N) uniforms per chunk; row-major, that
-        # is K sample_dither calls per trial in turn, across chunks too
+        # is K dither draws per trial in turn, across chunks too
         seen = []
         certify = lsl.cli.certify_batch
 
@@ -548,8 +585,8 @@ class TestReprCheck:
         assert [len(c) for c in seen] == [2] + [3] * 6
         lat = make_cubic_pair(3, 2).coarse
         rng = np.random.default_rng(5)
-        sequential = [[sample_dither(lat, rng) for _ in range(4)]
-                      for _ in range(20)]
+        sequential = [[mod_lattice(lat, lat.scale * rng.random(2))
+                       for _ in range(4)] for _ in range(20)]
         assert np.array_equal(np.concatenate(seen), np.array(sequential))
 
     @pytest.mark.parametrize("draws,rows", [(7, 1), (42, 7), (100, 16)])
@@ -638,3 +675,12 @@ class TestLatticeInfo:
         out = capsys.readouterr().out
         assert "covering radius" in out
         assert "epsilon" in out
+
+    @pytest.mark.parametrize("n", ["977", "978", "1000"])
+    def test_amplification_past_the_float_range_is_inf(self, tmp_path, n):
+        # exp(N * eps) of a cubic cell passes the largest float at N = 978
+        out = tmp_path / "info.csv"
+        assert main(["lattice-info", "--N", n, "--out", str(out)]) == 0
+        lines = read(out).decode().splitlines()
+        cells = dict(zip(lines[1].split(","), lines[2].split(",")))
+        assert (cells["amplification"] == "inf") == (n != "977")

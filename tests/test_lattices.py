@@ -27,9 +27,7 @@ from lsl.lattices import (
     mod_lattice,
     nearest_coords,
     quantize,
-    sample_dither,
     second_moment,
-    second_moment_mc,
 )
 
 
@@ -40,6 +38,23 @@ def unit_cubic(n):
 def embed(lat, coords):
     """Real embedding ``lat.scale * coords`` of integer coordinates."""
     return lat.scale * np.asarray(coords, dtype=float)
+
+
+def sample_dither(lat, rng):
+    """One dither, uniform over the half-open cell of the cubic ``lat``:
+    a uniform draw in the box [0, s)^N, folded by ``mod_lattice``, which
+    maps the box one to one onto the cell and keeps its measure."""
+    return mod_lattice(lat, lat.scale * rng.random(lat.dimension))
+
+
+def second_moment_mc(lat, samples, rng):
+    """Monte Carlo ``(estimate, standard_error)`` of the per-dimension
+    second moment of the cubic ``lat`` from ``samples`` dithers, drawn
+    row-major: the same stream as ``samples`` sample_dither calls."""
+    d = mod_lattice(lat, lat.scale * rng.random((samples, lat.dimension)))
+    per_draw = np.sum(d * d, axis=-1) / lat.dimension
+    return (float(np.mean(per_draw)),
+            float(np.std(per_draw, ddof=1) / math.sqrt(samples)))
 
 
 class TestPairConstruction:
@@ -374,11 +389,6 @@ class TestDither:
             stat = np.sum((counts - expected) ** 2 / expected)
             assert stat < crit
 
-    def test_not_implemented_for_coded(self):
-        pair = make_construction_a_pair(2, 2, [(1, 1)])
-        with pytest.raises(NotImplementedError):
-            sample_dither(pair.fine, np.random.default_rng(0))
-
 
 class TestSecondMoment:
     def test_closed_forms(self):
@@ -405,11 +415,6 @@ class TestSecondMoment:
                     float(np.std(per_draw, ddof=1) / math.sqrt(5_000)))
         assert second_moment_mc(lat, 5_000,
                                 np.random.default_rng(seed)) == expected
-
-    def test_mc_needs_a_cubic_lattice(self):
-        pair = make_construction_a_pair(2, 2, [(1, 1)])
-        with pytest.raises(NotImplementedError):
-            second_moment_mc(pair.fine, 10, np.random.default_rng(0))
 
 
 def centered(v, q):
@@ -509,8 +514,10 @@ class TestCodebook:
         assert len(codebook(make_construction_a_pair(2, 2, [(1, 1)]))) == 2
 
     def test_cap(self):
-        with pytest.raises(CapacityError):
-            codebook(make_cubic_pair(2, 2), cap=1)
+        # 2^17 leaders over the 2^16 cap, checked before any enumeration
+        with pytest.raises(CapacityError,
+                           match=r"^codebook size 131072 exceeds cap 65536$"):
+            codebook(make_cubic_pair(2, 17))
 
     def test_leaders_in_coarse_cell_and_distinct(self):
         for pair in (make_cubic_pair(2, 2), make_cubic_pair(3, 2),

@@ -137,9 +137,10 @@ class TestConditionalEntropy:
                 oracle["h_cond"], abs=1e-12)
 
     def test_cap_enforced(self):
-        ens = DiscreteEnsemble.from_pair(make_cubic_pair(2, 2), 5,
-                                         state_cap=100)
-        with pytest.raises(CapacityError):
+        # 4^13 joint states of 13 senders pass the 10^7 cap
+        ens = DiscreteEnsemble.from_pair(make_cubic_pair(2, 2), 14)
+        with pytest.raises(CapacityError,
+                           match=r"^state space 4\^13 exceeds cap 10000000$"):
             conditional_entropy_given_modsum(ens)
 
     def test_cap_checked_before_the_codebook(self, monkeypatch):
@@ -152,10 +153,20 @@ class TestConditionalEntropy:
             DiscreteEnsemble.from_pair(make_cubic_pair(2, 16), 3)
 
     def test_cap_checked_at_construction(self):
-        # 27^2 pair sums exceed the cap before the closure check runs
-        with pytest.raises(CapacityError):
-            DiscreteEnsemble.from_pair(make_cubic_pair(3, 3), 3,
-                                       state_cap=100)
+        # 4096^2 pair sums exceed the cap before the closure check runs
+        with pytest.raises(CapacityError,
+                           match=r"^state space 4096\^2 exceeds cap 10000000$"):
+            DiscreteEnsemble.from_pair(make_cubic_pair(2, 12), 3)
+
+    @pytest.mark.parametrize("size,exponent", [
+        (2, 23), (2, 24), (3, 14), (3, 15), (10, 7), (10, 8),
+        (3162, 2), (3163, 2), (10**7, 1), (10**7 + 1, 1), (1, 10**9)])
+    def test_cap_boundary_is_exact(self, size, exponent):
+        if size ** exponent > lsl.leakage.STATE_CAP:
+            with pytest.raises(CapacityError):
+                lsl.leakage._check_states(size, exponent)
+        else:
+            lsl.leakage._check_states(size, exponent)
 
 
 class TestChainTerms:

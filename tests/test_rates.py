@@ -23,9 +23,7 @@ from lsl.rates import (
     mmse_coefficients,
     per_user_secrecy_cost,
     poltyrev_exponent,
-    rate_gap,
     rate_split,
-    secrecy_cost_curve,
     symmetric_upper_bound_sum_rate,
     upper_bound_sum_rate,
     very_strong_gain_threshold,
@@ -37,6 +35,12 @@ C10 = 0.5 * math.log2(11)  # capacity at SNR 10
 
 def default_config():
     return SystemConfig(K=3, P=(10, 10, 10), a=(12, 12))
+
+
+def rate_gap(cfg):
+    """The ``gap`` cell of ``lsl rates``: upper bound minus achievable."""
+    return (upper_bound_sum_rate(cfg)
+            - achievable_sum_rate(cfg.K, cfg.p_min, cfg.p_k))
 
 
 def random_very_strong_config(rng):
@@ -378,13 +382,13 @@ class TestCostCurve:
                                                                abs=1e-5)
 
     def test_independent_re_evaluation(self):
-        for k, cost in secrecy_cost_curve(10.0, range(3, 201)):
+        for k in range(3, 201):
+            cost = per_user_secrecy_cost(10.0, k)
             direct = (0.5 * math.log2(11) + math.log2(k - 1)) / (k - 1)
             assert cost == pytest.approx(direct, abs=1e-12)
 
     def test_strictly_decreasing(self):
-        curve = secrecy_cost_curve(10.0, range(3, 201))
-        costs = [c for _, c in curve]
+        costs = [per_user_secrecy_cost(10.0, k) for k in range(3, 201)]
         assert all(a > b for a, b in zip(costs, costs[1:]))
 
     def test_domain(self):
@@ -406,7 +410,6 @@ class TestReport:
         upper = upper_bound_sum_rate(cfg)
         achievable = achievable_sum_rate(cfg.K, cfg.p_min, cfg.p_k)
         assert upper - achievable == pytest.approx(1.0, abs=1e-12)
-        assert rate_gap(cfg) == upper - achievable
         assert achievable >= thr.user_k
         assert thr.mu == pytest.approx(120 / 11, rel=1e-12)
         assert poltyrev_exponent(thr.mu) == pytest.approx(120 / 88, rel=1e-12)
@@ -415,8 +418,6 @@ class TestReport:
         cfg = SystemConfig(K=3, P=(10, 10, 10), a=(0.5, 2))
         with pytest.raises(InfeasibleConfigError):
             upper_bound_sum_rate(cfg)
-        with pytest.raises(InfeasibleConfigError):
-            rate_gap(cfg)
         assert achievable_sum_rate(3, 10.0, 10.0) >= awgn_capacity(10) - 1e-12
 
     def test_poltyrev_absent_when_mu_small(self):

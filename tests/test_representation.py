@@ -15,20 +15,21 @@ from lsl.lattices import (
     Lattice,
     make_cubic_pair,
     mod_lattice,
-    sample_dither,
 )
 from lsl.representation import (
-    SumCertificate,
     candidate_set,
     certify_batch,
-    certify_sum,
-    mod_sum,
     reconstruct_batch,
-    reconstruct_sum,
     window_index,
 )
 
 INT_LAT = Lattice(dimension=1, family=CUBIC, scale_sq=1.0)
+
+
+def sample_dither(lat, rng):
+    """One dither, uniform over the half-open cell of the cubic ``lat``:
+    a uniform draw in the box [0, s)^N, folded into the cell."""
+    return mod_lattice(lat, lat.scale * rng.random(lat.dimension))
 
 
 def brute_force_candidates(lat, folded, k, span=12):
@@ -48,19 +49,22 @@ def brute_force_candidates(lat, folded, k, span=12):
 
 
 class TestModSum:
+    """The folded sum of K cell points, a certificate's first part."""
+
     def test_two_points(self):
-        out = mod_sum([[0.4], [0.4]], INT_LAT)
+        out, _ = certify_batch([[0.4], [0.4]], INT_LAT)
         assert out[0] == pytest.approx(-0.2, abs=1e-12)
 
     def test_zeros(self):
-        assert np.all(mod_sum([[0.0], [0.0], [0.0]], INT_LAT) == 0.0)
+        out, _ = certify_batch([[0.0], [0.0], [0.0]], INT_LAT)
+        assert np.all(out == 0.0)
 
     def test_single_point_fixed(self):
-        assert mod_sum([[0.37]], INT_LAT)[0] == 0.37
+        assert certify_batch([[0.37]], INT_LAT)[0][0] == 0.37
 
     def test_rejects_point_outside_cell(self):
         with pytest.raises(ValueError):
-            mod_sum([[0.4], [0.7]], INT_LAT)
+            certify_batch([[0.4], [0.7]], INT_LAT)
 
 
 class TestCandidateSet:
@@ -102,23 +106,22 @@ class TestCandidateSet:
 
 class TestCertify:
     def test_example_pair(self):
-        cert = certify_sum([[0.4], [0.4]], INT_LAT)
-        assert cert.folded[0] == pytest.approx(-0.2, abs=1e-12)
-        assert cert.index == 2
-        assert reconstruct_sum(cert)[0] == pytest.approx(0.8, abs=1e-12)
+        folded, index = certify_batch([[0.4], [0.4]], INT_LAT)
+        assert folded[0] == pytest.approx(-0.2, abs=1e-12)
+        assert index == 2
+        assert reconstruct_batch(folded, index, 2, INT_LAT)[0] == \
+            pytest.approx(0.8, abs=1e-12)
 
     def test_all_zero(self):
-        cert = certify_sum([[0.0], [0.0], [0.0]], INT_LAT)
+        folded, index = certify_batch([[0.0], [0.0], [0.0]], INT_LAT)
         cands = [tuple(c) for c in candidate_set([0.0], 3, INT_LAT).tolist()]
-        assert cert.index == cands.index((0,)) + 1
-        assert np.all(reconstruct_sum(cert) == 0.0)
+        assert index == cands.index((0,)) + 1
+        assert np.all(reconstruct_batch(folded, index, 3, INT_LAT) == 0.0)
 
     def test_index_out_of_range(self):
-        cert = certify_sum([[0.4], [0.4]], INT_LAT)
-        bad = type(cert)(folded=cert.folded, index=5,
-                         num_points=2, lattice=cert.lattice)
+        folded, _ = certify_batch([[0.4], [0.4]], INT_LAT)
         with pytest.raises(InvalidCertificateError):
-            reconstruct_sum(bad)
+            reconstruct_batch(folded, 5, 2, INT_LAT)
 
 
 class TestRoundTrip:
@@ -137,10 +140,11 @@ class TestRoundTrip:
         lat = make_cubic_pair(q, dim).coarse
         pts = self.grid_points(lat.scale, values, dim)
         for combo in itertools.product(pts, repeat=k):
-            cert = certify_sum(combo, lat)
+            folded, index = certify_batch(combo, lat)
             total = np.sum(combo, axis=0)
-            assert np.allclose(reconstruct_sum(cert), total, atol=1e-9)
-            assert 1 <= cert.index <= k ** dim
+            assert np.allclose(reconstruct_batch(folded, index, k, lat),
+                               total, atol=1e-9)
+            assert 1 <= index <= k ** dim
 
     def test_randomized_campaign(self):
         # the same 10,000 tuples as K sample_dither draws per tuple in turn
@@ -161,10 +165,11 @@ class TestRoundTrip:
             from lsl.lattices import codebook
             leaders = pair.fine.scale * codebook(pair)
             for combo in itertools.product(leaders, repeat=k):
-                cert = certify_sum(combo, pair.coarse)
-                assert np.allclose(reconstruct_sum(cert),
-                                   np.sum(combo, axis=0), atol=1e-9)
-                assert cert.index <= k ** dim
+                folded, index = certify_batch(combo, pair.coarse)
+                assert np.allclose(
+                    reconstruct_batch(folded, index, k, pair.coarse),
+                    np.sum(combo, axis=0), atol=1e-9)
+                assert index <= k ** dim
 
 
 class TestUniqueness:
@@ -177,8 +182,8 @@ class TestUniqueness:
         for k in (2, 3, 4):
             seen = {}
             for combo in itertools.product(pts, repeat=k):
-                cert = certify_sum(combo, lat)
-                key = (round(cert.folded[0], 9), cert.index)
+                folded, index = certify_batch(combo, lat)
+                key = (round(float(folded[0]), 9), int(index))
                 total = round(float(np.sum(combo)), 9)
                 if key in seen:
                     assert seen[key] == total
@@ -200,11 +205,9 @@ class TestNonCubicLattice:
         with pytest.raises(ValueError, match="cubic"):
             candidate_set(np.zeros(2), 3, lat)
         with pytest.raises(ValueError, match="cubic"):
-            certify_sum(pts, lat)
-        cert = SumCertificate(folded=(0.0, 0.0), index=1, num_points=3,
-                              lattice=lat)
+            certify_batch(pts, lat)
         with pytest.raises(ValueError, match="cubic"):
-            reconstruct_sum(cert)
+            reconstruct_batch((0.0, 0.0), 1, 3, lat)
 
 
 class TestWindowIndex:
@@ -270,9 +273,9 @@ class TestBatch:
         assert folded.shape == (len(pts), lat.dimension)
         assert index.shape == (len(pts),)
         for row, fold, idx in zip(pts, folded, index):
-            cert = certify_sum(row, lat)
-            assert cert.folded == tuple(float(v) for v in fold)
-            assert cert.index == idx
+            one_fold, one_idx = certify_batch(row, lat)
+            assert np.array_equal(one_fold, fold)
+            assert one_idx == idx
             # bit-equal to reducing the list sum of the K points
             total = np.sum(list(row), axis=0)
             assert np.array_equal(fold, mod_lattice(lat, total))
@@ -344,7 +347,7 @@ class TestBatch:
         assert all(1 <= i <= k ** n for i in index)
         rec = reconstruct_batch(folded, index, k, lat)
         for row, idx, got in zip(pts, index, rec):
-            assert certify_sum(row, lat).index == idx
+            assert certify_batch(row, lat)[1] == idx
             assert np.allclose(got, np.sum(list(row), axis=0), atol=1e-9)
         # the first and last candidates sit at the window's two ends:
         # every coordinate of u + n in (-K/2, -K/2 + 1], resp. (K/2 - 1, K/2]

@@ -79,7 +79,8 @@ def composite_scheme():
 
 
 def draw_dithers(lat, rng, *shape):
-    """``sample_dither(lat, rng)`` for every index of ``shape``, in one draw.
+    """A dither uniform over the cell of the cubic ``lat`` for every index
+    of ``shape``, in one draw: box uniforms folded by ``mod_lattice``.
 
     ``rng.random(shape + (N,))`` reads the same stream as one
     ``rng.random(N)`` per dither, in row-major order.
@@ -234,31 +235,33 @@ class TestChannel:
 
 class TestDecoding:
     def test_noiseless_round_trip_exhaustive(self):
-        # zero channel noise: every stage recovers every codeword combo
-        scheme = default_scheme(q=2, dim=1)
-        pair = scheme.interferer_pair
-        leaders = scheme.interferer_leaders
-        rng = np.random.default_rng(5)
-        combos = np.array(list(itertools.product(
-            range(len(leaders)), range(len(leaders)),
-            range(len(scheme.user_k_leaders)))))
-        idx, idx_k = combos[:, :2], combos[:, 2]
-        # per combo: both interferer dithers, then user K's
-        drawn = draw_dithers(pair.coarse, rng, len(combos), 3)
-        dithers, d_k = drawn[:, :2], drawn[:, 2]
-        _, signals = encode_interferer(scheme, idx, dithers)
-        _, signal_k = encode_user_k(scheme, idx_k, d_k)
-        direct, _, y_k = apply_channel(scheme, signals, signal_k,
-                                       np.zeros((len(combos), 3, 1)))
-        assert np.array_equal(decode_direct(scheme, direct, dithers),
-                              leaders[idx])
-        s_hat = decode_mod_sum(scheme, y_k, dithers)
-        for row, (t1, t2) in zip(s_hat, idx):
-            assert np.array_equal(row,
-                                  pair.reduce(leaders[t1] + leaders[t2]))
-        residual = subtract_interference(scheme, y_k, s_hat, dithers)
-        assert np.array_equal(decode_user_k(scheme, residual, d_k),
-                              scheme.user_k_leaders[idx_k])
+        # zero channel noise: every stage recovers every codeword combo,
+        # on a cubic pair and on the campaign-coded Construction-A pair
+        for scheme in (default_scheme(q=2, dim=1), coded_benchmark_scheme()):
+            pair = scheme.interferer_pair
+            leaders = scheme.interferer_leaders
+            rng = np.random.default_rng(5)
+            combos = np.array(list(itertools.product(
+                range(len(leaders)), range(len(leaders)),
+                range(len(scheme.user_k_leaders)))))
+            idx, idx_k = combos[:, :2], combos[:, 2]
+            # per combo: both interferer dithers, then user K's
+            drawn = draw_dithers(pair.coarse, rng, len(combos), 3)
+            dithers, d_k = drawn[:, :2], drawn[:, 2]
+            _, signals = encode_interferer(scheme, idx, dithers)
+            _, signal_k = encode_user_k(scheme, idx_k, d_k)
+            direct, _, y_k = apply_channel(
+                scheme, signals, signal_k,
+                np.zeros((len(combos), 3, scheme.dimension)))
+            assert np.array_equal(decode_direct(scheme, direct, dithers),
+                                  leaders[idx])
+            s_hat = decode_mod_sum(scheme, y_k, dithers)
+            for row, (t1, t2) in zip(s_hat, idx):
+                assert np.array_equal(row,
+                                      pair.reduce(leaders[t1] + leaders[t2]))
+            residual = subtract_interference(scheme, y_k, s_hat, dithers)
+            assert np.array_equal(decode_user_k(scheme, residual, d_k),
+                                  scheme.user_k_leaders[idx_k])
 
     def test_mod_sum_collapse_with_unit_alpha(self):
         # zero dither, zero noise, silent user K: folding y_K/sqrt(P)
@@ -520,9 +523,19 @@ class TestReproducibility:
             assert rep.mean_residual_power == float(
                 np.mean([o.residual_power for o in outcomes]))
 
-    def test_noiseless_campaign_all_clean(self):
+    def test_noiseless_campaign_all_clean(self, monkeypatch):
+        # the campaign engine with its channel normals zeroed: no trial
+        # has an event or a direct-link error
+        import lsl.simulate
+        replay = lsl.simulate._replay_draws
+
+        def noiseless_replay(*args):
+            idx, uniforms, noise = replay(*args)
+            return idx, uniforms, np.zeros_like(noise)
+
+        monkeypatch.setattr(lsl.simulate, "_replay_draws", noiseless_replay)
         for scheme in (default_scheme(), coded_benchmark_scheme()):
-            rep = run_campaign(scheme, 300, 77, noiseless=True)
+            rep = run_campaign(scheme, 300, 77)
             assert rep.e1_count == rep.e2_count == rep.e3_count == 0
             assert rep.direct_error_counts == (0, 0)
 
@@ -533,9 +546,9 @@ class TestReproducibility:
         seen = []
         engine = lsl.simulate._batch_trial_arrays
 
-        def recording_engine(scheme, seeds, noiseless):
+        def recording_engine(scheme, seeds):
             seen.append(list(seeds))
-            return engine(scheme, seeds, noiseless)
+            return engine(scheme, seeds)
 
         # K=3, N=2: six draws a trial, 16 trials a chunk
         monkeypatch.setattr(lsl.simulate, "CHUNK_DRAWS", 96)
@@ -555,9 +568,9 @@ class TestReproducibility:
         sizes = []
         engine = lsl.simulate._batch_trial_arrays
 
-        def recording_engine(scheme, seeds, noiseless):
+        def recording_engine(scheme, seeds):
             sizes.append(len(seeds))
-            return engine(scheme, seeds, noiseless)
+            return engine(scheme, seeds)
 
         monkeypatch.setattr(lsl.simulate, "_batch_trial_arrays",
                             recording_engine)
@@ -573,9 +586,9 @@ class TestReproducibility:
         sizes = []
         engine = lsl.simulate._batch_trial_arrays
 
-        def recording_engine(scheme, seeds, noiseless):
+        def recording_engine(scheme, seeds):
             sizes.append(len(seeds))
-            return engine(scheme, seeds, noiseless)
+            return engine(scheme, seeds)
 
         # at most 7 trials a chunk for K=3, N=2; at most 3 for K=3, N=4
         monkeypatch.setattr(lsl.simulate, "CHUNK_DRAWS", 47)
@@ -615,14 +628,13 @@ def with_edge_seeds(test):
     return test
 
 
-def literal_draws(seed, m, m_k, k1, n, noiseless):
+def literal_draws(seed, m, m_k, k1, n):
     """run_trial's default_rng call sequence, spelled out."""
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, m, size=k1)
     idx_k = rng.integers(0, m_k)
     uniforms = [rng.random(n) for _ in range(k1 + 1)]
-    noise = [np.zeros(n) if noiseless else rng.standard_normal(n)
-             for _ in range(k1 + 1)]
+    noise = [rng.standard_normal(n) for _ in range(k1 + 1)]
     return idx, idx_k, uniforms, noise
 
 
@@ -660,11 +672,10 @@ class TestReplayDraws:
     @with_edge_seeds
     def test_pcg64_state_matches_numpy(self, seed):
         # the seeded state, and the words and state after a K=3, N=2
-        # chunk's draws: indices and uniforms, then normals when noisy
+        # chunk's indices and uniforms, and after its normals too
         state = _pcg64_seed_state([seed])
         assert pcg64_ints(state) == np.random.PCG64(seed).state["state"]
-        for noiseless in (False, True):
-            count = 2 + 6 * (1 if noiseless else 2)
+        for count in (2 + 6, 2 + 6 * 2):
             bit_gen = np.random.PCG64(seed)
             words, after = _pcg64_words(state, count)
             assert words.tolist() == [bit_gen.random_raw(count).tolist()]
@@ -688,7 +699,9 @@ class TestReplayDraws:
         assert words.tolist() == [bit_gen.random_raw(5).tolist()]
         assert pcg64_ints(after) == bit_gen.state["state"]
 
-    @pytest.mark.parametrize("noiseless", [False, True])
+    # failed_tables: the ziggurat read-off failed its self-check, so that
+    # every row off the "all" path redraws its normals on the per-row path
+    @pytest.mark.parametrize("failed_tables", [False, True])
     # "wide": trials just past _STEPPED_DRAWS, on the per-row path
     @pytest.mark.parametrize("n", [1, 4, "wide"])
     @pytest.mark.parametrize("k1", [2, 3])
@@ -703,13 +716,13 @@ class TestReplayDraws:
         (2**32, 5, "all"),
     ])
     def test_replay_equals_default_rng(self, monkeypatch, m, m_k, exact,
-                                       k1, n, noiseless):
+                                       k1, n, failed_tables):
         import lsl.simulate
-        if n == "wide":
+        stepped = n != "wide"
+        if not stepped:
             n = lsl.simulate._STEPPED_DRAWS // (k1 + 1) + 1
         seeds = list(EDGE_SEEDS) + [derive_trial_seed(7, i) for i in range(40)]
-        expected = [literal_draws(s, m, m_k, k1, n, noiseless)
-                    for s in seeds]
+        expected = [literal_draws(s, m, m_k, k1, n) for s in seeds]
         exact_rows = []
         redrawn = []
         default_rng = np.random.default_rng
@@ -725,10 +738,15 @@ class TestReplayDraws:
 
         monkeypatch.setattr(np.random, "default_rng", counting_rng)
         monkeypatch.setattr(lsl.simulate, "_row_draws", counting_row_draws)
-        idx, uniforms, noise = _replay_draws(seeds, m, m_k, k1, n, noiseless)
+        if failed_tables:
+            monkeypatch.setattr(lsl.simulate, "_ziggurat", lambda: (
+                np.zeros(256), np.zeros(256, dtype=np.uint64)))
+        idx, uniforms, noise = _replay_draws(seeds, m, m_k, k1, n)
         assert exact == {0: "none", len(seeds): "all"}.get(len(exact_rows),
                                                            "some")
-        if exact != "all" and not noiseless and n == 4:
+        if exact != "all" and stepped and failed_tables:
+            assert sorted(redrawn) == list(range(len(seeds)))
+        elif exact != "all" and n == 4:
             # at 12 or 16 normals a trial, about one row in eight leaves
             # the ziggurat's fast path and redraws its normals
             assert redrawn
@@ -786,11 +804,10 @@ class TestZiggurat:
             _row_draws(state, rows, raw, normals)
 
         monkeypatch.setattr(lsl.simulate, "_row_draws", counting_row_draws)
-        idx, uniforms, noise = _replay_draws(seeds, 9, 16, 2, 2, False)
+        idx, uniforms, noise = _replay_draws(seeds, 9, 16, 2, 2)
         assert sorted(redrawn) == list(range(len(seeds)))
         for i, seed in enumerate(seeds):
-            e_idx, e_idx_k, e_uni, e_noise = literal_draws(seed, 9, 16, 2, 2,
-                                                           False)
+            e_idx, e_idx_k, e_uni, e_noise = literal_draws(seed, 9, 16, 2, 2)
             assert np.array_equal(idx[i], [*e_idx, e_idx_k])
             assert np.array_equal(uniforms[i], np.stack(e_uni))
             assert np.array_equal(noise[i], np.stack(e_noise))

@@ -1,0 +1,68 @@
+"""Public surface: every public function and class of ``lsl`` has a caller
+inside the package, or a named reason to exist without one."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "lsl"
+
+#: Public names that no code in ``lsl`` refers to, and why each stays.
+ALLOWED = {
+    "run_trial": "single-trial oracle of the campaign engine",
+    "derive_trial_seed": "per-trial seed of the run_trial oracle",
+    "candidate_set": "explicit candidate-list oracle of the certificates",
+    "quantize": "bound in lsl.simulate for perfbench's tracer",
+    "entrypoint": "the lsl console script",
+}
+
+
+def module_trees():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def public_definitions(trees):
+    """(module, node) of each public module-level function and class."""
+    return [(module, node) for module, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def references(tree, skip=None):
+    """Names that ``Name`` and ``Attribute`` nodes of ``tree`` refer to,
+    leaving out the subtree ``skip``."""
+    found = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_every_public_name_has_a_caller_or_a_reason():
+    trees = module_trees()
+    uncalled = []
+    for module, node in public_definitions(trees):
+        if node.name in ALLOWED or node.name.startswith("cmd_"):
+            continue  # main dispatches cmd_<subcommand> by name
+        used = set().union(*(references(tree, skip=node)
+                             for tree in trees.values()))
+        if node.name not in used:
+            uncalled.append(f"{module}.{node.name}")
+    assert uncalled == []
+
+
+@pytest.mark.parametrize("name", sorted(ALLOWED))
+def test_every_allowed_name_exists(name):
+    # an allowance outliving its function would hide nothing, but rot
+    trees = module_trees()
+    assert name in {node.name for _, node in public_definitions(trees)}
