@@ -19,7 +19,8 @@ config echo is lossless.
 Exit codes: 0 success, 1 usage or parse error (an unwritable ``--out``
 too; a missing ``--out`` directory is caught before any work), 2
 infeasible configuration or a cap exceeded, 3 internal invariant
-violation.
+violation.  Caps go before any work: a printed q^N or K^N needs
+N*log2(base) <= 4096 bits, and a repr-check trial K*N <= ``CHUNK_DRAWS``.
 """
 from __future__ import annotations
 
@@ -51,7 +52,7 @@ from .lattices import (
     mod_lattice,
     second_moment,
 )
-from .leakage import leakage_row
+from .leakage import check_power_bits, leakage_row
 from .rates import (
     SystemConfig,
     achievable_sum_rate,
@@ -67,7 +68,13 @@ from .rates import (
     very_strong_interference,
 )
 from .representation import certify_batch, reconstruct_batch
-from .simulate import Scheme, chunk_bounds, run_campaign, wilson_interval
+from .simulate import (
+    CHUNK_DRAWS,
+    Scheme,
+    chunk_bounds,
+    run_campaign,
+    wilson_interval,
+)
 
 #: Margin applied to the very-strong-interference threshold when sweeps
 #: choose symmetric cross gains automatically.
@@ -471,6 +478,9 @@ def cmd_repr_check(cfg: RunConfig) -> int:
     k = cfg.K
     if k < 1:
         raise ValueError("need at least one point")
+    check_power_bits("index bound", k, cfg.N)
+    if k * cfg.N > CHUNK_DRAWS:
+        raise CapacityError(f"K*N = {k * cfg.N} draws exceed {CHUNK_DRAWS}")
     failures = 0
     max_index = 0
     for lo, hi in chunk_bounds(cfg.trials, k * cfg.N):
@@ -498,6 +508,8 @@ def cmd_repr_check(cfg: RunConfig) -> int:
 
 def cmd_lattice_info(cfg: RunConfig) -> int:
     pair = cfg.pair()
+    if pair.fine.family == CUBIC:
+        check_power_bits("codebook size", pair.q, pair.dimension)
     coarse = pair.coarse
     eps = gaussian_approx_epsilon(coarse)
     r_u = covering_radius(coarse)

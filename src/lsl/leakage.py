@@ -14,18 +14,20 @@ are read off it, and its memory never exceeds the joint state count.
 coordinates are iid, so each of its entropies is N times that of the
 one-dimensional pair: the row tallies q^(K-1) states, not q^(N(K-1)).
 
-Entropies are in bits.  Elements are centered coordinate tuples of the
+Entropies are in bits.  An ensemble is made from one nested pair: its
+elements are the pair's ``codebook``, the centered coordinate rows of the
 quotient fine/coarse, a group under coordinate addition mod q.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, InvariantViolationError
 from .lattices import (
     CUBIC,
     NestedPair,
@@ -44,6 +46,13 @@ STATE_CAP = 10_000_000
 MAX_CODEBOOK_BITS = 4096
 
 
+def check_power_bits(what: str, base: int, exponent: int):
+    """Reject base^exponent over 2^MAX_CODEBOOK_BITS without building it."""
+    if exponent * math.log2(base) > MAX_CODEBOOK_BITS:
+        raise CapacityError(
+            f"{what} {base}^{exponent} exceeds 2^{MAX_CODEBOOK_BITS}")
+
+
 def _check_states(size: int, exponent: int):
     """Reject size^exponent states over ``STATE_CAP`` without building the
     power: any size >= 2 raised to the cap's bit length passes the cap."""
@@ -54,72 +63,53 @@ def _check_states(size: int, exponent: int):
 
 @dataclass(frozen=True)
 class DiscreteEnsemble:
-    """K-1 iid uniform codewords over a quotient-group codebook.
+    """K-1 iid uniform codewords over the codebook of one nested pair.
 
-    ``elements`` are the coset leaders as length-``dimension`` integer
-    tuples, the ensemble's identity; they form a group under coordinate
+    ``pair`` and ``num_users`` are the ensemble's identity.  ``elements``
+    is ``codebook(pair)``, the read-only (M, N) int64 array of coset
+    leaders, built on first use; the rows form a group under coordinate
     addition mod q.  The joint state space has size M^(K-1) and each op
     checks it against ``STATE_CAP`` before enumerating; construction
-    checks the M^2 pair sums of its closure test the same way, first.
+    checks the M^2 pair sums of its closure test the same way, before the
+    codebook is built.
     """
 
-    elements: tuple[tuple[int, ...], ...]
-    q: int
-    dimension: int
+    pair: NestedPair
     num_users: int
     #: ``_sum_counts`` results by number of summed elements.
     _tallies: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
-    #: ``elements`` as a read-only (M, N) int64 array.
-    _coords: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.num_users < 3:
             raise ValueError("need at least 3 users")
-        if self.q < 1:
-            raise ValueError("modulus must be positive")
-        if self.dimension < 1:
-            raise ValueError("dimension must be a positive integer")
-        if not self.elements:
-            raise ValueError("codebook is empty")
         self._check_cap(2)
-        message = f"elements must be length-{self.dimension} integer tuples"
-        if not all(isinstance(e, tuple) and len(e) == self.dimension
-                   for e in self.elements):
-            raise ValueError(message)
-        coords = np.array(self.elements)
-        if coords.ndim != 2 or coords.dtype.kind != "i":
-            raise ValueError(message)
-        if len(set(self.elements)) != len(self.elements):
-            raise ValueError("duplicate codebook elements")
-        coords = coords.astype(np.int64)
-        coords.flags.writeable = False
-        object.__setattr__(self, "_coords", coords)
         # Closed iff the folded pair sums add no row to the elements.
-        rows = np.vstack([coords,
+        rows = np.vstack([self.elements,
                           _centered_mod(self._sum_counts(2)[0], self.q)])
         if len(_tally(rows, np.zeros(len(rows), np.int64))[0]) != self.size:
-            raise ValueError("codebook is not closed under mod-q addition")
+            raise InvariantViolationError(
+                "codebook is not closed under mod-q addition")
 
-    @classmethod
-    def from_pair(cls, pair: NestedPair, num_users: int) -> "DiscreteEnsemble":
-        # The closure check's M^2 cap, before the codebook is built.
-        _check_states(pair.nesting_ratio, 2)
-        leaders = tuple(map(tuple, codebook(pair).tolist()))
-        return cls(elements=leaders, q=pair.q, dimension=pair.dimension,
-                   num_users=num_users)
+    @functools.cached_property
+    def elements(self) -> np.ndarray:
+        return codebook(self.pair)
+
+    @property
+    def q(self) -> int:
+        return self.pair.q
+
+    @property
+    def dimension(self) -> int:
+        return self.pair.dimension
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return self.pair.nesting_ratio
 
     @property
     def num_senders(self) -> int:
         return self.num_users - 1
-
-    @property
-    def rate_per_dim(self) -> float:
-        return math.log2(self.size) / self.dimension
 
     def _check_cap(self, exponent: int):
         _check_states(self.size, exponent)
@@ -140,7 +130,7 @@ class DiscreteEnsemble:
             else:
                 prev, prev_counts = self._sum_counts(num_vars - 1)
                 sums, counts = _tally(
-                    (prev[:, None, :] + self._coords).reshape(
+                    (prev[:, None, :] + self.elements).reshape(
                         -1, self.dimension),
                     np.repeat(prev_counts, self.size))
             sums.flags.writeable = counts.flags.writeable = False
@@ -236,7 +226,7 @@ def leakage_bound_check(ens: DiscreteEnsemble) -> LeakageCheck:
                            ens.num_senders)
     # (folded sum, index) determines the raw sum and back: same entropy.
     leakage = _entropy_bits(counts)
-    bound, index_bound = _bounds(ens.dimension, ens.rate_per_dim,
+    bound, index_bound = _bounds(ens.dimension, ens.pair.rate_per_dim,
                                  ens.num_senders)
     index_entropy = _entropy_bits(_tally(indices[:, None], counts)[1])
     return LeakageCheck(
@@ -284,15 +274,13 @@ def leakage_row(pair: NestedPair, num_users: int) -> LeakageRow:
     """
     n = pair.dimension
     if pair.fine.family == CUBIC:
-        if n * math.log2(pair.q) > MAX_CODEBOOK_BITS:
-            raise CapacityError(f"codebook size {pair.q}^{n} exceeds "
-                                f"2^{MAX_CODEBOOK_BITS}")
+        check_power_bits("codebook size", pair.q, n)
         tallied, scale = make_cubic_pair(pair.q, 1), n
     else:
         tallied, scale = pair, 1
-    ens = DiscreteEnsemble.from_pair(tallied, num_users)
+    ens = DiscreteEnsemble(tallied, num_users)
     h_cond = conditional_entropy_given_modsum(ens)
-    target = (num_users - 2) * ens.dimension * ens.rate_per_dim
+    target = (num_users - 2) * ens.dimension * tallied.rate_per_dim
     check = leakage_bound_check(ens)
     rate = pair.rate_per_dim
     bound, index_bound = _bounds(n, rate, ens.num_senders)

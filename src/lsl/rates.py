@@ -96,7 +96,6 @@ def alignment_index(cfg: SystemConfig) -> int:
 class VeryStrongCheck:
     satisfied: bool
     threshold: float
-    a_j: float
     j_star: int
 
 
@@ -114,9 +113,8 @@ def very_strong_interference(cfg: SystemConfig) -> VeryStrongCheck:
     j = alignment_index(cfg)
     threshold = very_strong_gain_threshold(cfg.K, cfg.P[j - 1], cfg.p_min,
                                            cfg.p_k)
-    a_j = cfg.a[j - 1]
-    return VeryStrongCheck(satisfied=a_j > threshold, threshold=threshold,
-                           a_j=a_j, j_star=j)
+    return VeryStrongCheck(satisfied=cfg.a[j - 1] > threshold,
+                           threshold=threshold, j_star=j)
 
 
 def interferer_sum_rate(k: int, p_min: float) -> float:
@@ -209,8 +207,6 @@ class MmseCoefficients:
     """
 
     gamma: float
-    p_x: float
-    p_n: float
     alpha: float
     effective_noise_var: float
 
@@ -221,7 +217,7 @@ def mmse_coefficients(cfg: SystemConfig) -> MmseCoefficients:
     p_x = (cfg.p_k + 1.0) / p
     p_n = float(cfg.K - 1)
     alpha = p_n / (p_n + p_x)
-    return MmseCoefficients(gamma=gamma, p_x=p_x, p_n=p_n, alpha=alpha,
+    return MmseCoefficients(gamma=gamma, alpha=alpha,
                             effective_noise_var=p_x * p_n / (p_x + p_n))
 
 
@@ -253,7 +249,6 @@ class RateSplit:
     r_x: float
     r_e: float
     feasible: bool
-    interferer_total: float
 
 
 def rate_split(cfg: SystemConfig) -> RateSplit:
@@ -264,8 +259,7 @@ def rate_split(cfg: SystemConfig) -> RateSplit:
     """
     r_x = per_user_secrecy_cost(cfg.p_min, cfg.K)
     r_e = awgn_capacity(cfg.p_min) - r_x
-    return RateSplit(r_x=r_x, r_e=r_e, feasible=r_e >= 0.0,
-                     interferer_total=(cfg.K - 1) * r_e)
+    return RateSplit(r_x=r_x, r_e=r_e, feasible=r_e >= 0.0)
 
 
 def per_user_secrecy_cost(p_min: float, num_users: int) -> float:

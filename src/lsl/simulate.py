@@ -1,13 +1,14 @@
 """Finite-dimensional Monte Carlo of the mod-sum secrecy scheme.
 
-Per trial: each of the K-1 interfering users folds a uniformly drawn
-codeword with a fresh dither and scales its transmit power so that all
-interference arrives at receiver K with the common power P = min a_i*P_i
-(signal-space alignment); user K transmits its own dithered codeword at
-power P_K.  Receiver K decodes in three stages: MMSE-scaled mod-sum
-decoding of the interference, subtraction of the decoded mod-sum, then
-decoding of user K's codeword from the residual.  Receivers 1..K-1 see
-interference-free direct links.
+All K users share one nested lattice pair, so the interferers' mod-sum
+is itself a codeword.  Per trial: each of the K-1 interfering users
+folds a uniformly drawn codeword with a fresh dither and scales its
+transmit power so that all interference arrives at receiver K with the
+common power P = min a_i*P_i (signal-space alignment); user K transmits
+its own dithered codeword at power P_K.  Receiver K decodes in three
+stages: MMSE-scaled mod-sum decoding of the interference, subtraction of
+the decoded mod-sum, then decoding of user K's codeword from the
+residual.  Receivers 1..K-1 see interference-free direct links.
 
 Error events are classified conditionally, in order: e1 (wrong mod-sum),
 e2 (no e1, but the residual wrapped around the coarse cell), e3 (no e1
@@ -104,59 +105,46 @@ _STEPPED_DRAWS = 32
 
 @dataclass(frozen=True, eq=False)
 class Scheme:
-    """Immutable bundle of configuration, lattice pairs and derived constants.
+    """Immutable bundle of configuration, lattice pair and derived constants.
 
-    The first K-1 users share ``interferer_pair``; user K has its own
-    ``user_k_pair``.  Both coarse lattices are unit-second-moment
-    normalized, which is what makes the power accounting exact.  Each
-    pair's codebook is a read-only (M, N) int64 array of coset-leader
-    coordinates in ``codebook`` order; a codeword is a row index into it.
+    All K users share ``pair``, whose coarse lattice is unit-second-moment
+    normalized, which is what makes the power accounting exact.
+    ``leaders`` is its codebook, a read-only (M, N) int64 array of
+    coset-leader coordinates in ``codebook`` order; a codeword is a row
+    index into it.
     """
 
     config: SystemConfig
-    interferer_pair: NestedPair
-    user_k_pair: NestedPair
+    pair: NestedPair
     aligned_power: float
     gamma: float
     alpha_mod_sum: float
     alpha_user_k: float
     effective_noise_var: float
     interferer_amplitudes: tuple[float, ...]
-    interferer_leaders: np.ndarray
-    user_k_leaders: np.ndarray
+    leaders: np.ndarray
 
     @classmethod
-    def for_config(cls, cfg: SystemConfig, interferer_pair: NestedPair,
-                   user_k_pair: NestedPair | None = None) -> "Scheme":
-        if user_k_pair is None:
-            user_k_pair = interferer_pair
-        if interferer_pair.dimension != user_k_pair.dimension:
-            raise ValueError("lattice pairs must share one dimension")
-        for pair in (interferer_pair, user_k_pair):
-            if abs(second_moment(pair.coarse) - 1.0) > 1e-9:
-                raise ValueError(
-                    "coarse lattices must be normalized to unit second moment")
+    def for_config(cls, cfg: SystemConfig, pair: NestedPair) -> "Scheme":
+        if abs(second_moment(pair.coarse) - 1.0) > 1e-9:
+            raise ValueError(
+                "the coarse lattice must be normalized to unit second moment")
         p = cfg.p_aligned
         mmse = mmse_coefficients(cfg)
-        leaders = codebook(interferer_pair)
-        leaders_k = (leaders if user_k_pair is interferer_pair
-                     else codebook(user_k_pair))
         return cls(
             config=cfg,
-            interferer_pair=interferer_pair,
-            user_k_pair=user_k_pair,
+            pair=pair,
             aligned_power=p,
             gamma=mmse.gamma,
             alpha_mod_sum=mmse.alpha,
             alpha_user_k=cfg.p_k / (cfg.p_k + 1.0),
             effective_noise_var=mmse.effective_noise_var,
             interferer_amplitudes=tuple(math.sqrt(p / g) for g in cfg.a),
-            interferer_leaders=leaders,
-            user_k_leaders=leaders_k)
+            leaders=codebook(pair))
 
     @property
     def dimension(self) -> int:
-        return self.interferer_pair.dimension
+        return self.pair.dimension
 
 
 @dataclass(frozen=True)
@@ -186,7 +174,6 @@ class CampaignReport:
     """Aggregated Monte Carlo statistics for one configuration."""
 
     trials: int
-    master_seed: int
     e1_count: int
     e2_count: int
     e3_count: int
@@ -223,12 +210,15 @@ def chunk_bounds(trials: int, draws_per_trial: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _codewords(leaders: np.ndarray, index) -> np.ndarray:
-    """Rows of ``leaders`` at ``index``; an index outside them raises."""
+def _fold_codewords(scheme: Scheme, index, dithers: np.ndarray):
+    """The codewords at ``index`` plus ``dithers``, folded over the coarse
+    cell; an index outside the codebook raises."""
     index = np.asarray(index)
-    if np.any((index < 0) | (index >= len(leaders))):
+    if np.any((index < 0) | (index >= len(scheme.leaders))):
         raise ValueError("codeword index outside the codebook")
-    return leaders[index]
+    pair = scheme.pair
+    return mod_lattice(pair.coarse,
+                       scheme.leaders[index] * pair.fine.scale + dithers)
 
 
 def _fold_dithers(scheme: Scheme, uniforms: np.ndarray):
@@ -239,10 +229,9 @@ def _fold_dithers(scheme: Scheme, uniforms: np.ndarray):
     (..., K-1, N) interferer dithers and user K's (..., N) dither, which
     comes from the last row.
     """
-    coarse = scheme.interferer_pair.coarse
-    coarse_k = scheme.user_k_pair.coarse
+    coarse = scheme.pair.coarse
     return (mod_lattice(coarse, coarse.scale * uniforms[..., :-1, :]),
-            mod_lattice(coarse_k, coarse_k.scale * uniforms[..., -1, :]))
+            mod_lattice(coarse, coarse.scale * uniforms[..., -1, :]))
 
 
 def _decode(pair: NestedPair, x: np.ndarray) -> np.ndarray:
@@ -266,9 +255,7 @@ def encode_interferer(scheme: Scheme, index, dithers: np.ndarray):
     k1 = scheme.config.K - 1
     if np.shape(index)[-1:] != (k1,) or np.shape(dithers)[-2:-1] != (k1,):
         raise ValueError(f"interferer stacks need a user axis of length {k1}")
-    pair = scheme.interferer_pair
-    points = _codewords(scheme.interferer_leaders, index) * pair.fine.scale
-    u = mod_lattice(pair.coarse, points + dithers)
+    u = _fold_codewords(scheme, index, dithers)
     return u, np.asarray(scheme.interferer_amplitudes)[:, None] * u
 
 
@@ -278,9 +265,7 @@ def encode_user_k(scheme: Scheme, index, dither: np.ndarray):
     ``index`` has shape (...) and ``dither`` (..., N).  Returns
     ``(u_k, signal_k)``: the folded codeword plus dither, and sqrt(P_K)*u_k.
     """
-    pair = scheme.user_k_pair
-    point = _codewords(scheme.user_k_leaders, index) * pair.fine.scale
-    u_k = mod_lattice(pair.coarse, point + dither)
+    u_k = _fold_codewords(scheme, index, dither)
     return u_k, math.sqrt(scheme.config.p_k) * u_k
 
 
@@ -325,7 +310,7 @@ def decode_direct(scheme: Scheme, direct: np.ndarray,
         raise ValueError(f"direct-link stacks need a user axis of length {k1}")
     snr = np.array([amp ** 2 for amp in scheme.interferer_amplitudes])[:, None]
     alpha = snr / (snr + 1.0)
-    return _decode(scheme.interferer_pair,
+    return _decode(scheme.pair,
                    alpha * direct / np.sqrt(snr) - dithers)
 
 
@@ -338,7 +323,7 @@ def decode_mod_sum(scheme: Scheme, y_k: np.ndarray,
     quantizes.  Returns centered coset-leader coordinates (..., N).
     """
     scaled = scheme.alpha_mod_sum * y_k / math.sqrt(scheme.aligned_power)
-    return _decode(scheme.interferer_pair,
+    return _decode(scheme.pair,
                    scaled - np.sum(dithers, axis=-2))
 
 
@@ -350,7 +335,7 @@ def subtract_interference(scheme: Scheme, y_k: np.ndarray, s_hat: np.ndarray,
     When it is correct the result equals gamma*U_K + Z' modulo the coarse
     cell, with Z' the receiver noise scaled by 1/sqrt(P).
     """
-    pair = scheme.interferer_pair
+    pair = scheme.pair
     normalized = y_k / math.sqrt(scheme.aligned_power)
     return mod_lattice(pair.coarse, normalized - s_hat * pair.fine.scale
                        - np.sum(dithers, axis=-2))
@@ -362,11 +347,11 @@ def decode_user_k(scheme: Scheme, residual: np.ndarray,
 
     The residual carries gamma*U_K at noise variance 1/P, an effective
     SNR of P_K; rescale by 1/gamma, apply alpha = P_K/(P_K+1), strip
-    user K's dither and quantize on user K's pair.  Returns centered
+    user K's dither and quantize.  Returns centered
     coset-leader coordinates (..., N).
     """
     scaled = scheme.alpha_user_k * residual / scheme.gamma
-    return _decode(scheme.user_k_pair, scaled - dither)
+    return _decode(scheme.pair, scaled - dither)
 
 
 def classify_events(mod_sum_correct, residual_unwrapped, user_k_correct):
@@ -406,12 +391,11 @@ def run_trial(scheme: Scheme, trial_seed: int) -> TrialOutcome:
     rng = np.random.default_rng(trial_seed)
     k = scheme.config.K
     n = scheme.dimension
-    pair = scheme.interferer_pair
-    leaders = scheme.interferer_leaders
-    leaders_k = scheme.user_k_leaders
+    pair = scheme.pair
+    leaders = scheme.leaders
 
     idx = rng.integers(0, len(leaders), size=k - 1)
-    idx_k = rng.integers(0, len(leaders_k))
+    idx_k = rng.integers(0, len(leaders))
     dithers, dither_k = _fold_dithers(scheme, rng.random((k, n)))
     noise = rng.standard_normal((k, n))
 
@@ -437,7 +421,7 @@ def run_trial(scheme: Scheme, trial_seed: int) -> TrialOutcome:
     e1, e2, e3 = classify_events(
         np.array_equal(s_hat, s_true),
         in_voronoi(pair.coarse, unwrapped),
-        np.array_equal(t_k_hat, leaders_k[idx_k]))
+        np.array_equal(t_k_hat, leaders[idx_k]))
 
     z_eff = (scheme.alpha_mod_sum - 1.0) * np.sum(u, axis=0) \
         + scheme.alpha_mod_sum * unwrapped
@@ -656,13 +640,13 @@ def _ziggurat():
     return tables if _ziggurat_matches_numpy(tables) else failed
 
 
-def _replay_draws(seeds, m: int, m_k: int, k1: int, n: int):
+def _replay_draws(seeds, m: int, k1: int, n: int):
     """run_trial's draws for every seed, without a generator per trial.
 
-    Returns ``(idx, uniforms, noise)``: the (trials, k1 + 1) codeword
-    indices and the (trials, k1 + 1, n) dither uniforms and channel
-    normals, interferers first and user K last, bit-identical to the draws
-    of ``np.random.default_rng(seed)`` in run_trial's order.
+    Returns ``(idx, uniforms, noise)``: the (trials, k1 + 1) indices into
+    a codebook of size ``m`` and the (trials, k1 + 1, n) dither uniforms
+    and channel normals, interferers first and user K last, bit-identical
+    to the draws of ``np.random.default_rng(seed)`` in run_trial's order.
 
     The seeds' PCG64 states are made for the whole chunk at once
     (``_pcg64_seed_state``).  When a trial has at most ``_STEPPED_DRAWS``
@@ -673,46 +657,36 @@ def _replay_draws(seeds, m: int, m_k: int, k1: int, n: int):
     state saved before its first normal word.  Wider trials take that
     per-row path for all their draws.  The indices are Lemire's
     (x * m) >> 32 on the 32-bit halves, low half first, which is how
-    ``integers`` consumes them; the uniforms are (w >> 11) * 2^-53.  A
-    row where ``integers`` would have rejected a draw, and every row when
-    a codebook size lies outside [2, 2^32), is replayed through
+    ``integers`` consumes them for 2 <= m < 2^32 (a codebook has 2 to
+    ``ENUMERATION_CAP`` rows); the uniforms are (w >> 11) * 2^-53.  A row
+    where ``integers`` would have rejected a draw is replayed through
     ``default_rng`` instead.
     """
     t_count = len(seeds)
     users = k1 + 1
-    sizes = [m] * k1 + [m_k]
-    idx = np.empty((t_count, users), dtype=np.int64)
-    uniforms = np.empty((t_count, users, n))
+    index_words = (users + 1) // 2
+    state = _pcg64_seed_state(seeds)
     noise = np.empty((t_count, users, n))
-    exact = range(t_count)
-    if all(2 <= size < 2 ** 32 for size in sizes):
-        index_words = (users + 1) // 2
-        state = _pcg64_seed_state(seeds)
-        normals = noise.reshape(t_count, users * n)
-        if users * n <= _STEPPED_DRAWS:
-            raw, state = _pcg64_words(state, index_words + users * n)
-            words = _pcg64_words(state, users * n)[0]
-            fast = _table_normals(words, normals, _ziggurat())
-            _row_draws(state, np.flatnonzero(~fast), None, normals)
-        else:
-            raw = np.empty((t_count, index_words + users * n),
-                           dtype=np.uint64)
-            _row_draws(state, range(t_count), raw, normals)
-        halves = np.empty((t_count, 2 * index_words), dtype=np.uint64)
-        halves[:, 0::2] = raw[:, :index_words] & _LO32
-        halves[:, 1::2] = raw[:, :index_words] >> _32
-        scaled = halves[:, :users] * np.array(sizes, dtype=np.uint64)
-        idx[:] = scaled >> _32
-        thresholds = np.array([2 ** 32 % size for size in sizes],
-                              dtype=np.uint64)
-        exact = np.flatnonzero(np.any(
-            (scaled & _LO32) < thresholds, axis=1)).tolist()
-        uniforms[:] = ((raw[:, index_words:] >> np.uint64(11))
-                       * (1.0 / 9007199254740992.0)).reshape(uniforms.shape)
-    for i in exact:
+    normals = noise.reshape(t_count, users * n)
+    if users * n <= _STEPPED_DRAWS:
+        raw, state = _pcg64_words(state, index_words + users * n)
+        words = _pcg64_words(state, users * n)[0]
+        fast = _table_normals(words, normals, _ziggurat())
+        _row_draws(state, np.flatnonzero(~fast), None, normals)
+    else:
+        raw = np.empty((t_count, index_words + users * n), dtype=np.uint64)
+        _row_draws(state, range(t_count), raw, normals)
+    halves = np.empty((t_count, 2 * index_words), dtype=np.uint64)
+    halves[:, 0::2] = raw[:, :index_words] & _LO32
+    halves[:, 1::2] = raw[:, :index_words] >> _32
+    scaled = halves[:, :users] * np.uint64(m)
+    idx = (scaled >> _32).astype(np.int64)
+    uniforms = ((raw[:, index_words:] >> np.uint64(11))
+                * (1.0 / 9007199254740992.0)).reshape(t_count, users, n)
+    rejected = np.any((scaled & _LO32) < np.uint64(2 ** 32 % m), axis=1)
+    for i in np.flatnonzero(rejected).tolist():
         rng = np.random.default_rng(seeds[i])
-        idx[i, :k1] = rng.integers(0, m, size=k1)
-        idx[i, k1] = rng.integers(0, m_k)
+        idx[i] = rng.integers(0, m, size=users)
         uniforms[i] = rng.random((users, n))
         noise[i] = rng.standard_normal((users, n))
     return idx, uniforms, noise
@@ -729,13 +703,11 @@ def _batch_trial_arrays(scheme: Scheme, seeds) -> dict:
     bit-identical to the reference.
     """
     k1 = scheme.config.K - 1
-    pair = scheme.interferer_pair
-    leaders = scheme.interferer_leaders
-    leaders_k = scheme.user_k_leaders
+    pair = scheme.pair
+    leaders = scheme.leaders
     n = scheme.dimension
 
-    idx_all, uniforms, noise = _replay_draws(seeds, len(leaders),
-                                             len(leaders_k), k1, n)
+    idx_all, uniforms, noise = _replay_draws(seeds, len(leaders), k1, n)
     idx, idx_k = idx_all[:, :k1], idx_all[:, k1]
     dithers, dither_k = _fold_dithers(scheme, uniforms)
 
@@ -759,7 +731,7 @@ def _batch_trial_arrays(scheme: Scheme, seeds) -> dict:
     e1, e2, e3 = classify_events(
         np.all(s_hat == s_true, axis=1),
         in_voronoi(pair.coarse, unwrapped),
-        np.all(t_k_hat == leaders_k[idx_k], axis=1))
+        np.all(t_k_hat == leaders[idx_k], axis=1))
 
     z_eff = (scheme.alpha_mod_sum - 1.0) * np.sum(u, axis=1) \
         + scheme.alpha_mod_sum * unwrapped
@@ -798,7 +770,6 @@ def run_campaign(scheme: Scheme, trials: int,
     e1, e2, e3 = events.tolist()
     return CampaignReport(
         trials=trials,
-        master_seed=master_seed,
         e1_count=e1, e2_count=e2, e3_count=e3,
         direct_error_counts=tuple(direct.tolist()),
         mean_effective_noise_power=float(np.mean(np.concatenate(eff_power))),

@@ -143,8 +143,8 @@ def test_criterion_04_representation_round_trip():
 def test_criterion_05_leakage_identities():
     with criterion(5, "exact mod-sum leakage identities and bound"):
         for k, q, dim in itertools.product((3, 4, 5), (2, 3), (1, 2)):
-            ens = DiscreteEnsemble.from_pair(make_cubic_pair(q, dim), k)
-            target = (k - 2) * dim * ens.rate_per_dim
+            ens = DiscreteEnsemble(make_cubic_pair(q, dim), k)
+            target = (k - 2) * dim * ens.pair.rate_per_dim
             assert abs(conditional_entropy_given_modsum(ens)
                        - target) <= 1e-12
             check = leakage_bound_check(ens)
@@ -167,7 +167,8 @@ def test_criterion_06_effective_noise():
             predicted, rel=0.05)
         grid = np.linspace(0.0, 1.0, 1_000_001)
         m = mmse_coefficients(cfg)
-        objective = (grid - 1.0) ** 2 * m.p_n + grid ** 2 * m.p_x
+        p_n, p_x = cfg.K - 1, (cfg.p_k + 1.0) / cfg.p_aligned
+        objective = (grid - 1.0) ** 2 * p_n + grid ** 2 * p_x
         assert abs(m.alpha - grid[np.argmin(objective)]) <= 1e-6
 
 
@@ -217,7 +218,7 @@ def test_criterion_08_threshold_redundancy():
             cfg = SystemConfig(K=k, P=p, a=a)
             check = very_strong_interference(cfg)
             if not check.satisfied:
-                factor = 1.01 * check.threshold / check.a_j \
+                factor = 1.01 * check.threshold / cfg.a[check.j_star - 1] \
                     * float(rng.uniform(1.0, 3.0))
                 cfg = SystemConfig(K=k, P=p,
                                    a=tuple(g * factor for g in a))

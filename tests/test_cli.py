@@ -116,8 +116,7 @@ class TestExitCodes:
 
         out = tmp_path / "leak.csv"
         bits = lsl.leakage.MAX_CODEBOOK_BITS
-        monkeypatch.setattr(lsl.leakage.DiscreteEnsemble, "from_pair",
-                            no_tally)
+        monkeypatch.setattr(lsl.leakage, "DiscreteEnsemble", no_tally)
         assert main(["leakage", "--q", "2", "--N", str(bits + 1),
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
@@ -128,6 +127,49 @@ class TestExitCodes:
                      "--out", str(out)]) == 0
         assert out.read_text().splitlines()[2].split(",")[3] == str(
             2 ** bits)
+
+    @pytest.mark.parametrize("argv, over, message", [
+        # M = q^N and the index bound K^N hold N*log2(base) <= 4096 bits
+        (["lattice-info", "--N", "4096"], ["lattice-info", "--N", "4097"],
+         "codebook size 2^4097 exceeds 2^4096"),
+        (["lattice-info", "--q", "4", "--N", "2048"],
+         ["lattice-info", "--q", "4", "--N", "2049"],
+         "codebook size 4^2049 exceeds 2^4096"),
+        (["repr-check", "--K", "4", "--N", "2048", "--trials", "3"],
+         ["repr-check", "--K", "4", "--N", "2049", "--trials", "3"],
+         "index bound 4^2049 exceeds 2^4096"),
+        # one repr-check trial holds at most CHUNK_DRAWS = 2^15 draws
+        (["repr-check", "--K", "32768", "--N", "1", "--trials", "1"],
+         ["repr-check", "--K", "32769", "--N", "1", "--trials", "1"],
+         "K*N = 32769 draws exceed 32768"),
+    ])
+    def test_printed_powers_and_trial_draws_are_capped(self, argv, over,
+                                                      message, capsys):
+        assert main(argv) == 0
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert main(over) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr() == ("", f"cap exceeded: {message}\n")
+
+    def test_repr_check_at_huge_k_exits_before_any_draw(self, capsys,
+                                                        monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a chunk was drawn")
+
+        monkeypatch.setattr(lsl.cli, "chunk_bounds", no_draws)
+        assert main(["repr-check", "--K", "1000000000", "--N", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "cap exceeded: K*N = 1000000000 draws exceed 32768\n")
+
+    def test_coded_lattice_info_prints_its_codeword_count(self, capsys):
+        # a Construction-A M is q^k for k generator rows, whatever N
+        n = 5000
+        assert main(["lattice-info", "--family", "construction-a",
+                     "--N", str(n), "--generator", ",".join(["1"] * n),
+                     "--out", os.devnull]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"  {'codebook size':<26} 2" in lines
 
     @pytest.mark.parametrize("argv, message", [
         *(pytest.param(

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 import lsl.leakage
 from lsl.cli import _fmt_bool, _fmt_rate, main
-from lsl.errors import CapacityError, InvalidCodeError
-from lsl.lattices import make_construction_a_pair, make_cubic_pair
+from lsl.errors import CapacityError, InvalidCodeError, InvariantViolationError
+from lsl.lattices import codebook, make_construction_a_pair, make_cubic_pair
 from lsl.leakage import (
     DiscreteEnsemble,
     chain_conditional_entropy,
@@ -39,6 +39,7 @@ def brute_force_stats(ens):
     def window_low(m_j):
         return (-k1 * q - 2 * m_j) // (2 * q) + 1
 
+    elements = list(map(tuple, ens.elements.tolist()))
     joint_given_modsum = {}
     modsum_dist = {}
     label_dist = {}
@@ -46,7 +47,7 @@ def brute_force_stats(ens):
     # chain term j: joint (t_j, folded t_j + ... + t_{K-1}) and its sum
     chain_joint = [{} for _ in range(k1)]
     chain_sum = [{} for _ in range(k1)]
-    for combo in itertools.product(ens.elements, repeat=k1):
+    for combo in itertools.product(elements, repeat=k1):
         raw = tuple(sum(c) for c in zip(*combo))
         m = tuple(centered(v) for v in raw)
         modsum_dist[m] = modsum_dist.get(m, 0) + 1
@@ -99,31 +100,26 @@ def small_ensembles(draw):
             pair = make_construction_a_pair(q, n, generator)
         except InvalidCodeError:
             assume(False)
-    return DiscreteEnsemble.from_pair(pair, k)
+    return DiscreteEnsemble(pair, k)
 
 
 class TestConditionalEntropy:
     def test_k3_q2_n1(self):
-        ens = DiscreteEnsemble.from_pair(make_cubic_pair(2, 1), 3)
+        ens = DiscreteEnsemble(make_cubic_pair(2, 1), 3)
         assert conditional_entropy_given_modsum(ens) == pytest.approx(
             1.0, abs=1e-12)
 
     def test_k4_q3_n1(self):
-        ens = DiscreteEnsemble.from_pair(make_cubic_pair(3, 1), 4)
+        ens = DiscreteEnsemble(make_cubic_pair(3, 1), 4)
         assert conditional_entropy_given_modsum(ens) == pytest.approx(
             2 * math.log2(3), abs=1e-12)
-
-    def test_trivial_codebook(self):
-        ens = DiscreteEnsemble(elements=((0,),), q=1, dimension=1,
-                               num_users=3)
-        assert conditional_entropy_given_modsum(ens) == 0.0
 
     def test_identity_over_grid(self):
         for k in (3, 4, 5):
             for q in (2, 3):
                 for n in (1, 2):
-                    ens = DiscreteEnsemble.from_pair(make_cubic_pair(q, n), k)
-                    target = (k - 2) * n * ens.rate_per_dim
+                    ens = DiscreteEnsemble(make_cubic_pair(q, n), k)
+                    target = (k - 2) * n * ens.pair.rate_per_dim
                     assert abs(conditional_entropy_given_modsum(ens)
                                - target) <= 1e-12
 
@@ -131,14 +127,14 @@ class TestConditionalEntropy:
         for pair, k in ((make_cubic_pair(2, 1), 3),
                         (make_cubic_pair(3, 1), 3),
                         (make_cubic_pair(2, 2), 4)):
-            ens = DiscreteEnsemble.from_pair(pair, k)
+            ens = DiscreteEnsemble(pair, k)
             oracle = brute_force_stats(ens)
             assert conditional_entropy_given_modsum(ens) == pytest.approx(
                 oracle["h_cond"], abs=1e-12)
 
     def test_cap_enforced(self):
         # 4^13 joint states of 13 senders pass the 10^7 cap
-        ens = DiscreteEnsemble.from_pair(make_cubic_pair(2, 2), 14)
+        ens = DiscreteEnsemble(make_cubic_pair(2, 2), 14)
         with pytest.raises(CapacityError,
                            match=r"^state space 4\^13 exceeds cap 10000000$"):
             conditional_entropy_given_modsum(ens)
@@ -150,13 +146,17 @@ class TestConditionalEntropy:
         monkeypatch.setattr(lsl.leakage, "codebook", no_codebook)
         with pytest.raises(CapacityError,
                            match=r"^state space 65536\^2 exceeds cap 10000000$"):
-            DiscreteEnsemble.from_pair(make_cubic_pair(2, 16), 3)
+            DiscreteEnsemble(make_cubic_pair(2, 16), 3)
+        # 3163^2 pair sums: over the cap, though the codebook is not
+        with pytest.raises(CapacityError,
+                           match=r"^state space 3163\^2 exceeds cap 10000000$"):
+            DiscreteEnsemble(make_construction_a_pair(3163, 1, [(1,)]), 3)
 
     def test_cap_checked_at_construction(self):
         # 4096^2 pair sums exceed the cap before the closure check runs
         with pytest.raises(CapacityError,
                            match=r"^state space 4096\^2 exceeds cap 10000000$"):
-            DiscreteEnsemble.from_pair(make_cubic_pair(2, 12), 3)
+            DiscreteEnsemble(make_cubic_pair(2, 12), 3)
 
     @pytest.mark.parametrize("size,exponent", [
         (2, 23), (2, 24), (3, 14), (3, 15), (10, 7), (10, 8),
@@ -171,7 +171,7 @@ class TestConditionalEntropy:
 
 class TestChainTerms:
     def test_one_time_pad_masking(self):
-        ens = DiscreteEnsemble.from_pair(make_cubic_pair(2, 1), 3)
+        ens = DiscreteEnsemble(make_cubic_pair(2, 1), 3)
         assert chain_conditional_entropy(ens, 1) == pytest.approx(1.0,
                                                                   abs=1e-12)
         assert chain_conditional_entropy(ens, 2) == pytest.approx(0.0,
@@ -180,8 +180,8 @@ class TestChainTerms:
     def test_values_over_grid(self):
         for k in (3, 4, 5):
             for q in (2, 3):
-                ens = DiscreteEnsemble.from_pair(make_cubic_pair(q, 2), k)
-                per_word = 2 * ens.rate_per_dim
+                ens = DiscreteEnsemble(make_cubic_pair(q, 2), k)
+                per_word = 2 * ens.pair.rate_per_dim
                 for j in range(1, k - 1):
                     assert chain_conditional_entropy(ens, j) == pytest.approx(
                         per_word, abs=1e-12)
@@ -189,7 +189,7 @@ class TestChainTerms:
                     0.0, abs=1e-12)
 
     def test_index_range(self):
-        ens = DiscreteEnsemble.from_pair(make_cubic_pair(2, 1), 3)
+        ens = DiscreteEnsemble(make_cubic_pair(2, 1), 3)
         with pytest.raises(ValueError):
             chain_conditional_entropy(ens, 0)
         with pytest.raises(ValueError):
@@ -198,7 +198,7 @@ class TestChainTerms:
 
 class TestLeakageBound:
     def test_k3_q2_n1_values(self):
-        ens = DiscreteEnsemble.from_pair(make_cubic_pair(2, 1), 3)
+        ens = DiscreteEnsemble(make_cubic_pair(2, 1), 3)
         check = leakage_bound_check(ens)
         # sums 0,1,2 with weights 1,2,1: entropy 1.5 bits
         assert check.leakage == pytest.approx(1.5, abs=1e-12)
@@ -212,7 +212,7 @@ class TestLeakageBound:
                         (make_cubic_pair(3, 1), 4),
                         (make_cubic_pair(2, 2), 3),
                         (make_construction_a_pair(2, 2, [(1, 1)]), 4)):
-            ens = DiscreteEnsemble.from_pair(pair, k)
+            ens = DiscreteEnsemble(pair, k)
             oracle = brute_force_stats(ens)
             check = leakage_bound_check(ens)
             assert check.leakage == pytest.approx(oracle["leakage"],
@@ -226,7 +226,7 @@ class TestLeakageBound:
         for k in (3, 4, 5):
             for q in (2, 3, 4):
                 for n in (1, 2):
-                    ens = DiscreteEnsemble.from_pair(make_cubic_pair(q, n), k)
+                    ens = DiscreteEnsemble(make_cubic_pair(q, n), k)
                     if ens.size ** ens.num_senders > 200_000:
                         continue
                     check = leakage_bound_check(ens)
@@ -235,55 +235,49 @@ class TestLeakageBound:
                     # reveals less than the folded sum alone
                     assert check.leakage >= check.modsum_entropy - 1e-12
 
-    def test_trivial_codebook_leaks_nothing(self):
-        ens = DiscreteEnsemble(elements=((0, 0),), q=1, dimension=2,
-                               num_users=4)
-        check = leakage_bound_check(ens)
-        assert check.leakage == 0.0
-        assert check.passed
-
 
 class TestEnsembleValidation:
-    def test_group_closure_required(self):
-        with pytest.raises(ValueError):
-            DiscreteEnsemble(elements=((0,), (1,)), q=3, dimension=1,
-                             num_users=3)
+    @staticmethod
+    def faulty_codebook(monkeypatch, rows):
+        # an internal fault: ``codebook`` returns ``rows`` for every pair
+        monkeypatch.setattr(lsl.leakage, "codebook",
+                            lambda pair: np.array(rows, dtype=np.int64))
+
+    def test_group_closure_required(self, monkeypatch):
+        # two rows of the q=2 box, but (1, 0) + (0, 1) = (1, 1) is no row
+        self.faulty_codebook(monkeypatch, [[1, 0], [0, 1]])
+        with pytest.raises(InvariantViolationError, match="not closed"):
+            DiscreteEnsemble(make_construction_a_pair(2, 2, [(1, 1)]), 3)
 
     def test_construction_a_quotient(self):
-        ens = DiscreteEnsemble.from_pair(
-            make_construction_a_pair(2, 2, [(1, 1)]), 3)
+        ens = DiscreteEnsemble(make_construction_a_pair(2, 2, [(1, 1)]), 3)
         assert ens.size == 2
-        assert ens.rate_per_dim == pytest.approx(0.5)
-        target = (3 - 2) * 2 * ens.rate_per_dim
+        assert ens.pair.rate_per_dim == pytest.approx(0.5)
+        target = (3 - 2) * 2 * ens.pair.rate_per_dim
         assert conditional_entropy_given_modsum(ens) == pytest.approx(
             target, abs=1e-12)
 
-    def test_duplicate_elements_rejected(self):
-        with pytest.raises(ValueError):
-            DiscreteEnsemble(elements=((0,), (0,)), q=2, dimension=1,
-                             num_users=3)
+    def test_duplicate_elements_rejected(self, monkeypatch):
+        # two equal rows stand for the M = 2 elements: one is missing
+        self.faulty_codebook(monkeypatch, [[0], [0]])
+        with pytest.raises(InvariantViolationError, match="not closed"):
+            DiscreteEnsemble(make_cubic_pair(2, 1), 3)
 
-    @pytest.mark.parametrize("elements,dimension", [
-        (((0, 0), (1, 1)), 1),   # longer than the dimension
-        (((0, 0), (1, 1)), 3),   # shorter than the dimension
-        (((0,), (1, 1)), 1),     # ragged
-        (((0.5,), (1,)), 1),     # not integers
-        (((2 ** 70,), (1,)), 1),  # past int64
-        (([0], [1]), 1),         # not tuples
-    ])
-    def test_malformed_elements_rejected(self, elements, dimension):
-        with pytest.raises(ValueError, match="integer tuples"):
-            DiscreteEnsemble(elements=elements, q=2, dimension=dimension,
-                             num_users=3)
+    def test_closure_fault_exits_3(self, monkeypatch, capsys):
+        self.faulty_codebook(monkeypatch, [[0], [0], [0]])
+        assert main(["leakage", "--q", "3"]) == 3
+        assert capsys.readouterr().err == (
+            "internal invariant violation: codebook is not closed under "
+            "mod-q addition\n")
 
-    def test_dimension_must_be_positive(self):
-        with pytest.raises(ValueError):
-            DiscreteEnsemble(elements=((),), q=2, dimension=0, num_users=3)
+    def test_needs_three_users(self):
+        with pytest.raises(ValueError, match="at least 3 users"):
+            DiscreteEnsemble(make_cubic_pair(2, 1), 2)
 
 
 class TestSharedTally:
     def test_ops_reuse_the_ensemble_tallies(self):
-        ens = DiscreteEnsemble.from_pair(make_cubic_pair(3, 2), 4)
+        ens = DiscreteEnsemble(make_cubic_pair(3, 2), 4)
         pair_sums = ens._sum_counts(2)  # already built by the closure check
         conditional_entropy_given_modsum(ens)
         triple_sums = ens._sum_counts(3)
@@ -296,17 +290,20 @@ class TestSharedTally:
             assert not array.flags.writeable
 
     def test_elements_become_one_int64_array(self):
-        ens = DiscreteEnsemble.from_pair(make_cubic_pair(3, 2), 4)
-        assert ens._coords.dtype == np.int64
-        assert not ens._coords.flags.writeable
-        assert ens._coords.tolist() == [list(e) for e in ens.elements]
+        pair = make_cubic_pair(3, 2)
+        ens = DiscreteEnsemble(pair, 4)
+        assert ens.elements.dtype == np.int64
+        assert not ens.elements.flags.writeable
+        assert np.array_equal(ens.elements, codebook(pair))
+        assert ens.elements is ens.elements  # built once
+        assert (ens.q, ens.dimension, ens.size) == (3, 2, 9)
         # the one-element tally is that array, row for row
-        assert ens._sum_counts(1)[0].tolist() == ens._coords.tolist()
+        assert ens._sum_counts(1)[0].tolist() == ens.elements.tolist()
 
     def test_tallies_do_not_change_identity(self):
-        used = DiscreteEnsemble.from_pair(make_cubic_pair(3, 2), 4)
+        used = DiscreteEnsemble(make_cubic_pair(3, 2), 4)
         leakage_bound_check(used)
-        fresh = DiscreteEnsemble.from_pair(make_cubic_pair(3, 2), 4)
+        fresh = DiscreteEnsemble(make_cubic_pair(3, 2), 4)
         assert used == fresh and hash(used) == hash(fresh)
         assert repr(used) == repr(fresh)
 
@@ -370,11 +367,11 @@ def printed(values):
 
 def enumerated_row(k, q, n):
     """The row's columns from the whole N-dimensional ensemble."""
-    ens = DiscreteEnsemble.from_pair(make_cubic_pair(q, n), k)
+    ens = DiscreteEnsemble(make_cubic_pair(q, n), k)
     h_cond = conditional_entropy_given_modsum(ens)
-    target = (k - 2) * ens.dimension * ens.rate_per_dim
+    target = (k - 2) * ens.dimension * ens.pair.rate_per_dim
     check = leakage_bound_check(ens)
-    return (ens.size, ens.rate_per_dim, h_cond, target,
+    return (ens.size, ens.pair.rate_per_dim, h_cond, target,
             abs(h_cond - target) <= 1e-12, chain_conditional_entropy(ens, 1),
             chain_conditional_entropy(ens, k - 1), check.leakage,
             check.bound, check.modsum_entropy, check.index_entropy,
@@ -427,7 +424,7 @@ class TestCubicRow:
 
     def test_construction_a_row_is_the_whole_tally(self):
         pair = make_construction_a_pair(3, 4, [(1, 0, 1, 1), (0, 1, 1, 2)])
-        ens = DiscreteEnsemble.from_pair(pair, 4)
+        ens = DiscreteEnsemble(pair, 4)
         row = leakage_row(pair, 4)
         check = leakage_bound_check(ens)
         assert row.M == ens.size == 9

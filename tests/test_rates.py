@@ -55,7 +55,8 @@ def random_very_strong_config(rng):
     cfg = SystemConfig(K=k, P=p, a=a)
     check = very_strong_interference(cfg)
     if not check.satisfied:
-        factor = 1.01 * check.threshold / check.a_j * rng.uniform(1.0, 3.0)
+        a_j = cfg.a[check.j_star - 1]
+        factor = 1.01 * check.threshold / a_j * rng.uniform(1.0, 3.0)
         cfg = SystemConfig(K=k, P=p, a=tuple(g * factor for g in a))
         assert very_strong_interference(cfg).satisfied
     return cfg
@@ -204,7 +205,8 @@ class TestSymmetricClosedForms:
         cfg = SystemConfig(K=k, P=(p_min,) * (k - 1) + (p_k,),
                            a=(gain,) * (k - 1))
         assert gain >= 1.05 * (p_k + 1.0)
-        interferer = rate_split(cfg).interferer_total
+        # the K-1 confidential rates r_e telescope to the interferer part
+        interferer = (k - 1) * rate_split(cfg).r_e
         assert interferer_sum_rate(k, p_min) == pytest.approx(
             interferer, rel=1e-12, abs=1e-12)
         assert achievable_sum_rate(k, p_min, p_k) == pytest.approx(
@@ -268,8 +270,6 @@ class TestThresholds:
 class TestMmse:
     def test_example_values(self):
         m = mmse_coefficients(default_config())
-        assert m.p_x == pytest.approx(11 / 120, rel=1e-12)
-        assert m.p_n == 2.0
         assert m.alpha == pytest.approx(2 / (2 + 11 / 120), rel=1e-12)
         assert m.alpha == pytest.approx(0.95618, abs=1e-5)
         assert m.effective_noise_var == pytest.approx(0.0876494, abs=1e-7)
@@ -281,7 +281,9 @@ class TestMmse:
         for _ in range(20):
             cfg = random_very_strong_config(rng)
             m = mmse_coefficients(cfg)
-            objective = (grid - 1.0) ** 2 * m.p_n + grid ** 2 * m.p_x
+            # wanted power p_n = K-1, the rest p_x = (P_K+1)/P
+            p_n, p_x = cfg.K - 1, (cfg.p_k + 1.0) / cfg.p_aligned
+            objective = (grid - 1.0) ** 2 * p_n + grid ** 2 * p_x
             best = grid[np.argmin(objective)]
             assert abs(m.alpha - best) <= 1e-6
             assert m.effective_noise_var == pytest.approx(
@@ -335,8 +337,6 @@ class TestRateSplit:
         split = rate_split(default_config())
         assert split.r_x == pytest.approx((C10 + 1) / 2, rel=1e-12)
         assert split.r_e == pytest.approx(C10 - (C10 + 1) / 2, rel=1e-12)
-        assert split.interferer_total == pytest.approx(2 * split.r_e,
-                                                       rel=1e-12)
         assert split.feasible
 
     def test_telescoping_identity(self):

@@ -96,7 +96,7 @@ def embed(pair, coords):
 class TestEncoding:
     def test_zero_codeword_zero_dither(self):
         scheme = default_scheme()
-        origin = np.flatnonzero(~scheme.interferer_leaders.any(axis=1))[0]
+        origin = np.flatnonzero(~scheme.leaders.any(axis=1))[0]
         u, x = encode_interferer(scheme, [origin, origin], np.zeros((2, 2)))
         assert np.all(x == 0.0) and np.all(u == 0.0)
         assert np.all(encode_user_k(scheme, origin, np.zeros(2))[1] == 0.0)
@@ -105,7 +105,7 @@ class TestEncoding:
         scheme = default_scheme()
         rng = np.random.default_rng(42)
         n = scheme.dimension
-        coarse = scheme.interferer_pair.coarse
+        coarse = scheme.pair.coarse
         # user 1's 20,000 dithers, then user 2's, as sequential draws
         dithers = np.stack([draw_dithers(coarse, rng, 20_000)
                             for _ in (1, 2)], axis=1)
@@ -116,7 +116,7 @@ class TestEncoding:
             assert np.mean(powers[:, user - 1]) == pytest.approx(target,
                                                                  rel=0.01)
             assert target <= scheme.config.P[user - 1] + 1e-12
-        d_k = draw_dithers(scheme.user_k_pair.coarse, rng, 20_000)
+        d_k = draw_dithers(scheme.pair.coarse, rng, 20_000)
         _, x_k = encode_user_k(scheme, np.ones(20_000, dtype=int), d_k)
         powers_k = np.sum(x_k ** 2, axis=-1) / n
         assert np.mean(powers_k) == pytest.approx(scheme.config.p_k, rel=0.01)
@@ -124,13 +124,13 @@ class TestEncoding:
     def test_alignment_exact_algebra(self):
         # every interferer arrives at receiver K with amplitude sqrt(P)
         scheme = default_scheme()
-        pair = scheme.interferer_pair
+        pair = scheme.pair
         rng = np.random.default_rng(7)
         d = draw_dithers(pair.coarse, rng, 2)
         u, x = encode_interferer(scheme, [2, 2], d)
         for user in (1, 2):
             expected_u = mod_lattice(
-                pair.coarse, embed(pair, scheme.interferer_leaders[2])
+                pair.coarse, embed(pair, scheme.leaders[2])
                 + d[user - 1])
             assert np.array_equal(u[user - 1], expected_u)
             arrived = math.sqrt(scheme.config.a[user - 1]) * x[user - 1]
@@ -140,11 +140,11 @@ class TestEncoding:
 
     def test_rejects_index_or_user_out_of_range(self):
         scheme = default_scheme()
-        m = len(scheme.interferer_leaders)
+        m = len(scheme.leaders)
         for bad in ([0, m], [-1, 0], [[0, 1], [2, m + 5]]):
             with pytest.raises(ValueError):
                 encode_interferer(scheme, bad, np.zeros(np.shape(bad) + (2,)))
-        for bad in (len(scheme.user_k_leaders), -1, [0, -2]):
+        for bad in (len(scheme.leaders), -1, [0, -2]):
             with pytest.raises(ValueError):
                 encode_user_k(scheme, bad, np.zeros(np.shape(bad) + (2,)))
         # the user axis must hold all K-1 = 2 links: a length-1 axis
@@ -180,33 +180,30 @@ class TestEncoding:
 
     def test_leaders_are_the_codebook(self):
         for scheme in (default_scheme(q=3, dim=2), coded_benchmark_scheme()):
-            for pair, leaders in (
-                    (scheme.interferer_pair, scheme.interferer_leaders),
-                    (scheme.user_k_pair, scheme.user_k_leaders)):
-                assert leaders.dtype == np.int64
-                assert not leaders.flags.writeable
-                assert np.array_equal(leaders, codebook(pair))
+            assert scheme.leaders.dtype == np.int64
+            assert not scheme.leaders.flags.writeable
+            assert np.array_equal(scheme.leaders, codebook(scheme.pair))
 
 
 class TestChannel:
     def test_noiseless_identity(self):
         scheme = default_scheme()
-        pair = scheme.interferer_pair
+        pair = scheme.pair
         rng = np.random.default_rng(3)
         idx = [1, 3]
         dithers = draw_dithers(pair.coarse, rng, 2)
         _, signals = encode_interferer(scheme, idx, dithers)
-        d_k = draw_dithers(scheme.user_k_pair.coarse, rng)
+        d_k = draw_dithers(scheme.pair.coarse, rng)
         _, signal_k = encode_user_k(scheme, 2, d_k)
         direct, _, y_k = apply_channel(scheme, signals, signal_k,
                                        np.zeros((3, 2)))
         for x, y in zip(signals, direct):
             assert np.array_equal(x, y)
         us = [mod_lattice(pair.coarse,
-                          embed(pair, scheme.interferer_leaders[i]) + d)
+                          embed(pair, scheme.leaders[i]) + d)
               for i, d in zip(idx, dithers)]
-        u_k = mod_lattice(scheme.user_k_pair.coarse,
-                          embed(scheme.user_k_pair, scheme.user_k_leaders[2])
+        u_k = mod_lattice(scheme.pair.coarse,
+                          embed(scheme.pair, scheme.leaders[2])
                           + d_k)
         expected = math.sqrt(scheme.aligned_power) * (us[0] + us[1]) \
             + math.sqrt(scheme.config.p_k) * u_k
@@ -238,12 +235,12 @@ class TestDecoding:
         # zero channel noise: every stage recovers every codeword combo,
         # on a cubic pair and on the campaign-coded Construction-A pair
         for scheme in (default_scheme(q=2, dim=1), coded_benchmark_scheme()):
-            pair = scheme.interferer_pair
-            leaders = scheme.interferer_leaders
+            pair = scheme.pair
+            leaders = scheme.leaders
             rng = np.random.default_rng(5)
             combos = np.array(list(itertools.product(
                 range(len(leaders)), range(len(leaders)),
-                range(len(scheme.user_k_leaders)))))
+                range(len(scheme.leaders)))))
             idx, idx_k = combos[:, :2], combos[:, 2]
             # per combo: both interferer dithers, then user K's
             drawn = draw_dithers(pair.coarse, rng, len(combos), 3)
@@ -261,14 +258,14 @@ class TestDecoding:
                                       pair.reduce(leaders[t1] + leaders[t2]))
             residual = subtract_interference(scheme, y_k, s_hat, dithers)
             assert np.array_equal(decode_user_k(scheme, residual, d_k),
-                                  scheme.user_k_leaders[idx_k])
+                                  scheme.leaders[idx_k])
 
     def test_mod_sum_collapse_with_unit_alpha(self):
         # zero dither, zero noise, silent user K: folding y_K/sqrt(P)
         # directly (alpha = 1) returns the folded codeword sum exactly
         scheme = default_scheme(q=2, dim=2)
-        pair = scheme.interferer_pair
-        leaders = scheme.interferer_leaders
+        pair = scheme.pair
+        leaders = scheme.leaders
         for t1 in range(2):
             for t2 in range(2, len(leaders)):
                 _, signals = encode_interferer(scheme, [t1, t2],
@@ -284,15 +281,15 @@ class TestDecoding:
 
     def test_residual_equals_unwrapped_value(self):
         scheme = default_scheme(q=2, dim=2)
-        pair = scheme.interferer_pair
-        leaders = scheme.interferer_leaders
+        pair = scheme.pair
+        leaders = scheme.leaders
         rng = np.random.default_rng(8)
         hits = 0
         for _ in range(200):
             idx = rng.integers(0, 4, size=2)
             t_k = rng.integers(0, 4)
             dithers = draw_dithers(pair.coarse, rng, 2)
-            d_k = draw_dithers(scheme.user_k_pair.coarse, rng)
+            d_k = draw_dithers(scheme.pair.coarse, rng)
             _, signals = encode_interferer(scheme, idx, dithers)
             _, signal_k = encode_user_k(scheme, t_k, d_k)
             noise = rng.standard_normal((3, 2))
@@ -301,9 +298,9 @@ class TestDecoding:
             s_true = pair.reduce(leaders[idx[0]] + leaders[idx[1]])
             if not np.array_equal(s_hat, s_true):
                 continue
-            u_k = mod_lattice(scheme.user_k_pair.coarse,
-                              embed(scheme.user_k_pair,
-                                    scheme.user_k_leaders[t_k]) + d_k)
+            u_k = mod_lattice(scheme.pair.coarse,
+                              embed(scheme.pair,
+                                    scheme.leaders[t_k]) + d_k)
             z_k = y_k - math.sqrt(scheme.config.a[0]) * signals[0] \
                 - math.sqrt(scheme.config.a[1]) * signals[1] - signal_k
             unwrapped = scheme.gamma * u_k \
@@ -330,7 +327,7 @@ class TestDecoding:
         scheme = Scheme.for_config(cfg, make_cubic_pair(2, 1))
         rep = run_campaign(scheme, 10_000, 271)
         rate = sum(rep.direct_error_counts) / (2 * rep.trials)
-        half_cell = scheme.interferer_pair.fine.scale / 2
+        half_cell = scheme.pair.fine.scale / 2
         post_mmse_std = math.sqrt(1.0 / 101.0)
         q_bound = math.erfc(half_cell / post_mmse_std / math.sqrt(2))
         assert q_bound < 1e-3
@@ -353,9 +350,9 @@ STAGES = ("encode_interferer", "encode_user_k", "apply_channel",
 
 @functools.cache
 def stage_schemes():
-    split = Scheme.for_config(SystemConfig(K=4, P=(3, 3, 3, 1), a=(1, 1, 1)),
-                              make_cubic_pair(2, 2), make_cubic_pair(5, 2))
-    return (default_scheme(q=2, dim=2), default_scheme(q=3, dim=3), split,
+    q5 = Scheme.for_config(SystemConfig(K=4, P=(3, 3, 3, 1), a=(1, 1, 1)),
+                           make_cubic_pair(5, 2))
+    return (default_scheme(q=2, dim=2), default_scheme(q=3, dim=3), q5,
             coded_benchmark_scheme(), coded_wrap_scheme(), *unequal_schemes())
 
 
@@ -374,10 +371,10 @@ class TestStages:
         k1 = scheme.config.K - 1
         n = scheme.dimension
         rng = np.random.default_rng(seed)
-        idx = rng.integers(0, len(scheme.interferer_leaders), size=(t, k1))
-        idx_k = rng.integers(0, len(scheme.user_k_leaders), size=t)
-        dithers = draw_dithers(scheme.interferer_pair.coarse, rng, t, k1)
-        d_k = draw_dithers(scheme.user_k_pair.coarse, rng, t)
+        idx = rng.integers(0, len(scheme.leaders), size=(t, k1))
+        idx_k = rng.integers(0, len(scheme.leaders), size=t)
+        dithers = draw_dithers(scheme.pair.coarse, rng, t, k1)
+        d_k = draw_dithers(scheme.pair.coarse, rng, t)
         noise = (np.zeros((t, k1 + 1, n)) if noiseless
                  else rng.standard_normal((t, k1 + 1, n)))
         flags = rng.random((3, t)) < 0.5
@@ -628,11 +625,11 @@ def with_edge_seeds(test):
     return test
 
 
-def literal_draws(seed, m, m_k, k1, n):
+def literal_draws(seed, m, k1, n):
     """run_trial's default_rng call sequence, spelled out."""
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, m, size=k1)
-    idx_k = rng.integers(0, m_k)
+    idx_k = rng.integers(0, m)
     uniforms = [rng.random(n) for _ in range(k1 + 1)]
     noise = [rng.standard_normal(n) for _ in range(k1 + 1)]
     return idx, idx_k, uniforms, noise
@@ -700,29 +697,26 @@ class TestReplayDraws:
         assert pcg64_ints(after) == bit_gen.state["state"]
 
     # failed_tables: the ziggurat read-off failed its self-check, so that
-    # every row off the "all" path redraws its normals on the per-row path
+    # every stepped row redraws its normals on the per-row path
     @pytest.mark.parametrize("failed_tables", [False, True])
     # "wide": trials just past _STEPPED_DRAWS, on the per-row path
     @pytest.mark.parametrize("n", [1, 4, "wide"])
     @pytest.mark.parametrize("k1", [2, 3])
-    @pytest.mark.parametrize("m,m_k,exact", [
+    # two codebook sizes a case, each replayed in turn
+    @pytest.mark.parametrize("m,m2,exact", [
         (4, 4, "none"),
         (9, 16, "none"),
         # numpy rejects and redraws about one index in four (m) and one
-        # in two (m_k) here, so some rows take the exact replay
+        # in two (m2) here, so some rows take the exact replay
         (3 * 2**30, 2**31 + 1, "some"),
-        # sizes outside [2, 2^32): every row takes the exact replay
-        (4, 1, "all"),
-        (2**32, 5, "all"),
     ])
-    def test_replay_equals_default_rng(self, monkeypatch, m, m_k, exact,
+    def test_replay_equals_default_rng(self, monkeypatch, m, m2, exact,
                                        k1, n, failed_tables):
         import lsl.simulate
         stepped = n != "wide"
         if not stepped:
             n = lsl.simulate._STEPPED_DRAWS // (k1 + 1) + 1
         seeds = list(EDGE_SEEDS) + [derive_trial_seed(7, i) for i in range(40)]
-        expected = [literal_draws(s, m, m_k, k1, n) for s in seeds]
         exact_rows = []
         redrawn = []
         default_rng = np.random.default_rng
@@ -736,27 +730,34 @@ class TestReplayDraws:
                 redrawn.extend(rows)
             _row_draws(state, rows, raw, normals)
 
-        monkeypatch.setattr(np.random, "default_rng", counting_rng)
         monkeypatch.setattr(lsl.simulate, "_row_draws", counting_row_draws)
         if failed_tables:
             monkeypatch.setattr(lsl.simulate, "_ziggurat", lambda: (
                 np.zeros(256), np.zeros(256, dtype=np.uint64)))
-        idx, uniforms, noise = _replay_draws(seeds, m, m_k, k1, n)
-        assert exact == {0: "none", len(seeds): "all"}.get(len(exact_rows),
-                                                           "some")
-        if exact != "all" and stepped and failed_tables:
-            assert sorted(redrawn) == list(range(len(seeds)))
-        elif exact != "all" and n == 4:
-            # at 12 or 16 normals a trial, about one row in eight leaves
-            # the ziggurat's fast path and redraws its normals
-            assert redrawn
-        assert idx.dtype == np.int64 and idx.shape == (len(seeds), k1 + 1)
-        assert uniforms.shape == noise.shape == (len(seeds), k1 + 1, n)
-        for i, (e_idx, e_idx_k, e_uni, e_noise) in enumerate(expected):
-            assert np.array_equal(idx[i, :k1], e_idx)
-            assert idx[i, k1] == e_idx_k
-            assert np.array_equal(uniforms[i], np.stack(e_uni))
-            assert np.array_equal(noise[i], np.stack(e_noise))
+        for size in dict.fromkeys((m, m2)):
+            expected = [literal_draws(s, size, k1, n) for s in seeds]
+            exact_rows.clear()
+            redrawn.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(np.random, "default_rng", counting_rng)
+                idx, uniforms, noise = _replay_draws(seeds, size, k1, n)
+            # a row takes the exact replay only where numpy rejected
+            assert exact == ("some" if exact_rows else "none")
+            assert len(exact_rows) < len(seeds)
+            if stepped and failed_tables:
+                assert sorted(redrawn) == list(range(len(seeds)))
+            elif n == 4:
+                # at 12 or 16 normals a trial, about one row in eight
+                # leaves the ziggurat's fast path and redraws its normals
+                assert redrawn
+            assert idx.dtype == np.int64
+            assert idx.shape == (len(seeds), k1 + 1)
+            assert uniforms.shape == noise.shape == (len(seeds), k1 + 1, n)
+            for i, (e_idx, e_idx_k, e_uni, e_noise) in enumerate(expected):
+                assert np.array_equal(idx[i, :k1], e_idx)
+                assert idx[i, k1] == e_idx_k
+                assert np.array_equal(uniforms[i], np.stack(e_uni))
+                assert np.array_equal(noise[i], np.stack(e_noise))
 
 
 @pytest.fixture
@@ -804,10 +805,10 @@ class TestZiggurat:
             _row_draws(state, rows, raw, normals)
 
         monkeypatch.setattr(lsl.simulate, "_row_draws", counting_row_draws)
-        idx, uniforms, noise = _replay_draws(seeds, 9, 16, 2, 2)
+        idx, uniforms, noise = _replay_draws(seeds, 9, 2, 2)
         assert sorted(redrawn) == list(range(len(seeds)))
         for i, seed in enumerate(seeds):
-            e_idx, e_idx_k, e_uni, e_noise = literal_draws(seed, 9, 16, 2, 2)
+            e_idx, e_idx_k, e_uni, e_noise = literal_draws(seed, 9, 2, 2)
             assert np.array_equal(idx[i], [*e_idx, e_idx_k])
             assert np.array_equal(uniforms[i], np.stack(e_uni))
             assert np.array_equal(noise[i], np.stack(e_noise))
