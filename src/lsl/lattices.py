@@ -41,8 +41,16 @@ ENUMERATION_CAP = 1 << 16
 
 
 def _round_half_down(t):
-    """Nearest integer per entry, halves rounded toward -inf."""
-    return np.ceil(np.asarray(t, dtype=float) - 0.5).astype(np.int64)
+    """Nearest integer per entry as a float, halves rounded toward -inf.
+
+    ``t - 0.5`` can round down onto the integer below a value just over a
+    half (-0.49999999999999994 - 0.5 gives -1.0); ``t > r + 0.5``
+    compares exactly and steps such an entry back up.
+    """
+    t = np.asarray(t, dtype=float)
+    r = np.ceil(t - 0.5)
+    r += t > r + 0.5
+    return r
 
 
 def _centered_mod(v, q):
@@ -222,19 +230,20 @@ def nearest_coords(lat: Lattice, x) -> np.ndarray:
     per coordinate.  Construction-A scans the q^k codeword cosets, takes
     the best representative of each, and keeps a running best, so the
     result is globally nearest and memory stays at a few (..., N) arrays.
-    Within an ulp of a coset boundary, float rounding may pick a point an
-    ulp farther than the exact nearest; every row gets the same answer
-    whatever batch it is in.
+    Every row gets the same answer whatever batch it is in.
     """
     u = _check_vector(lat, x) / lat.scale
     if lat.family == CUBIC:
-        return _round_half_down(u)
+        return _round_half_down(u).astype(np.int64)
     q = lat.modulus
     best = np.zeros(u.shape, dtype=np.int64)
     best_d2 = np.full(u.shape[:-1], np.inf)
     for c in lat.codewords:
         carr = np.asarray(c, dtype=np.int64)
-        v = carr + q * _round_half_down((u - carr) / q)
+        v = carr + q * _round_half_down((u - carr) / q).astype(np.int64)
+        # (u - c)/q can round across a half-integer near a coset boundary:
+        # step v by q where u_j - v_j leaves (-q/2, q/2], compared exactly
+        v = v + q * ((u > v + q / 2).astype(np.int64) - (u <= v - q / 2))
         d2 = np.sum((u - v) ** 2, axis=-1)
         differs = v != best
         first = np.argmax(differs, axis=-1)[..., None]
@@ -261,7 +270,7 @@ def mod_lattice(lat: Lattice, x) -> np.ndarray:
     if lat.family == CUBIC:
         # Same arithmetic as nearest_coords, without the integer cast.
         s = lat.scale
-        return x - s * np.ceil(x / s - 0.5)
+        return x - s * _round_half_down(x / s)
     return x - lat.scale * nearest_coords(lat, x)
 
 

@@ -25,32 +25,27 @@ a (..., K-1, N) stack, and a decoder returns centered leader coordinates
 of shape (..., N).  The user axis is an ordinary batch axis: no stage
 loops over users in Python.
 
-Reproducibility: per-trial seeds are SHA-256 hashes of
-``"{master_seed}:{trial_index}"`` (first 8 big-endian digest bytes).
-``run_trial`` is the single-trial reference: it draws through
-``np.random.default_rng(trial_seed)`` and calls the stages on one trial.
-``run_campaign`` runs one vectorized engine for cubic and Construction-A
-pairs alike: it replays the same draws without building a generator per
-trial, then calls the same stages on (trials, ...) arrays, so its
-reports are bit-identical to folding ``run_trial``.  A chunk holds
-``CHUNK_DRAWS`` draws whatever K and N, and is folded as it finishes.
-
-The replay (``_replay_draws``) hashes a chunk's seeds in one pass and
-mirrors numpy's SeedSequence and PCG64 seeding on the whole chunk.  Up to
-``_STEPPED_DRAWS`` = 32 draws (K*N) a trial, it steps every trial's PCG64
-in numpy uint64 arithmetic, word by word (O'Neill, "PCG", 2014), and
-turns each normal's word into numpy's ziggurat fast-path value (Marsaglia
-& Tsang, JSS 2000) with numpy's own tables, read off
-``Generator.standard_normal`` once per process (``_ziggurat``).  A row
-with a normal off the fast path, about 1.5% of normals, redraws its
-normals on one reused PCG64.  Wider trials take that per-row path for
-all their draws: a stepped word costs about 0.15 us a trial, a per-row
-state set about 6 us, and a noisy trial reads about 2*K*N words.
+Reproducibility (draw contract v2): every draw of a campaign comes from
+Philox4x32-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+3", SC'11), written in numpy uint64 arithmetic.  The key is set once per
+campaign: the master seed when it lies in [0, 2^64), else the first 8
+bytes of its SHA-256.  Trial i's block b is the counter (i lo32, i hi32,
+b, 0), so a trial is replayed from (master seed, i) alone.  A trial's
+words give, in order: K codewords of log_q(M) digits mod q (Lemire's
+multiply-high with rejection), K*N 53-bit dither uniforms, and K*N
+channel normals by Box-Muller; ``_draws`` states the rule exactly.
+One draw function, ``_codeword_draws``, serves ``run_campaign`` on each
+chunk's trial range and ``run_trial``, the single-trial reference, on
+one row; both call the same stages, so the campaign's reports are
+bit-identical to folding ``run_trial``.  A chunk holds ``CHUNK_DRAWS``
+draws whatever K and N, and is folded as it finishes.  The normals go
+through numpy's SIMD log, cos and sin, so the per-trial floats are
+reproducible on one machine; the CSV's counts and six-decimal means are
+the portable contract.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -75,32 +70,17 @@ _WILSON_Z95 = 1.959963984540054
 #: chunk is max(1, CHUNK_DRAWS // (K*N)) trials.
 CHUNK_DRAWS = 1 << 15
 
-# SeedSequence's hash constants (numpy/random/bit_generator.pyx) and the
-# multiplier of PCG64's 128-bit LCG (numpy/random/src/pcg64/pcg64.h).
-_INIT_A = 0x43B0D7E5
-_MULT_A = 0x931E8875
-_INIT_B = 0x8B51F9DD
-_MULT_B = 0x58F38DED
-_MIX_MULT_L = 0xCA01F9DD
-_MIX_MULT_R = 0x4973F715
-_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+# Philox4x32-10's round multipliers and Weyl key increments, as in
+# Random123.
+_PHILOX_MULT = (0xD2511F53, 0xCD9E8D57)
+_PHILOX_WEYL = (0x9E3779B9, 0xBB67AE85)
+_PHILOX_ROUNDS = 10
 _MASK32 = (1 << 32) - 1
-_MASK128 = (1 << 128) - 1
 
-# The same constants as uint64 words and shift counts: with numpy 1.24's
-# value-based casting a Python int operand could widen a uint64 array.
-_1, _8, _9, _32, _58, _63, _64 = map(np.uint64, (1, 8, 9, 32, 58, 63, 64))
+# uint64 constants and shift counts: with numpy 1.24's value-based
+# casting a Python int operand could widen a uint64 array.
 _LO32 = np.uint64(_MASK32)
-_BYTE = np.uint64(0xFF)
-_MANTISSA = np.uint64((1 << 52) - 1)
-_MULT_HI = np.uint64(_PCG64_MULT >> 64)
-_MULT_LO = np.uint64(_PCG64_MULT & ((1 << 64) - 1))
-_MULT_LO0, _MULT_LO1 = _MULT_LO & _LO32, _MULT_LO >> _32
-
-#: Widest trial, in draws (K*N), whose PCG64 words are stepped in numpy
-#: over the whole chunk; wider trials set one reused PCG64 per row.  The
-#: two paths cost the same near K*N = 32 (measured on 2 cores, numpy 2.4).
-_STEPPED_DRAWS = 32
+_11, _32 = np.uint64(11), np.uint64(32)
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,39 +345,128 @@ def classify_events(mod_sum_correct, residual_unwrapped, user_k_correct):
     return e1, e2, e3
 
 
-def derive_trial_seed(master_seed: int, index: int) -> int:
-    """Stable per-trial seed: SHA-256 of "master:index", first 8 bytes."""
-    digest = hashlib.sha256(f"{master_seed}:{index}".encode()).digest()
+def _campaign_key(master_seed: int) -> int:
+    """The campaign's Philox key: the master seed itself when it lies in
+    [0, 2^64), else the first 8 bytes (big-endian) of the SHA-256 of its
+    decimal string."""
+    if 0 <= master_seed < 1 << 64:
+        return master_seed
+    digest = hashlib.sha256(str(master_seed).encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 
-def _trial_seeds(master_seed: int, lo: int, hi: int) -> np.ndarray:
-    """``derive_trial_seed(master_seed, i)`` for i in [lo, hi), in one pass,
-    as a uint64 array."""
-    prefix = b"%d:" % master_seed
-    digests = b"".join([hashlib.sha256(prefix + b"%d" % i).digest()[:8]
-                        for i in range(lo, hi)])
-    return np.frombuffer(digests, dtype=">u8").astype(np.uint64)
+def derive_trial_seed(master_seed: int, index: int) -> tuple[int, int]:
+    """Trial ``index``'s origin under draw contract v2: the pair
+    (campaign key, index) that ``run_trial`` draws from."""
+    if not 0 <= index < 1 << 64:
+        raise ValueError("trial index must lie in [0, 2^64)")
+    return _campaign_key(master_seed), index
 
 
-def run_trial(scheme: Scheme, trial_seed: int) -> TrialOutcome:
+def _philox(key: int, counter) -> np.ndarray:
+    """Philox4x32-10 under ``key``'s (lo32, hi32) words of ``counter``,
+    four uint64 arrays of 32-bit words that broadcast together; returns
+    the four output words on a last axis.  Each 32x32-bit product fits
+    in a uint64, so no step needs a wider multiply."""
+    m0, m1 = map(np.uint64, _PHILOX_MULT)
+    c0, c1, c2, c3 = np.broadcast_arrays(*counter)
+    for r in range(_PHILOX_ROUNDS):
+        k0, k1 = (np.uint64((word + r * weyl) & _MASK32) for word, weyl in
+                  zip((key & _MASK32, key >> 32), _PHILOX_WEYL))
+        # one word at a time, so that few chunk-sized arrays live at once
+        p0, p1 = c0 * m0, c2 * m1
+        c0 = (p1 >> _32) ^ c1 ^ k0
+        c2 = (p0 >> _32) ^ c3 ^ k1
+        c1, c3 = p1 & _LO32, p0 & _LO32
+    return np.stack((c0, c1, c2, c3), axis=-1)
+
+
+def _trial_blocks(key: int, trial, block) -> np.ndarray:
+    """The words of counter blocks (trial lo32, trial hi32, block, 0), for
+    uint64 ``trial`` and ``block`` arrays that broadcast together."""
+    return _philox(key, (trial & _LO32, trial >> _32, block, np.uint64(0)))
+
+
+def _draws(key: int, lo: int, hi: int, q: int, digits: int, users: int,
+           n: int):
+    """The draws of trials [lo, hi) under draw contract v2.
+
+    Returns ``(digits, uniforms, normals)`` of shapes (rows, users,
+    digits), (rows, users, n) and (rows, users, n): digits in [0, q),
+    uniforms in [0, 1) and standard normals.  Row r reads trial lo + r's
+    words, block by block (``_trial_blocks``), in this order: the digits,
+    the uniforms, then the normals' uniforms.  A digit is (w*q) >> 32, unless
+    (w*q) mod 2^32 < 2^32 mod q (Lemire); a rejected digit, in the
+    trial's digit order, takes word 0 of the trial's next unused block,
+    from the first block past those words, until it is accepted.  A
+    uniform is ((a*2^32 + b) >> 11) * 2^-53 for its two words (a, b).
+    Box-Muller turns the uniforms (u, v) of normal pair p into normals 2p
+    and 2p + 1, sqrt(-2 ln(1-u)) times cos and sin of 2 pi v; the last
+    sine is dropped when users*n is odd.  Every array np.log, np.cos or
+    np.sin reads is contiguous, so a trial's floats do not depend on the
+    rows drawn with it.
+    """
+    rows, size, draws = hi - lo, users * digits, users * n
+    pairs = (draws + 1) // 2
+    end = size + 2 * draws + 4 * pairs
+    blocks = -(-end // 4)
+    trials = np.uint64(lo) + np.arange(rows, dtype=np.uint64)
+    words = _trial_blocks(key, trials[:, None],
+                          np.arange(blocks, dtype=np.uint64)).reshape(rows, -1)
+    mult = np.uint64(q)
+    threshold = np.uint64((1 << 32) % q)
+    product = words[:, :size] * mult
+    coded = (product >> _32).astype(np.int64)
+    next_block = {}
+    for r, j in np.argwhere((product & _LO32) < threshold).tolist():
+        block = next_block.get(r, blocks)
+        word = np.uint64(0)  # rejected, as threshold > 0 here
+        while word * mult & _LO32 < threshold:
+            word = _trial_blocks(key, np.uint64(lo + r), np.uint64(block))[0]
+            block += 1
+        next_block[r] = block
+        coded[r, j] = int(word * mult >> _32)
+    halves = words[:, size:end].reshape(rows, -1, 2)
+    uniforms = ((halves[..., 0] << _32 | halves[..., 1]) >> _11) * 2.0 ** -53
+    radius = np.sqrt(-2.0 * np.log(1.0 - uniforms[:, draws::2]))
+    angle = 2.0 * math.pi * uniforms[:, draws + 1::2]
+    normals = np.stack([radius * np.cos(angle), radius * np.sin(angle)], -1)
+    return (coded.reshape(rows, users, digits),
+            uniforms[:, :draws].reshape(rows, users, n),
+            normals.reshape(rows, -1)[:, :draws].reshape(rows, users, n))
+
+
+def _codeword_draws(scheme: Scheme, key: int, lo: int, hi: int):
+    """``_draws`` of trials [lo, hi) for ``scheme``: the (rows, K) codeword
+    indices, each its digits' mixed-radix value, most significant first,
+    into ``scheme.leaders``, then the dither uniforms and the channel
+    normals, interferers first and user K last.  A codeword has log_q(M)
+    digits: M is a power of q."""
+    q = scheme.pair.q
+    d = round(math.log(len(scheme.leaders), q))
+    coded, uniforms, normals = _draws(key, lo, hi, q, d, scheme.config.K,
+                                      scheme.dimension)
+    return coded @ q ** np.arange(d - 1, -1, -1), uniforms, normals
+
+
+def run_trial(scheme: Scheme, trial_seed: tuple[int, int]) -> TrialOutcome:
     """Simulate one block: draw, encode, transmit, decode, classify.
 
-    Draw order (fixed contract): interferer codeword indices, user K
-    codeword index, the dither uniforms in user order (user K last), then
-    the channel noise in the same order.  ``rng.random((K, N))`` and
-    ``standard_normal((K, N))`` read the same stream as one call per user.
+    ``trial_seed`` is ``derive_trial_seed(master_seed, i)``, the pair
+    (key, i); the draws are row i of ``_codeword_draws``, the engine's
+    draw function, in its order: codeword indices, dither uniforms and
+    channel noise, interferers first and user K last.
     """
-    rng = np.random.default_rng(trial_seed)
+    key, i = trial_seed
+    drawn_idx, uniforms, noise = (a[0] for a in _codeword_draws(
+        scheme, key, i, i + 1))
     k = scheme.config.K
     n = scheme.dimension
     pair = scheme.pair
     leaders = scheme.leaders
 
-    idx = rng.integers(0, len(leaders), size=k - 1)
-    idx_k = rng.integers(0, len(leaders))
-    dithers, dither_k = _fold_dithers(scheme, rng.random((k, n)))
-    noise = rng.standard_normal((k, n))
+    idx, idx_k = drawn_idx[:k - 1], drawn_idx[k - 1]
+    dithers, dither_k = _fold_dithers(scheme, uniforms)
 
     u, signals = encode_interferer(scheme, idx, dithers)
     u_k, signal_k = encode_user_k(scheme, idx_k, dither_k)
@@ -432,282 +501,22 @@ def run_trial(scheme: Scheme, trial_seed: int) -> TrialOutcome:
         residual_power=float(np.sum(residual * residual)) / n)
 
 
-def _seed_words(seeds) -> np.ndarray:
-    """``SeedSequence(s).generate_state(4, np.uint64)`` for many seeds.
+def _batch_trial_arrays(scheme: Scheme, key: int, lo: int, hi: int) -> dict:
+    """Vectorized engine: trials [lo, hi) under ``key`` as flat arrays.
 
-    ``seeds`` are integers in [0, 2^64); the result is a (len(seeds), 4)
-    uint64 array.  The entropy words are [lo32, hi32] in a pool of four,
-    padded with hashmix(0) as numpy pads, so seeds below 2^32 (one
-    entropy word) agree as well.  All arithmetic wraps in uint32.
-    """
-    seeds = np.asarray(seeds, dtype=np.uint64)
-
-    def hasher(hash_const, mult):
-        def hashmix(value):
-            nonlocal hash_const
-            value = value ^ np.uint32(hash_const)
-            hash_const = (hash_const * mult) & _MASK32
-            value = value * np.uint32(hash_const)
-            return value ^ (value >> np.uint32(16))
-        return hashmix
-
-    def mix(x, y):
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return result ^ (result >> np.uint32(16))
-
-    hashmix = hasher(_INIT_A, _MULT_A)
-    lo = (seeds & _LO32).astype(np.uint32)
-    hi = (seeds >> _32).astype(np.uint32)
-    zero = np.zeros_like(lo)
-    pool = [hashmix(word) for word in (lo, hi, zero, zero)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-
-    # generate_state runs the same hash over the pool, with its own constants.
-    output = hasher(_INIT_B, _MULT_B)
-    halves = [output(pool[i % 4]).astype(np.uint64) for i in range(8)]
-    # Little-endian pairs of 32-bit words, by shifts: no byte-order views.
-    return np.stack([halves[2 * j] | (halves[2 * j + 1] << _32)
-                     for j in range(4)], axis=-1)
-
-
-def _pcg64_step(state):
-    """One LCG step, ``state*MULT + inc`` mod 2^128, on (hi, lo, inc_hi,
-    inc_lo) uint64 arrays; the increment words pass through unchanged."""
-    hi, lo, inc_hi, inc_lo = state
-    # high word of lo*MULT_LO from 32-bit halves, since numpy has no
-    # 64x64->128 multiply
-    lo0, lo1 = lo & _LO32, lo >> _32
-    p00, p01, p10 = lo0 * _MULT_LO0, lo0 * _MULT_LO1, lo1 * _MULT_LO0
-    mid = (p00 >> _32) + (p01 & _LO32) + (p10 & _LO32)
-    new_lo = lo * _MULT_LO + inc_lo
-    new_hi = (hi * _MULT_LO + lo * _MULT_HI + lo1 * _MULT_LO1 + (p01 >> _32)
-              + (p10 >> _32) + (mid >> _32) + inc_hi + (new_lo < inc_lo))
-    return new_hi, new_lo, inc_hi, inc_lo
-
-
-def _pcg64_seed_state(seeds):
-    """The (hi, lo, inc_hi, inc_lo) state of ``np.random.PCG64(seed)`` for
-    every seed, from ``_seed_words``: with words (w0, w1, w2, w3), the
-    increment is (w2:w3 << 1) | 1 and the state is one step on from
-    inc + w0:w1, as ``pcg_setseq_128_srandom_r`` seeds it."""
-    w0, w1, w2, w3 = _seed_words(seeds).T
-    inc_hi = (w2 << _1) | (w3 >> _63)
-    inc_lo = (w3 << _1) | _1
-    lo = inc_lo + w1
-    return _pcg64_step((inc_hi + w0 + (lo < w1), lo, inc_hi, inc_lo))
-
-
-def _pcg64_words(state, count: int):
-    """The next ``count`` PCG64 outputs of every row of ``state``.
-
-    Each step is an LCG step then the XSL-RR output of the new state
-    (high xor low word, rotated right by the top 6 bits), as numpy's
-    ``random_raw``.  Returns the (rows, count) uint64 words and the state
-    after them.
-    """
-    words = np.empty((count, len(state[0])), dtype=np.uint64)
-    for j in range(count):
-        state = _pcg64_step(state)
-        hi, lo = state[:2]
-        mixed = hi ^ lo
-        rot = hi >> _58
-        words[j] = (mixed >> rot) | (mixed << ((_64 - rot) & _63))
-    return words.T, state
-
-
-def _row_draws(state, rows, raw, normals) -> None:
-    """Per-row draws on one reused PCG64, for each row ``i`` in ``rows``.
-
-    Sets the generator to row i of ``state`` (the (hi, lo, inc_hi,
-    inc_lo) arrays), then fills ``raw[i]`` with raw words, unless ``raw``
-    is None, and ``normals[i]`` with numpy's ``standard_normal``.
-    """
-    rows = np.asarray(rows, dtype=np.intp)
-    if not len(rows):
-        return
-    bit_gen = np.random.PCG64(0)
-    gen = np.random.Generator(bit_gen)
-    inner = {"state": 0, "inc": 0}
-    full = {"bit_generator": "PCG64", "state": inner,
-            "has_uint32": 0, "uinteger": 0}
-    hi, lo, inc_hi, inc_lo = (word[rows].tolist() for word in state)
-    for i, h, l, ih, il in zip(rows.tolist(), hi, lo, inc_hi, inc_lo):
-        inner["state"], inner["inc"] = (h << 64) | l, (ih << 64) | il
-        bit_gen.state = full
-        if raw is not None:
-            raw[i] = bit_gen.random_raw(raw.shape[1])
-        gen.standard_normal(out=normals[i])
-
-
-def _table_normals(words, out, tables) -> np.ndarray:
-    """numpy's ziggurat fast path on whole (rows, count) word arrays.
-
-    A word's low byte is its layer j, bit 8 its sign and the next 52 bits
-    ``rabs``; the normal is ±rabs*wi[j] when rabs < ki[j].  Writes those
-    values to ``out`` and returns, per row, whether every word of the row
-    is under ``tables``' proven bound, so that its row is exact.
-    """
-    wi, bound = tables
-    layer = (words & _BYTE).astype(np.intp)
-    rabs = (words >> _9) & _MANTISSA
-    x = rabs.astype(np.float64) * wi[layer]
-    out[...] = np.where(((words >> _8) & _1).astype(bool), -x, x)
-    return np.all(rabs < bound[layer], axis=1)
-
-
-def _ziggurat_matches_numpy(tables) -> bool:
-    """The self-check of a read-off: 64 fixed rows of 16 table normals
-    equal ``standard_normal`` bit for bit wherever a row is exact."""
-    state = _pcg64_seed_state(np.arange(64))
-    got, want = np.empty((2, 64, 16))
-    exact = _table_normals(_pcg64_words(state, 16)[0], got, tables)
-    _row_draws(state, range(64), None, want)
-    return bool(exact.any()) and np.array_equal(
-        got[exact].view(np.uint64), want[exact].view(np.uint64))
-
-
-@functools.cache
-def _ziggurat():
-    """numpy's normal ziggurat as ``(wi, bound)`` arrays over its 256
-    layers, read off ``Generator.standard_normal`` once per process.
-
-    numpy reads a word: layer j is its low byte, bit 8 the sign and the
-    next 52 bits ``rabs``.  When rabs < ki[j] it returns ±rabs*wi[j] at
-    once (the fast path); otherwise it reads more words.  A probe sets a
-    PCG64 whose next two outputs are chosen words, draws normals, and
-    reads the number of words used off the state afterwards.  Two normals
-    that used two words both took the fast path.  One normal that used
-    at most two words returned rabs*wi[j] as well: a wedge acceptance
-    uses two words and returns that value, the tail of layer 0 at least
-    three.
-
-    wi is read at rabs = 1.  Marsaglia & Tsang's tables have ki[j] =
-    2^52 wi[j-1]/wi[j] for j >= 2, ki[0] = 2^52 wi[255]/wi[0] and
-    ki[1] = 0.  Such a candidate c becomes layer j's bound only once a
-    probe at rabs = c - 1 took the fast path and returned (c-1)*wi[j],
-    which proves that every rabs < c does.  If a probe or the self-check
-    fails, every bound is 0: every normal then counts as off the fast
-    path, and numpy draws each row's normals itself.
-    """
-    bit_gen = np.random.PCG64(0)
-    gen = np.random.Generator(bit_gen)
-    inner = {"state": 0, "inc": 0}
-    full = {"bit_generator": "PCG64", "state": inner,
-            "has_uint32": 0, "uinteger": 0}
-    mult_inv = pow(_PCG64_MULT, -1, 1 << 128)
-
-    def draw(first: int, second: int, count: int):
-        # The states s1 = first and s2 (high half h, low half second ^ h)
-        # output those two words.  h makes the increment odd, so the LCG
-        # has full period and the state after the draw counts the words.
-        h = (first ^ second ^ 1) & 1
-        s2 = (h << 64) | (second ^ h)
-        inc = (s2 - first * _PCG64_MULT) & _MASK128
-        inner["state"] = ((first - inc) * mult_inv) & _MASK128
-        inner["inc"] = inc
-        bit_gen.state = full
-        x = gen.standard_normal(count).tolist()
-        after = bit_gen.state["state"]["state"]
-        return x, {first: 1, s2: 2}.get(after, 0)
-
-    def fast_normals(words):
-        # the normals of ``words`` if each took the fast path, else None
-        padded = words + words[:len(words) % 2]
-        values = []
-        for first, second in zip(padded[::2], padded[1::2]):
-            x, used = draw(first, second, 2)
-            if used != 2:
-                return None
-            values += x
-        return values[:len(words)]
-
-    failed = np.zeros(256), np.zeros(256, dtype=np.uint64)
-    layers = [j for j in range(256) if j != 1]
-    wi = fast_normals([(1 << 9) | j for j in layers])
-    top, used = draw((1 << 9) | 1, 0, 1)
-    if wi is None or not used:
-        return failed
-    wi.insert(1, top[0])
-    bound = [int(2.0 ** 52 * (wi[j - 1] / wi[j])) for j in layers]
-    if fast_normals([((c - 1) << 9) | j for c, j in zip(bound, layers)]) != [
-            (c - 1) * wi[j] for c, j in zip(bound, layers)]:
-        return failed
-    bound.insert(1, 0)
-    tables = np.array(wi), np.array(bound, dtype=np.uint64)
-    return tables if _ziggurat_matches_numpy(tables) else failed
-
-
-def _replay_draws(seeds, m: int, k1: int, n: int):
-    """run_trial's draws for every seed, without a generator per trial.
-
-    Returns ``(idx, uniforms, noise)``: the (trials, k1 + 1) indices into
-    a codebook of size ``m`` and the (trials, k1 + 1, n) dither uniforms
-    and channel normals, interferers first and user K last, bit-identical
-    to the draws of ``np.random.default_rng(seed)`` in run_trial's order.
-
-    The seeds' PCG64 states are made for the whole chunk at once
-    (``_pcg64_seed_state``).  When a trial has at most ``_STEPPED_DRAWS``
-    draws (K*N), every trial's PCG64 is stepped in numpy uint64
-    arithmetic, word by word over the chunk, and the normals' words go
-    through numpy's ziggurat tables (``_ziggurat``); a row with a normal
-    off the fast path redraws its normals on one reused PCG64, from the
-    state saved before its first normal word.  Wider trials take that
-    per-row path for all their draws.  The indices are Lemire's
-    (x * m) >> 32 on the 32-bit halves, low half first, which is how
-    ``integers`` consumes them for 2 <= m < 2^32 (a codebook has 2 to
-    ``ENUMERATION_CAP`` rows); the uniforms are (w >> 11) * 2^-53.  A row
-    where ``integers`` would have rejected a draw is replayed through
-    ``default_rng`` instead.
-    """
-    t_count = len(seeds)
-    users = k1 + 1
-    index_words = (users + 1) // 2
-    state = _pcg64_seed_state(seeds)
-    noise = np.empty((t_count, users, n))
-    normals = noise.reshape(t_count, users * n)
-    if users * n <= _STEPPED_DRAWS:
-        raw, state = _pcg64_words(state, index_words + users * n)
-        words = _pcg64_words(state, users * n)[0]
-        fast = _table_normals(words, normals, _ziggurat())
-        _row_draws(state, np.flatnonzero(~fast), None, normals)
-    else:
-        raw = np.empty((t_count, index_words + users * n), dtype=np.uint64)
-        _row_draws(state, range(t_count), raw, normals)
-    halves = np.empty((t_count, 2 * index_words), dtype=np.uint64)
-    halves[:, 0::2] = raw[:, :index_words] & _LO32
-    halves[:, 1::2] = raw[:, :index_words] >> _32
-    scaled = halves[:, :users] * np.uint64(m)
-    idx = (scaled >> _32).astype(np.int64)
-    uniforms = ((raw[:, index_words:] >> np.uint64(11))
-                * (1.0 / 9007199254740992.0)).reshape(t_count, users, n)
-    rejected = np.any((scaled & _LO32) < np.uint64(2 ** 32 % m), axis=1)
-    for i in np.flatnonzero(rejected).tolist():
-        rng = np.random.default_rng(seeds[i])
-        idx[i] = rng.integers(0, m, size=users)
-        uniforms[i] = rng.random((users, n))
-        noise[i] = rng.standard_normal((users, n))
-    return idx, uniforms, noise
-
-
-def _batch_trial_arrays(scheme: Scheme, seeds) -> dict:
-    """Vectorized engine: all trials for ``seeds`` as flat arrays.
-
-    Takes run_trial's draws from ``_replay_draws`` (the v1 draw contract,
-    replayed on the whole chunk) and calls the same stage functions on
-    (trials, ...) arrays, each once per chunk.  Only the bookkeeping
-    between the stages is its own, written apart from run_trial's so that
-    the oracle engine = run_trial checks it; every per-trial value is
-    bit-identical to the reference.
+    Draws through ``_codeword_draws`` on the whole range, as run_trial
+    does on one row, and calls the same stage functions on (trials, ...)
+    arrays, each once per chunk.  Only the bookkeeping between the stages
+    is its own, written apart from run_trial's so that the oracle engine
+    = run_trial checks it; every per-trial value is bit-identical to the
+    reference.
     """
     k1 = scheme.config.K - 1
     pair = scheme.pair
     leaders = scheme.leaders
     n = scheme.dimension
 
-    idx_all, uniforms, noise = _replay_draws(seeds, len(leaders), k1, n)
+    idx_all, uniforms, noise = _codeword_draws(scheme, key, lo, hi)
     idx, idx_k = idx_all[:, :k1], idx_all[:, k1]
     dithers, dither_k = _fold_dithers(scheme, uniforms)
 
@@ -751,18 +560,20 @@ def run_campaign(scheme: Scheme, trials: int,
 
     The trials run in order, on one thread, in the chunks of
     ``chunk_bounds`` at K*N draws a trial, so a chunk's memory is bounded
-    whatever K and N.  Each chunk derives its own seeds and is folded as
-    it finishes: its event and direct-link counts are added as integers,
-    and only its two per-trial power arrays are kept, so that the mean of
-    their concatenation does not depend on the chunking.
+    whatever K and N.  The campaign key is derived once; each chunk draws
+    its own trials' counter blocks under it and is folded as it finishes:
+    its event and direct-link counts are added as integers, and only its
+    two per-trial power arrays are kept, so that the mean of their
+    concatenation does not depend on the chunking.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     events = np.zeros(3, dtype=np.int64)
     direct = np.zeros(scheme.config.K - 1, dtype=np.int64)
     eff_power, residual_power = [], []
+    key = _campaign_key(master_seed)
     for lo, hi in chunk_bounds(trials, scheme.config.K * scheme.dimension):
-        part = _batch_trial_arrays(scheme, _trial_seeds(master_seed, lo, hi))
+        part = _batch_trial_arrays(scheme, key, lo, hi)
         events += [np.count_nonzero(part[e]) for e in ("e1", "e2", "e3")]
         direct += np.count_nonzero(part["direct_errors"], axis=0)
         eff_power.append(part["eff_power"])

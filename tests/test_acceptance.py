@@ -199,8 +199,8 @@ def test_criterion_07_monte_carlo_monotonicity():
         # engine's per-trial flags equal run_trial's (see test_simulate)
         cfg = SystemConfig(K=3, P=(10, 10, 1.5), a=(0.3, 0.3))
         scheme = Scheme.for_config(cfg, make_cubic_pair(2, 2))
-        flags = _batch_trial_arrays(
-            scheme, [derive_trial_seed(7, i) for i in range(10_000)])
+        key, _ = derive_trial_seed(7, 0)
+        flags = _batch_trial_arrays(scheme, key, 0, 10_000)
         e1, e2, e3 = flags["e1"], flags["e2"], flags["e3"]
         assert e1.shape == e2.shape == e3.shape == (10_000,)
         assert not np.any(e1 & e2)

@@ -239,7 +239,8 @@ PROPERTY_LATTICES = (
 def brute_force_nearest(lat, x):
     """Independent oracle: scan every coset representative in a box that
     covers the nearest point of any |x_j| <= 4, sort by (squared
-    distance, coordinates) and take the first."""
+    distance, coordinates) and return the first, with the set of every
+    candidate at its squared distance."""
     q = lat.modulus or 1
     codewords = lat.codewords or ((0,) * lat.dimension,)
     shifts = q * np.array(list(itertools.product(range(-5, 6),
@@ -248,13 +249,13 @@ def brute_force_nearest(lat, x):
     d2 = np.sum((x - cands) ** 2, axis=1)
     order = np.lexsort([cands[:, j] for j in reversed(range(lat.dimension))]
                        + [d2])
-    return tuple(int(i) for i in cands[order[0]])
+    ties = {tuple(int(i) for i in c) for c in cands[d2 == d2[order[0]]]}
+    return tuple(int(i) for i in cands[order[0]]), ties
 
 
 # Multiples of 1/16 in [-4, 4] keep every step of the coset search
-# exact, so the brute force is a true oracle on them; half-integers put
-# many points on cell boundaries, where only the lexicographic tie rule
-# decides.
+# exact; half-integers put many points on cell boundaries, where only
+# the lexicographic tie rule decides.
 EXACT_ENTRY = st.one_of(st.integers(-8, 8).map(lambda h: h / 2),
                         st.integers(-64, 64).map(lambda k: k / 16))
 ANY_ENTRY = st.floats(-4.0, 4.0, allow_nan=False)
@@ -270,23 +271,42 @@ def lattice_and_batch(draw, entry):
 
 
 class TestNearestCoords:
-    @settings(max_examples=200, deadline=None)
-    @given(lattice_and_batch(EXACT_ENTRY))
+    @settings(max_examples=300, deadline=None)
+    @given(lattice_and_batch(st.one_of(EXACT_ENTRY, ANY_ENTRY)))
+    @example((PROPERTY_LATTICES[3], np.array([[1e-323, 1.5e-323, 3.0]])))
     def test_batch_equals_row_by_row_brute_force(self, case):
+        # The result lies at the brute force's float distance.  Two
+        # points can tie there while their exact distances differ (next
+        # to an ulp-small coordinate, (0, 0, 2) and (-1, 0, 3) are both
+        # at 1.0 above); away from such ties, and on exact entries, the
+        # result is the brute force's point.
         lat, batch = case
         got = nearest_coords(lat, batch)
         assert got.shape == batch.shape
         for x, coords in zip(batch, got):
-            assert tuple(int(c) for c in coords) == \
-                brute_force_nearest(lat, x)
+            nearest, ties = brute_force_nearest(lat, x)
+            coords = tuple(int(c) for c in coords)
+            assert coords in ties
+            if len(ties) == 1 or np.all(x * 16 == np.round(x * 16)):
+                assert coords == nearest
+
+    def test_nearest_within_an_ulp_of_a_boundary(self):
+        # (u - c)/q once rounded the coset-(1,1) point of this x to
+        # (-5, 1), giving (-4, 0) at d^2 = 1.0; and t - 0.5 once rounded
+        # -0.49999999999999994 down to the coordinate -1
+        d2_code, cubic = PROPERTY_LATTICES[1], PROPERTY_LATTICES[0]
+        x = np.array([np.nextafter(-4.0, 0.0), 1.0])
+        assert nearest_coords(d2_code, x).tolist() == [-3, 1]
+        assert np.sum((x - [-3, 1]) ** 2) < 1.0
+        assert nearest_coords(cubic, [-0.49999999999999994, 0.5]).tolist() \
+            == [0, 0]
+        assert np.array_equal(mod_lattice(d2_code, x), x - [-3, 1])
 
     @settings(max_examples=200, deadline=None)
     @given(lattice_and_batch(ANY_ENTRY))
     def test_batch_equals_its_rows_for_any_floats(self, case):
-        # Within an ulp of a coset boundary the rounded (u - c)/q can
-        # pick a point an ulp farther than the exact nearest, as the
-        # scalar quantizer always did; a batch must still equal its rows
-        # bit for bit, which is what keeps the engine equal to run_trial.
+        # a batch equals its rows bit for bit, which is what keeps the
+        # engine equal to run_trial
         lat, batch = case
         rows = np.array([nearest_coords(lat, x) for x in batch])
         assert np.array_equal(nearest_coords(lat, batch), rows)

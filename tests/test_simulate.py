@@ -1,6 +1,7 @@
 """Monte Carlo pipeline: encoding, channel, three-stage decoding, events."""
 
 import functools
+import hashlib
 import itertools
 import math
 from collections import Counter
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from lsl.errors import InvariantViolationError
 from lsl.lattices import (
@@ -21,14 +23,10 @@ from lsl.lattices import (
 from lsl.rates import SystemConfig, mmse_coefficients
 from lsl.simulate import (
     Scheme,
-    _pcg64_seed_state,
-    _pcg64_words,
-    _replay_draws,
-    _row_draws,
-    _seed_words,
-    _table_normals,
-    _trial_seeds,
-    _ziggurat,
+    _batch_trial_arrays,
+    _draws,
+    _philox,
+    _trial_blocks,
     TrialOutcome,
     apply_channel,
     classify_events,
@@ -483,13 +481,37 @@ class TestEffectiveNoise:
                                                                rel=0.05)
 
 
+def folded(outcomes):
+    """run_trial outcomes folded as a campaign report folds them."""
+    return (sum(o.e1 for o in outcomes), sum(o.e2 for o in outcomes),
+            sum(o.e3 for o in outcomes),
+            tuple(int(sum(errors)) for errors in
+                  zip(*(o.direct_errors for o in outcomes))),
+            float(np.mean([o.effective_noise_power for o in outcomes])),
+            float(np.mean([o.residual_power for o in outcomes])))
+
+
+def summary(report):
+    return (report.e1_count, report.e2_count, report.e3_count,
+            report.direct_error_counts, report.mean_effective_noise_power,
+            report.mean_residual_power)
+
+
 class TestReproducibility:
     def test_seed_derivation_is_sha256(self):
-        import hashlib
-        digest = hashlib.sha256(b"77:3").digest()
-        assert derive_trial_seed(77, 3) == int.from_bytes(digest[:8], "big")
-        seeds = {derive_trial_seed(1, i) for i in range(1000)}
-        assert len(seeds) == 1000
+        # a seed in [0, 2^64) is the key; any other is hashed once, the
+        # key then being the first 8 bytes of its SHA-256
+        assert derive_trial_seed(77, 3) == (77, 3)
+        assert derive_trial_seed(2**64 - 1, 0) == (2**64 - 1, 0)
+        for master in (-5, 2**64, 2**70):
+            digest = hashlib.sha256(str(master).encode()).digest()
+            assert derive_trial_seed(master, 9) == (
+                int.from_bytes(digest[:8], "big"), 9)
+        assert len({derive_trial_seed(m, 0) for m in range(-500, 500)}) \
+            == 1000
+        for index in (-1, 2**64):
+            with pytest.raises(ValueError):
+                derive_trial_seed(1, index)
 
     def test_same_master_seed_same_report(self):
         scheme = default_scheme()
@@ -504,33 +526,24 @@ class TestReproducibility:
         for scheme in (default_scheme(q=2, dim=2), default_scheme(q=3, dim=3),
                        coded_benchmark_scheme(), wrap, composite_scheme(),
                        *unequal_schemes()):
-            seeds = [derive_trial_seed(31, i) for i in range(400)]
-            outcomes = [run_trial(scheme, s) for s in seeds]
+            outcomes = [run_trial(scheme, derive_trial_seed(31, i))
+                        for i in range(400)]
             rep = run_campaign(scheme, 400, 31)
             if scheme is wrap:
                 assert rep.e2_count > 0
-            assert rep.e1_count == sum(o.e1 for o in outcomes)
-            assert rep.e2_count == sum(o.e2 for o in outcomes)
-            assert rep.e3_count == sum(o.e3 for o in outcomes)
-            assert rep.direct_error_counts == tuple(
-                sum(o.direct_errors[j] for o in outcomes)
-                for j in range(scheme.config.K - 1))
-            assert rep.mean_effective_noise_power == float(
-                np.mean([o.effective_noise_power for o in outcomes]))
-            assert rep.mean_residual_power == float(
-                np.mean([o.residual_power for o in outcomes]))
+            assert summary(rep) == folded(outcomes)
 
     def test_noiseless_campaign_all_clean(self, monkeypatch):
         # the campaign engine with its channel normals zeroed: no trial
         # has an event or a direct-link error
         import lsl.simulate
-        replay = lsl.simulate._replay_draws
+        draws = lsl.simulate._codeword_draws
 
-        def noiseless_replay(*args):
-            idx, uniforms, noise = replay(*args)
+        def noiseless_draws(*args):
+            idx, uniforms, noise = draws(*args)
             return idx, uniforms, np.zeros_like(noise)
 
-        monkeypatch.setattr(lsl.simulate, "_replay_draws", noiseless_replay)
+        monkeypatch.setattr(lsl.simulate, "_codeword_draws", noiseless_draws)
         for scheme in (default_scheme(), coded_benchmark_scheme()):
             rep = run_campaign(scheme, 300, 77)
             assert rep.e1_count == rep.e2_count == rep.e3_count == 0
@@ -543,17 +556,39 @@ class TestReproducibility:
         seen = []
         engine = lsl.simulate._batch_trial_arrays
 
-        def recording_engine(scheme, seeds):
-            seen.append(list(seeds))
-            return engine(scheme, seeds)
+        def recording_engine(scheme, key, lo, hi):
+            seen.append((key, lo, hi))
+            return engine(scheme, key, lo, hi)
 
         # K=3, N=2: six draws a trial, 16 trials a chunk
         monkeypatch.setattr(lsl.simulate, "CHUNK_DRAWS", 96)
         monkeypatch.setattr(lsl.simulate, "_batch_trial_arrays",
                             recording_engine)
         assert run_campaign(scheme, 50, 4) == expected
-        assert [len(c) for c in seen] == [12, 13, 12, 13]
-        assert sum(seen, []) == [derive_trial_seed(4, i) for i in range(50)]
+        assert seen == [(4, 0, 12), (4, 12, 25), (4, 25, 37), (4, 37, 50)]
+
+    def test_chunk_seeds_are_derive_trial_seed(self, monkeypatch):
+        # every chunk draws under derive_trial_seed's key, hashed or not,
+        # so the campaign folds run_trial's outcomes at those seeds
+        import lsl.simulate
+        scheme = default_scheme()
+        keys = []
+        engine = lsl.simulate._batch_trial_arrays
+
+        def recording_engine(scheme, key, lo, hi):
+            keys.append(key)
+            return engine(scheme, key, lo, hi)
+
+        monkeypatch.setattr(lsl.simulate, "CHUNK_DRAWS", 96)
+        monkeypatch.setattr(lsl.simulate, "_batch_trial_arrays",
+                            recording_engine)
+        for master in (0, 31, -5, 2**70):
+            keys.clear()
+            rep = run_campaign(scheme, 40, master)
+            assert set(keys) == {derive_trial_seed(master, 0)[0]}
+            assert summary(rep) == folded(
+                [run_trial(scheme, derive_trial_seed(master, i))
+                 for i in range(40)])
 
     def test_chunk_count_is_trials_over_block(self, monkeypatch):
         import lsl.simulate
@@ -565,9 +600,9 @@ class TestReproducibility:
         sizes = []
         engine = lsl.simulate._batch_trial_arrays
 
-        def recording_engine(scheme, seeds):
-            sizes.append(len(seeds))
-            return engine(scheme, seeds)
+        def recording_engine(scheme, key, lo, hi):
+            sizes.append(hi - lo)
+            return engine(scheme, key, lo, hi)
 
         monkeypatch.setattr(lsl.simulate, "_batch_trial_arrays",
                             recording_engine)
@@ -583,9 +618,9 @@ class TestReproducibility:
         sizes = []
         engine = lsl.simulate._batch_trial_arrays
 
-        def recording_engine(scheme, seeds):
-            sizes.append(len(seeds))
-            return engine(scheme, seeds)
+        def recording_engine(scheme, key, lo, hi):
+            sizes.append(hi - lo)
+            return engine(scheme, key, lo, hi)
 
         # at most 7 trials a chunk for K=3, N=2; at most 3 for K=3, N=4
         monkeypatch.setattr(lsl.simulate, "CHUNK_DRAWS", 47)
@@ -595,13 +630,6 @@ class TestReproducibility:
             sizes.clear()
             assert run_campaign(scheme, 50, 4) == report
             assert sum(sizes) == 50 and max(sizes) <= rows
-
-    def test_chunk_seeds_are_derive_trial_seed(self):
-        for master in (0, 31, -5, 2**70):
-            seeds = _trial_seeds(master, 990, 1010)
-            assert seeds.dtype == np.uint64
-            assert seeds.tolist() == [derive_trial_seed(master, i)
-                                      for i in range(990, 1010)]
 
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -615,203 +643,232 @@ class TestReproducibility:
         assert time.perf_counter() - start < 10.0
 
 
-EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
-UINT64_SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
+M32 = 2**32 - 1
 
 
-def with_edge_seeds(test):
-    for seed in EDGE_SEEDS:
-        test = example(seed)(test)
-    return test
+def reference_block(key, counter):
+    """Philox4x32-10 in Python integers, as Random123 writes it."""
+    c, k = list(counter), [key & M32, key >> 32]
+    for _ in range(10):
+        p0, p1 = 0xD2511F53 * c[0], 0xCD9E8D57 * c[2]
+        c = [(p1 >> 32) ^ c[1] ^ k[0], p1 & M32,
+             (p0 >> 32) ^ c[3] ^ k[1], p0 & M32]
+        k = [(k[0] + 0x9E3779B9) & M32, (k[1] + 0xBB67AE85) & M32]
+    return c
 
 
-def literal_draws(seed, m, k1, n):
-    """run_trial's default_rng call sequence, spelled out."""
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, m, size=k1)
-    idx_k = rng.integers(0, m)
-    uniforms = [rng.random(n) for _ in range(k1 + 1)]
-    noise = [rng.standard_normal(n) for _ in range(k1 + 1)]
-    return idx, idx_k, uniforms, noise
+def reference_draws(key, trial, q, digits, users, n):
+    """One trial's draws by draw contract v2, a word at a time.  Returns
+    the digits, uniforms and normals as flat lists, and the number of
+    rejected digit words."""
+    def block(b):
+        return reference_block(key, (trial & M32, trial >> 32, b, 0))
+
+    draws = users * n
+    size, pairs = users * digits, (draws + 1) // 2
+    end = size + 2 * draws + 4 * pairs
+    blocks = -(-end // 4)
+    words = [w for b in range(blocks) for w in block(b)]
+    spare = itertools.count(blocks)
+    coded, rejected = [], 0
+    for w in words[:size]:
+        while w * q % 2**32 < 2**32 % q:
+            w = block(next(spare))[0]
+            rejected += 1
+        coded.append(w * q >> 32)
+    rest = iter(words[size:end])
+    uniforms = [((a << 32 | b) >> 11) / 2**53 for a, b in zip(rest, rest)]
+    normals = []
+    for u, v in zip(uniforms[draws::2], uniforms[draws + 1::2]):
+        r = math.sqrt(-2.0 * math.log(1.0 - u))
+        normals += [r * math.cos(2.0 * math.pi * v),
+                    r * math.sin(2.0 * math.pi * v)]
+    return coded, uniforms[:draws], normals[:draws], rejected
 
 
-def pcg64_arrays(state: int, inc: int):
-    """A 128-bit PCG64 state and increment as one row of uint64 words."""
-    low = 2**64 - 1
-    return tuple(np.array([word], dtype=np.uint64)
-                 for word in (state >> 64, state & low, inc >> 64, inc & low))
+def assert_matches_reference(got, key, lo, q, digits, users, n):
+    """``_draws`` output rows equal the reference: digits and uniforms
+    bit for bit, normals to libm's last bits (numpy's SIMD log, cos and
+    sin may differ from ``math``'s in the last ulp)."""
+    coded, uniforms, normals = got
+    rejected = 0
+    for r in range(len(coded)):
+        want = reference_draws(key, lo + r, q, digits, users, n)
+        assert coded[r].ravel().tolist() == want[0]
+        assert uniforms[r].ravel().tolist() == want[1]
+        assert normals[r].ravel() == pytest.approx(want[2], rel=1e-13,
+                                                  abs=1e-13)
+        rejected += want[3]
+    return rejected
 
-
-def pcg64_ints(arrays) -> dict:
-    """The first row of (hi, lo, inc_hi, inc_lo) words as numpy's state."""
-    hi, lo, inc_hi, inc_lo = (int(a[0]) for a in arrays)
-    return {"state": (hi << 64) | lo, "inc": (inc_hi << 64) | inc_lo}
 
 
 class TestReplayDraws:
-    @settings(max_examples=300, deadline=None)
-    @given(UINT64_SEEDS)
-    @with_edge_seeds
-    def test_seed_words_match_seed_sequence(self, seed):
-        expected = np.random.SeedSequence(seed).generate_state(4, np.uint64)
-        got = _seed_words([seed])
-        assert got.dtype == np.uint64 and got.shape == (1, 4)
-        assert np.array_equal(got[0], expected)
-
     def test_seed_words_of_a_batch_are_its_rows(self):
-        seeds = list(EDGE_SEEDS) + [derive_trial_seed(3, i) for i in range(20)]
-        batch = _seed_words(seeds)
-        for seed, row in zip(seeds, batch):
-            assert np.array_equal(row, _seed_words([seed])[0])
+        # the engine replays run_trial on a whole chunk: the words a
+        # batch of trial seeds (key, i) reads are, row for row, the words
+        # each seed reads alone, counter (i lo32, i hi32, b, 0), at edge
+        # keys and at indices that carry into the high word
+        keys = (0, 2**64 - 1, derive_trial_seed(-5, 0)[0],
+                derive_trial_seed(2**70, 0)[0])
+        trials = np.array([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1],
+                          dtype=np.uint64)
+        blocks = np.arange(5, dtype=np.uint64)
+        for key in keys:
+            batch = _trial_blocks(key, trials[:, None], blocks)
+            assert batch.shape == (len(trials), len(blocks), 4)
+            for trial, row in zip(trials.tolist(), batch):
+                assert np.array_equal(
+                    row, _trial_blocks(key, np.uint64(trial), blocks))
+                for b in range(len(blocks)):
+                    assert row[b].tolist() == reference_block(
+                        key, (trial & M32, trial >> 32, b, 0))
 
-    @settings(max_examples=300, deadline=None)
-    @given(UINT64_SEEDS)
-    @with_edge_seeds
-    def test_pcg64_state_matches_numpy(self, seed):
-        # the seeded state, and the words and state after a K=3, N=2
-        # chunk's indices and uniforms, and after its normals too
-        state = _pcg64_seed_state([seed])
-        assert pcg64_ints(state) == np.random.PCG64(seed).state["state"]
-        for count in (2 + 6, 2 + 6 * 2):
-            bit_gen = np.random.PCG64(seed)
-            words, after = _pcg64_words(state, count)
-            assert words.tolist() == [bit_gen.random_raw(count).tolist()]
-            assert pcg64_ints(after) == bit_gen.state["state"]
+KEYS = st.integers(0, 2**64 - 1)
+# Beyond a codebook's q: Lemire rejects a word in four at 3 * 2^30 and
+# about one in two at 2^31 + 1; 2^32 - 1 and 2^32 - 5 are the widest.
+MODULI = st.one_of(st.integers(2, 70_000), st.sampled_from(
+    [3 * 2**30, 2**31 + 1, 2**32 - 1, 2**32 - 5]))
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(0, 2**128 - 1),
-           st.integers(0, 2**127 - 1).map(lambda x: 2 * x + 1))
-    @example(2**64 - 1, 1)
-    @example(2**64 - 1, 2**128 - 1)
-    @example(2**128 - 1, 2**128 - 1)
-    @example(0, 2**128 - 1)
-    def test_pcg64_step_matches_random_raw(self, state, inc):
-        # numpy uint64 (hi, lo) arithmetic against numpy's own PCG64, at
-        # any 128-bit state and odd increment, carry edges included
-        bit_gen = np.random.PCG64(0)
-        bit_gen.state = {"bit_generator": "PCG64",
-                         "state": {"state": state, "inc": inc},
-                         "has_uint32": 0, "uinteger": 0}
-        words, after = _pcg64_words(pcg64_arrays(state, inc), 5)
-        assert words.tolist() == [bit_gen.random_raw(5).tolist()]
-        assert pcg64_ints(after) == bit_gen.state["state"]
 
-    # failed_tables: the ziggurat read-off failed its self-check, so that
-    # every stepped row redraws its normals on the per-row path
-    @pytest.mark.parametrize("failed_tables", [False, True])
-    # "wide": trials just past _STEPPED_DRAWS, on the per-row path
-    @pytest.mark.parametrize("n", [1, 4, "wide"])
-    @pytest.mark.parametrize("k1", [2, 3])
-    # two codebook sizes a case, each replayed in turn
-    @pytest.mark.parametrize("m,m2,exact", [
-        (4, 4, "none"),
-        (9, 16, "none"),
-        # numpy rejects and redraws about one index in four (m) and one
-        # in two (m2) here, so some rows take the exact replay
-        (3 * 2**30, 2**31 + 1, "some"),
-    ])
-    def test_replay_equals_default_rng(self, monkeypatch, m, m2, exact,
-                                       k1, n, failed_tables):
+class TestDrawContract:
+    def test_philox_known_answers(self):
+        # Random123's kat_vectors for philox4x32_10
+        zero, ones = np.uint64(0), np.uint64(M32)
+        assert _philox(0, (zero,) * 4).tolist() == [
+            0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8]
+        assert _philox(2**64 - 1, (ones,) * 4).tolist() == [
+            0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD]
+
+    def test_trial_zero_known_answer(self):
+        # master seed 1, the default K=3, q=2, N=2: a refactor that moves
+        # any word of the contract changes these values
+        coded, uniforms, normals = _draws(1, 0, 1, 2, 2, 3, 2)
+        assert coded.tolist() == [[[1, 1], [1, 1], [0, 0]]]
+        assert uniforms.tolist() == [[
+            [0.2227945503378902, 0.9031374937739463],
+            [0.246201945012256, 0.5386304407992616],
+            [0.9252429192439334, 0.7312214599084481]]]
+        assert normals.ravel() == pytest.approx([
+            0.7993150090979413, -0.5455744755577904, -0.6106613099758358,
+            1.004207046568105, 0.9885038189783074, 0.21927418353387618],
+            rel=1e-13)
+        assert_matches_reference((coded, uniforms, normals), 1, 0, 2, 2, 3, 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(KEYS, st.integers(0, 2**64 - 41), st.integers(0, 8),
+           st.integers(1, 12), st.integers(0, 12), MODULI,
+           st.integers(1, 3), st.integers(1, 4), st.integers(1, 5))
+    @example(2**64 - 1, 2**32 - 3, 1, 2, 30, 3 * 2**30, 2, 3, 3)
+    def test_a_range_is_the_rows_of_any_enclosing_range(
+            self, key, start, before, rows, after, q, digits, users, n):
+        lo, hi = start + before, start + before + rows
+        got = _draws(key, lo, hi, q, digits, users, n)
+        wide = _draws(key, start, hi + after, q, digits, users, n)
+        for part, whole in zip(got, wide):
+            assert same_bits(part, whole[before:before + rows])
+        coded, uniforms, normals = got
+        assert coded.dtype == np.int64
+        assert coded.shape == (rows, users, digits)
+        assert uniforms.shape == normals.shape == (rows, users, n)
+        assert np.all((0 <= coded) & (coded < q))
+        assert np.all((0.0 <= uniforms) & (uniforms < 1.0))
+        assert np.all(np.isfinite(normals))
+        assert_matches_reference(got, key, lo, q, digits, users, n)
+
+    def test_rejected_digits_redraw_from_the_next_blocks(self):
+        # at q = 3 * 2^30 Lemire rejects a word in four, so about 90 of
+        # these 360 digits redraw, some rows several times
+        key, q = 2026, 3 * 2**30
+        got = _draws(key, 0, 40, q, 3, 3, 2)
+        assert assert_matches_reference(got, key, 0, q, 3, 3, 2) > 40
+
+    def test_committed_trial_takes_the_rejection_path(self):
+        # found by search: under key 7, trial 27328 of a K=3 cubic
+        # campaign at q=65175, N=1 (2^32 mod q = 65146) rejects the word
+        # of its second digit; the engine still equals run_trial there
+        key, trial, q = 7, 27328, 65175
+        want = reference_draws(key, trial, q, 1, 3, 1)
+        assert want[3] == 1
+        assert_matches_reference(_draws(key, trial, trial + 1, q, 1, 3, 1),
+                                 key, trial, q, 1, 3, 1)
+        cfg = SystemConfig(K=3, P=(10, 10, 10), a=(12, 12))
+        scheme = Scheme.for_config(cfg, make_cubic_pair(q, 1))
+        part = _batch_trial_arrays(scheme, key, trial - 5, trial + 5)
+        outcomes = [run_trial(scheme, (key, i))
+                    for i in range(trial - 5, trial + 5)]
+        assert part["e1"].tolist() == [o.e1 for o in outcomes]
+        assert part["eff_power"].tolist() == [o.effective_noise_power
+                                              for o in outcomes]
+
+    def test_draws_follow_their_laws(self):
+        # 60,000 digits mod 5, uniforms and normals of one key
+        coded, uniforms, normals = _draws(11, 0, 10_000, 5, 2, 3, 2)
+        assert stats.chisquare(np.bincount(coded.ravel())).pvalue > 1e-3
+        assert stats.kstest(uniforms.ravel(), "uniform").pvalue > 1e-3
+        assert stats.kstest(normals.ravel(), "norm").pvalue > 1e-3
+
+    def test_digits_index_the_leaders(self):
+        # a codeword index is its digits' mixed-radix value, most
+        # significant first, for cubic and Construction-A pairs alike
         import lsl.simulate
-        stepped = n != "wide"
-        if not stepped:
-            n = lsl.simulate._STEPPED_DRAWS // (k1 + 1) + 1
-        seeds = list(EDGE_SEEDS) + [derive_trial_seed(7, i) for i in range(40)]
-        exact_rows = []
-        redrawn = []
-        default_rng = np.random.default_rng
-
-        def counting_rng(seed):
-            exact_rows.append(seed)
-            return default_rng(seed)
-
-        def counting_row_draws(state, rows, raw, normals):
-            if raw is None:
-                redrawn.extend(rows)
-            _row_draws(state, rows, raw, normals)
-
-        monkeypatch.setattr(lsl.simulate, "_row_draws", counting_row_draws)
-        if failed_tables:
-            monkeypatch.setattr(lsl.simulate, "_ziggurat", lambda: (
-                np.zeros(256), np.zeros(256, dtype=np.uint64)))
-        for size in dict.fromkeys((m, m2)):
-            expected = [literal_draws(s, size, k1, n) for s in seeds]
-            exact_rows.clear()
-            redrawn.clear()
-            with monkeypatch.context() as patch:
-                patch.setattr(np.random, "default_rng", counting_rng)
-                idx, uniforms, noise = _replay_draws(seeds, size, k1, n)
-            # a row takes the exact replay only where numpy rejected
-            assert exact == ("some" if exact_rows else "none")
-            assert len(exact_rows) < len(seeds)
-            if stepped and failed_tables:
-                assert sorted(redrawn) == list(range(len(seeds)))
-            elif n == 4:
-                # at 12 or 16 normals a trial, about one row in eight
-                # leaves the ziggurat's fast path and redraws its normals
-                assert redrawn
-            assert idx.dtype == np.int64
-            assert idx.shape == (len(seeds), k1 + 1)
-            assert uniforms.shape == noise.shape == (len(seeds), k1 + 1, n)
-            for i, (e_idx, e_idx_k, e_uni, e_noise) in enumerate(expected):
-                assert np.array_equal(idx[i, :k1], e_idx)
-                assert idx[i, k1] == e_idx_k
-                assert np.array_equal(uniforms[i], np.stack(e_uni))
-                assert np.array_equal(noise[i], np.stack(e_noise))
+        for scheme in (default_scheme(q=3, dim=3), coded_benchmark_scheme(),
+                       composite_scheme()):
+            q = scheme.pair.q
+            d = round(math.log(len(scheme.leaders), q))
+            assert q ** d == len(scheme.leaders)
+            idx = lsl.simulate._codeword_draws(scheme, 5, 0, 30)[0]
+            coded = _draws(5, 0, 30, q, d, scheme.config.K,
+                           scheme.dimension)[0]
+            assert np.array_equal(idx, np.ravel_multi_index(
+                np.moveaxis(coded, -1, 0), (q,) * d))
 
 
-@pytest.fixture
-def fresh_ziggurat():
-    """Read the ziggurat tables anew in the test, and again after it."""
-    _ziggurat.cache_clear()
-    yield
-    _ziggurat.cache_clear()
+#: ROADMAP item 1's eight cubic configs, (K, P, a, q, N, master seed),
+#: with the counts (e1, e2, e3, direct links) that draw contract v1 gave
+#: at 100,000 trials, run at the commit before v2.
+V1_CAMPAIGNS = (
+    ((3, (10, 10, 10), (12, 12), 2, 2, 101), (1, 0, 810, (790, 808))),
+    ((3, (5, 5, 0.5), (1, 1), 3, 2, 102),
+     (45563, 0, 44155, (28855, 29055))),
+    ((4, (3, 3, 3, 1), (1, 1, 1), 2, 1, 103),
+     (25133, 47, 19821, (8318, 8276, 8347))),
+    ((5, (4, 4, 4, 4, 1), (1, 1, 1, 1), 3, 2, 104),
+     (64094, 1, 26999, (35565, 35745, 35814, 35986))),
+    ((5, (8, 8, 8, 8, 2), (1.5, 1.5, 1.5, 1.5), 2, 3, 105),
+     (18665, 0, 29125, (2711, 2695, 2711, 2845))),
+    ((4, (2, 2, 2, 0.8), (1, 1, 1), 4, 1, 106),
+     (61070, 21, 24962, (45922, 45994, 46302))),
+    ((3, (2.1, 2.1, 1), (1, 1), 2, 2, 107),
+     (49632, 1529, 22268, (23973, 23882))),
+    ((4, (3.15, 3.15, 3.15, 2), (1, 1, 1), 2, 2, 108),
+     (54549, 688, 13250, (14983, 14966, 14953))),
+)
+#: Two-sample |z| bound, fixed before the first v2 run.
+V1_Z_BOUND = 5.0
 
 
-class TestZiggurat:
-    def test_read_off_proves_every_layer(self, fresh_ziggurat):
-        wi, bound = _ziggurat()
-        # Marsaglia & Tsang: layer 1 has no fast path, the layer widths
-        # grow from the top layer 1 to the base layer 255, and layer 0
-        # (the base strip with the tail) is wider still
-        assert bound[1] == 0 and np.all(bound[np.arange(256) != 1] > 0)
-        assert np.all(np.diff(wi[1:]) > 0) and wi[0] > wi[255]
+def two_sample_z(a: int, b: int, trials: int) -> float:
+    """Pooled two-proportion z of counts a and b, each of ``trials``."""
+    pooled = (a + b) / (2 * trials)
+    if pooled in (0.0, 1.0):
+        return 0.0
+    return (a - b) / math.sqrt(2 * trials * pooled * (1 - pooled))
 
-    def test_tables_reproduce_standard_normal(self):
-        # 17,000 rows of 6 normals from the PCG64 streams of seeds 0, 1,
-        # ...: each row from the tables, or redrawn by numpy when it
-        # leaves the fast path, against default_rng(seed)
-        rows, count = 17_000, 6
-        state = _pcg64_seed_state(np.arange(rows))
-        got = np.empty((rows, count))
-        fast = _table_normals(_pcg64_words(state, count)[0], got, _ziggurat())
-        _row_draws(state, np.flatnonzero(~fast), None, got)
-        want = np.stack([np.random.default_rng(seed).standard_normal(count)
-                         for seed in range(rows)])
-        assert 0 < np.count_nonzero(~fast) < rows // 10
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
-    def test_failed_self_check_redraws_every_noisy_row(self, monkeypatch,
-                                                       fresh_ziggurat):
-        import lsl.simulate
-        monkeypatch.setattr(lsl.simulate, "_ziggurat_matches_numpy",
-                            lambda tables: False)
-        assert not _ziggurat()[1].any()
-        seeds = list(EDGE_SEEDS) + [derive_trial_seed(8, i) for i in range(40)]
-        redrawn = []
-
-        def counting_row_draws(state, rows, raw, normals):
-            redrawn.extend(rows)
-            _row_draws(state, rows, raw, normals)
-
-        monkeypatch.setattr(lsl.simulate, "_row_draws", counting_row_draws)
-        idx, uniforms, noise = _replay_draws(seeds, 9, 2, 2)
-        assert sorted(redrawn) == list(range(len(seeds)))
-        for i, seed in enumerate(seeds):
-            e_idx, e_idx_k, e_uni, e_noise = literal_draws(seed, 9, 2, 2)
-            assert np.array_equal(idx[i], [*e_idx, e_idx_k])
-            assert np.array_equal(uniforms[i], np.stack(e_uni))
-            assert np.array_equal(noise[i], np.stack(e_noise))
+def test_counts_agree_with_draw_contract_v1():
+    # v2 draws other numbers from the same distributions: every event
+    # and direct-link count stays within the fixed |z| bound of v1's
+    # count at the same config, until an exact oracle replaces v1's
+    for (k, p, a, q, n, seed), v1 in V1_CAMPAIGNS:
+        scheme = Scheme.for_config(SystemConfig(K=k, P=p, a=a),
+                                   make_cubic_pair(q, n))
+        rep = run_campaign(scheme, 100_000, seed)
+        v2 = (rep.e1_count, rep.e2_count, rep.e3_count,
+              *rep.direct_error_counts)
+        for old, new in zip((*v1[:3], *v1[3]), v2):
+            assert abs(two_sample_z(old, new, 100_000)) <= V1_Z_BOUND, (
+                k, p, q, n, seed, v1, v2)
 
 
 class TestWilson:

@@ -12,7 +12,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "lsl"
 #: Public names that no code in ``lsl`` refers to, and why each stays.
 ALLOWED = {
     "run_trial": "single-trial oracle of the campaign engine",
-    "derive_trial_seed": "per-trial seed of the run_trial oracle",
+    "derive_trial_seed": "(key, index) origin of the run_trial oracle",
     "candidate_set": "explicit candidate-list oracle of the certificates",
     "quantize": "bound in lsl.simulate for perfbench's tracer",
     "entrypoint": "the lsl console script",
