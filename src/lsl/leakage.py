@@ -3,16 +3,20 @@
 The eavesdropper-relevant observation of the K-1 interfering codewords
 reduces to the pair (folded sum, candidate index): the mod-sum of the
 codewords plus the small integer that pins down their true integer sum.
-Everything here derives from one exact integer tally over the uniform
+Everything here derives from exact integer tallies over the uniform
 product distribution (denominators are powers of the codebook size), so
 the entropy identities hold to float rounding, not to sampling error.
 ``DiscreteEnsemble._sum_counts`` tallies the distinct raw coordinate sums
-as int64 rows; the folded sums, the candidate indices and the chain terms
-are read off it, and its memory never exceeds the joint state count.
+as int64 rows and keeps each tally on the ensemble; its memory never
+exceeds the joint state count.
 
-``leakage_row`` gives every column of ``lsl leakage``.  A cubic pair's
-coordinates are iid, so each of its entropies is N times that of the
-one-dimensional pair: the row tallies q^(K-1) states, not q^(N(K-1)).
+``leakage_row`` is the one leakage computation: it reads every column of
+``lsl leakage`` off those tallies.  The ensemble checks its M^(K-1) joint
+states against ``STATE_CAP`` once, before the codebook is built and
+before the closure tally, and no tally reads more states.  A cubic
+pair's coordinates are iid, so each of its entropies is N times that of
+the one-dimensional pair: the row tallies q^(K-1) states, not
+q^(N(K-1)).
 
 Entropies are in bits.  An ensemble is made from one nested pair: its
 elements are the pair's ``codebook``, the centered coordinate rows of the
@@ -68,10 +72,10 @@ class DiscreteEnsemble:
     ``pair`` and ``num_users`` are the ensemble's identity.  ``elements``
     is ``codebook(pair)``, the read-only (M, N) int64 array of coset
     leaders, built on first use; the rows form a group under coordinate
-    addition mod q.  The joint state space has size M^(K-1) and each op
-    checks it against ``STATE_CAP`` before enumerating; construction
-    checks the M^2 pair sums of its closure test the same way, before the
-    codebook is built.
+    addition mod q.  Construction checks the M^(K-1) joint states, the
+    largest tally any column reads, against ``STATE_CAP`` before the
+    codebook is built and before the M^2 pair sums of its closure test
+    are tallied; since K >= 3 that covers the closure test too.
     """
 
     pair: NestedPair
@@ -83,7 +87,7 @@ class DiscreteEnsemble:
     def __post_init__(self):
         if self.num_users < 3:
             raise ValueError("need at least 3 users")
-        self._check_cap(2)
+        self._check_cap(self.num_senders)
         # Closed iff the folded pair sums add no row to the elements.
         rows = np.vstack([self.elements,
                           _centered_mod(self._sum_counts(2)[0], self.q)])
@@ -121,7 +125,7 @@ class DiscreteEnsemble:
         counts, both read-only.  Each step adds every element to every
         support row of the ``num_vars - 1`` tally, so memory is at most
         (support x M) rows, never the dense sum box.  Every tally is kept
-        on the ensemble: the closure check and each op share them.
+        on the ensemble: the closure check and ``leakage_row`` share them.
         """
         if num_vars not in self._tallies:
             if num_vars == 0:
@@ -137,10 +141,10 @@ class DiscreteEnsemble:
             self._tallies[num_vars] = sums, counts
         return self._tallies[num_vars]
 
-    def _folded_counts(self, num_vars: int) -> np.ndarray:
-        """Counts of the distinct folded sums of ``num_vars`` elements."""
+    def _folded_entropy(self, num_vars: int) -> float:
+        """Entropy of the folded sum of ``num_vars`` elements."""
         sums, counts = self._sum_counts(num_vars)
-        return _tally(_centered_mod(sums, self.q), counts)[1]
+        return _entropy_bits(_tally(_centered_mod(sums, self.q), counts)[1])
 
 
 def _tally(keys: np.ndarray, counts: np.ndarray):
@@ -159,84 +163,6 @@ def _plogp(counts: np.ndarray) -> float:
 def _entropy_bits(counts: np.ndarray) -> float:
     total = int(counts.sum())
     return math.log2(total) - _plogp(counts) / total
-
-
-def conditional_entropy_given_modsum(ens: DiscreteEnsemble) -> float:
-    """Exact H(codeword tuple | folded sum) in bits.
-
-    With K-1 iid uniform codewords over a size-M group the conditional
-    distribution given any folded sum is uniform over M^(K-2) tuples, so
-    the value equals (K-2) * dimension * rate_per_dim: the confidential
-    payload hidden behind the mod-sum observation.
-    """
-    ens._check_cap(ens.num_senders)
-    total = ens.size ** ens.num_senders
-    return _plogp(ens._folded_counts(ens.num_senders)) / total
-
-
-def chain_conditional_entropy(ens: DiscreteEnsemble, j: int) -> float:
-    """Exact H(t_j | folded sum of t_j..t_{K-1}) in bits, 1-based j.
-
-    The tail sum one-time-pads t_j whenever at least one other variable
-    participates, giving the full per-codeword entropy; the last term
-    (j = K-1) is zero because the sum then determines t_j.  In a group
-    (t_j, tail sum) and (t_j, rest sum) determine each other and t_j is
-    independent of the rest, so H(t_j, tail) = log2 M + H(rest).
-    """
-    if not 1 <= j <= ens.num_senders:
-        raise ValueError("term index out of range")
-    ens._check_cap(ens.num_senders - j + 1)
-    rest = ens._folded_counts(ens.num_senders - j)
-    tail = ens._folded_counts(ens.num_senders - j + 1)
-    return math.log2(ens.size) + _entropy_bits(rest) - _entropy_bits(tail)
-
-
-def _bounds(dimension: int, rate_per_dim: float, num_senders: int):
-    """The leakage cap N*R + N*log2(K-1) and its index part N*log2(K-1)."""
-    index_bound = dimension * math.log2(num_senders)
-    return dimension * rate_per_dim + index_bound, index_bound
-
-
-@dataclass(frozen=True)
-class LeakageCheck:
-    """Exact leakage of the (folded sum, index) observation vs. its bound."""
-
-    leakage: float
-    bound: float
-    modsum_entropy: float
-    index_entropy: float
-    index_bound: float
-    passed: bool
-
-
-def leakage_bound_check(ens: DiscreteEnsemble) -> LeakageCheck:
-    """Exact I(codewords; folded sum, candidate index) against its cap.
-
-    The observation is a deterministic function of the codewords, so the
-    leakage equals the entropy of the (folded sum, index) pair.  The cap
-    is N*R + N*log2(K-1) bits: the folded sum carries at most the
-    codebook entropy N*R and the index at most N*log2(K-1) bits.
-    """
-    ens._check_cap(ens.num_senders)
-    raw, counts = ens._sum_counts(ens.num_senders)
-    folded = _centered_mod(raw, ens.q)
-    # In coarse-cell units the folded sum is folded/q and the removed
-    # coarse point has integer coordinates (raw - folded)/q.
-    indices = window_index(folded / ens.q, (raw - folded) // ens.q,
-                           ens.num_senders)
-    # (folded sum, index) determines the raw sum and back: same entropy.
-    leakage = _entropy_bits(counts)
-    bound, index_bound = _bounds(ens.dimension, ens.pair.rate_per_dim,
-                                 ens.num_senders)
-    index_entropy = _entropy_bits(_tally(indices[:, None], counts)[1])
-    return LeakageCheck(
-        leakage=leakage,
-        bound=bound,
-        modsum_entropy=_entropy_bits(_tally(folded, counts)[1]),
-        index_entropy=index_entropy,
-        index_bound=index_bound,
-        passed=(leakage <= bound + 1e-12
-                and index_entropy <= index_bound + 1e-12))
 
 
 @dataclass(frozen=True)
@@ -258,6 +184,14 @@ class LeakageRow:
     passed: bool
 
 
+def _targets(pair: NestedPair, num_users: int):
+    """The identity target (K-2)*N*R, the leakage cap N*R + N*log2(K-1)
+    and the cap's index part N*log2(K-1) of ``pair`` with K users."""
+    n, rate = pair.dimension, pair.rate_per_dim
+    index_bound = n * math.log2(num_users - 1)
+    return (num_users - 2) * n * rate, n * rate + index_bound, index_bound
+
+
 def leakage_row(pair: NestedPair, num_users: int) -> LeakageRow:
     """Exact leakage accounting of ``pair`` with K = ``num_users`` users.
 
@@ -269,8 +203,10 @@ def leakage_row(pair: NestedPair, num_users: int) -> LeakageRow:
     and only the 1-D pair is tallied, under its q^(K-1) state cap, once
     N*log2(q) is checked against ``MAX_CODEBOOK_BITS``.  M, the rate, the
     identity target and both bounds are read off ``pair``; ``identity_ok``
-    and ``passed`` compare the tallied pair's own values, since at large N
-    the scaled floats can miss their targets by rounding alone.
+    and ``passed`` compare the tallied pair's own values with its own
+    targets, since at large N the scaled floats can miss their targets by
+    rounding alone.  Every column but the chain terms reads the tally of
+    the K-1 raw sums and its one folded tally.
     """
     n = pair.dimension
     if pair.fine.family == CUBIC:
@@ -279,22 +215,42 @@ def leakage_row(pair: NestedPair, num_users: int) -> LeakageRow:
     else:
         tallied, scale = pair, 1
     ens = DiscreteEnsemble(tallied, num_users)
-    h_cond = conditional_entropy_given_modsum(ens)
-    target = (num_users - 2) * ens.dimension * tallied.rate_per_dim
-    check = leakage_bound_check(ens)
-    rate = pair.rate_per_dim
-    bound, index_bound = _bounds(n, rate, ens.num_senders)
+    senders = ens.num_senders
+    raw, counts = ens._sum_counts(senders)
+    folded = _centered_mod(raw, ens.q)
+    modsum_counts = _tally(folded, counts)[1]
+    # Given any folded sum the K-1 codewords are uniform over M^(K-2)
+    # tuples: H(codewords | folded sum) is the hidden payload.
+    h_cond = _plogp(modsum_counts) / ens.size ** senders
+    modsum_entropy = _entropy_bits(modsum_counts)
+    # In coarse-cell units the folded sum is folded/q and the removed
+    # coarse point has integer coordinates (raw - folded)/q.
+    indices = window_index(folded / ens.q, (raw - folded) // ens.q, senders)
+    index_entropy = _entropy_bits(_tally(indices[:, None], counts)[1])
+    # The observation is a function of the codewords, and (folded sum,
+    # index) determines the raw sum and back: the leakage is H(raw sum).
+    leakage = _entropy_bits(counts)
+    # H(t_j | folded t_j + ... + t_{K-1}): in a group (t_j, tail sum) and
+    # (t_j, rest sum) determine each other and t_j is independent of the
+    # rest, so it is log2 M + H(rest) - H(tail).  The tail one-time-pads
+    # t_j at j = 1 and determines it at j = K-1.
+    log_m = math.log2(ens.size)
+    chain_first = log_m + ens._folded_entropy(senders - 1) - modsum_entropy
+    chain_last = log_m + ens._folded_entropy(0) - ens._folded_entropy(1)
+    own_target, own_bound, own_index_bound = _targets(tallied, num_users)
+    target, bound, index_bound = _targets(pair, num_users)
     return LeakageRow(
         M=pair.nesting_ratio,
-        rate_per_dim=rate,
+        rate_per_dim=pair.rate_per_dim,
         h_cond=scale * h_cond,
-        identity_target=(num_users - 2) * n * rate,
-        identity_ok=abs(h_cond - target) <= 1e-12,
-        chain_first=scale * chain_conditional_entropy(ens, 1),
-        chain_last=scale * chain_conditional_entropy(ens, ens.num_senders),
-        leakage=scale * check.leakage,
+        identity_target=target,
+        identity_ok=abs(h_cond - own_target) <= 1e-12,
+        chain_first=scale * chain_first,
+        chain_last=scale * chain_last,
+        leakage=scale * leakage,
         bound=bound,
-        modsum_entropy=scale * check.modsum_entropy,
-        index_entropy=scale * check.index_entropy,
+        modsum_entropy=scale * modsum_entropy,
+        index_entropy=scale * index_entropy,
         index_bound=index_bound,
-        passed=check.passed)
+        passed=(leakage <= own_bound + 1e-12
+                and index_entropy <= own_index_bound + 1e-12))

@@ -20,12 +20,7 @@ from lsl.lattices import (
     make_cubic_pair,
     mod_lattice,
 )
-from lsl.leakage import (
-    DiscreteEnsemble,
-    conditional_entropy_given_modsum,
-    leakage_bound_check,
-    leakage_row,
-)
+from lsl.leakage import leakage_row
 from lsl.rates import (
     SystemConfig,
     achievable_sum_rate,
@@ -143,18 +138,19 @@ def test_criterion_04_representation_round_trip():
 def test_criterion_05_leakage_identities():
     with criterion(5, "exact mod-sum leakage identities and bound"):
         for k, q, dim in itertools.product((3, 4, 5), (2, 3), (1, 2)):
-            ens = DiscreteEnsemble(make_cubic_pair(q, dim), k)
-            target = (k - 2) * dim * ens.pair.rate_per_dim
-            assert abs(conditional_entropy_given_modsum(ens)
-                       - target) <= 1e-12
-            check = leakage_bound_check(ens)
-            assert check.passed, (k, q, dim)
-            # the row tallies one coordinate and scales it by N
+            # the whole q^dim box as a Construction-A pair is tallied whole
+            box = make_construction_a_pair(q, dim,
+                                           np.eye(dim, dtype=int).tolist())
+            target = (k - 2) * dim * box.rate_per_dim
+            whole = leakage_row(box, k)
+            assert abs(whole.h_cond - target) <= 1e-12
+            assert whole.identity_ok and whole.passed, (k, q, dim)
+            # the cubic row tallies one coordinate and scales it by N
             row = leakage_row(make_cubic_pair(q, dim), k)
             assert row.identity_ok and row.passed, (k, q, dim)
             assert abs(row.h_cond - target) <= 1e-12
-            assert abs(row.leakage - check.leakage) <= 1e-12
-            assert abs(row.index_entropy - check.index_entropy) <= 1e-12
+            assert abs(row.leakage - whole.leakage) <= 1e-12
+            assert abs(row.index_entropy - whole.index_entropy) <= 1e-12
 
 
 def test_criterion_06_effective_noise():
