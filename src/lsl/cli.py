@@ -20,7 +20,7 @@ Exit codes: 0 success, 1 usage or parse error (an unwritable ``--out``
 too; a missing ``--out`` directory is caught before any work), 2
 infeasible configuration or a cap exceeded, 3 internal invariant
 violation.  Caps go before any work: a printed q^N or K^N needs
-N*log2(base) <= 4096 bits, and a repr-check trial K*N <= ``CHUNK_DRAWS``.
+N*log2(base) <= 4096 bits, a trial K*N <= ``CHUNK_DRAWS``, simulate q <= 2^32.
 """
 from __future__ import annotations
 

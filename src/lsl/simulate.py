@@ -20,10 +20,10 @@ Stages: ``encode_interferer``, ``encode_user_k``, ``apply_channel``,
 ``decode_direct``, ``decode_mod_sum``, ``subtract_interference``,
 ``decode_user_k`` and ``classify_events`` each hold one step of that
 pipeline, once.  They take arrays with leading batch axes: a codeword is
-an index into the scheme's (M, N) leader array, the K-1 interferers form
-a (..., K-1, N) stack, and a decoder returns centered leader coordinates
-of shape (..., N).  The user axis is an ordinary batch axis: no stage
-loops over users in Python.
+its centered coset-leader coordinates, an int64 (..., N) row, the K-1
+interferers form a (..., K-1, N) stack, and a decoder returns rows of
+that format.  The user axis is an ordinary batch axis: no stage loops
+over users in Python.
 
 Reproducibility (draw contract v2): every draw of a campaign comes from
 Philox4x32-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
@@ -52,8 +52,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolationError
+from .errors import CapacityError, InvariantViolationError
 from .lattices import (
+    CUBIC,
     NestedPair,
     codebook,
     in_voronoi,
@@ -89,9 +90,7 @@ class Scheme:
 
     All K users share ``pair``, whose coarse lattice is unit-second-moment
     normalized, which is what makes the power accounting exact.
-    ``leaders`` is its codebook, a read-only (M, N) int64 array of
-    coset-leader coordinates in ``codebook`` order; a codeword is a row
-    index into it.
+    ``_table`` is a Construction-A pair's codebook; a cubic pair has none.
     """
 
     config: SystemConfig
@@ -102,13 +101,18 @@ class Scheme:
     alpha_user_k: float
     effective_noise_var: float
     interferer_amplitudes: tuple[float, ...]
-    leaders: np.ndarray
+    _table: np.ndarray | None
 
     @classmethod
     def for_config(cls, cfg: SystemConfig, pair: NestedPair) -> "Scheme":
         if abs(second_moment(pair.coarse) - 1.0) > 1e-9:
             raise ValueError(
                 "the coarse lattice must be normalized to unit second moment")
+        draws = cfg.K * pair.dimension
+        if draws > CHUNK_DRAWS:
+            raise CapacityError(f"K*N = {draws} draws exceed {CHUNK_DRAWS}")
+        if pair.q > 1 << 32:
+            raise CapacityError(f"q = {pair.q} exceeds 2^32")
         p = cfg.p_aligned
         mmse = mmse_coefficients(cfg)
         return cls(
@@ -120,7 +124,7 @@ class Scheme:
             alpha_user_k=cfg.p_k / (cfg.p_k + 1.0),
             effective_noise_var=mmse.effective_noise_var,
             interferer_amplitudes=tuple(math.sqrt(p / g) for g in cfg.a),
-            leaders=codebook(pair))
+            _table=None if pair.fine.family == CUBIC else codebook(pair))
 
     @property
     def dimension(self) -> int:
@@ -190,15 +194,11 @@ def chunk_bounds(trials: int, draws_per_trial: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _fold_codewords(scheme: Scheme, index, dithers: np.ndarray):
-    """The codewords at ``index`` plus ``dithers``, folded over the coarse
-    cell; an index outside the codebook raises."""
-    index = np.asarray(index)
-    if np.any((index < 0) | (index >= len(scheme.leaders))):
-        raise ValueError("codeword index outside the codebook")
+def _fold_codewords(scheme: Scheme, codewords, dithers: np.ndarray):
+    """``codewords`` plus ``dithers``, folded over the coarse cell."""
     pair = scheme.pair
     return mod_lattice(pair.coarse,
-                       scheme.leaders[index] * pair.fine.scale + dithers)
+                       np.asarray(codewords) * pair.fine.scale + dithers)
 
 
 def _fold_dithers(scheme: Scheme, uniforms: np.ndarray):
@@ -221,31 +221,30 @@ def _decode(pair: NestedPair, x: np.ndarray) -> np.ndarray:
     return pair.reduce(nearest_coords(pair.fine, folded))
 
 
-def encode_interferer(scheme: Scheme, index, dithers: np.ndarray):
+def encode_interferer(scheme: Scheme, codewords, dithers: np.ndarray):
     """Transmit signals of the K-1 interfering users.
 
-    ``index`` holds codeword indices, shape (..., K-1), and ``dithers`` the
-    matching (..., K-1, N) stack; a user axis of another length raises
-    ``ValueError``.  Each codeword plus dither is folded over the coarse
-    cell, giving ``u``; user i's row is then scaled by sqrt(P/a_i) so it
-    arrives at receiver K with power P.  The transmit power P/a_i never
-    exceeds the user's constraint.  Returns ``(u, signals)``, both of
-    shape (..., K-1, N).
+    ``codewords`` and ``dithers`` are (..., K-1, N) stacks; a user axis
+    of another length raises ``ValueError``.  Each codeword plus dither
+    is folded over the coarse cell, giving ``u``; user i's row is then
+    scaled by sqrt(P/a_i) so it arrives at receiver K with power P.  The
+    transmit power P/a_i never exceeds the user's constraint.  Returns
+    ``(u, signals)``, both of shape (..., K-1, N).
     """
     k1 = scheme.config.K - 1
-    if np.shape(index)[-1:] != (k1,) or np.shape(dithers)[-2:-1] != (k1,):
+    if {np.shape(codewords)[-2:-1], np.shape(dithers)[-2:-1]} != {(k1,)}:
         raise ValueError(f"interferer stacks need a user axis of length {k1}")
-    u = _fold_codewords(scheme, index, dithers)
+    u = _fold_codewords(scheme, codewords, dithers)
     return u, np.asarray(scheme.interferer_amplitudes)[:, None] * u
 
 
-def encode_user_k(scheme: Scheme, index, dither: np.ndarray):
+def encode_user_k(scheme: Scheme, codeword, dither: np.ndarray):
     """Transmit signal of user K: dithered fold scaled to power P_K.
 
-    ``index`` has shape (...) and ``dither`` (..., N).  Returns
+    ``codeword`` and ``dither`` have shape (..., N).  Returns
     ``(u_k, signal_k)``: the folded codeword plus dither, and sqrt(P_K)*u_k.
     """
-    u_k = _fold_codewords(scheme, index, dither)
+    u_k = _fold_codewords(scheme, codeword, dither)
     return u_k, math.sqrt(scheme.config.p_k) * u_k
 
 
@@ -404,7 +403,8 @@ def _draws(key: int, lo: int, hi: int, q: int, digits: int, users: int,
     and 2p + 1, sqrt(-2 ln(1-u)) times cos and sin of 2 pi v; the last
     sine is dropped when users*n is odd.  Every array np.log, np.cos or
     np.sin reads is contiguous, so a trial's floats do not depend on the
-    rows drawn with it.
+    rows drawn with it.  ``Scheme.for_config`` checks q <= 2^32 for the
+    digit rule, and users*n <= ``CHUNK_DRAWS`` for the 32-bit block b.
     """
     rows, size, draws = hi - lo, users * digits, users * n
     pairs = (draws + 1) // 2
@@ -437,16 +437,18 @@ def _draws(key: int, lo: int, hi: int, q: int, digits: int, users: int,
 
 
 def _codeword_draws(scheme: Scheme, key: int, lo: int, hi: int):
-    """``_draws`` of trials [lo, hi) for ``scheme``: the (rows, K) codeword
-    indices, each its digits' mixed-radix value, most significant first,
-    into ``scheme.leaders``, then the dither uniforms and the channel
-    normals, interferers first and user K last.  A codeword has log_q(M)
-    digits: M is a power of q."""
-    q = scheme.pair.q
-    d = round(math.log(len(scheme.leaders), q))
-    coded, uniforms, normals = _draws(key, lo, hi, q, d, scheme.config.K,
-                                      scheme.dimension)
-    return coded @ q ** np.arange(d - 1, -1, -1), uniforms, normals
+    """``_draws`` of trials [lo, hi) for ``scheme``: the (rows, K, N) int64
+    codewords, each the ``codebook`` row at its digits' mixed-radix value
+    (most significant first), then the dither uniforms and the channel
+    normals, interferers first and user K last.  A cubic codeword is its
+    N digits minus (q-1)//2, with no table; a Construction-A one has
+    log_q(M) digits and is looked up in ``scheme._table``."""
+    q, n, table = scheme.pair.q, scheme.dimension, scheme._table
+    d = n if table is None else round(math.log(len(table), q))
+    digits, uniforms, normals = _draws(key, lo, hi, q, d, scheme.config.K, n)
+    if table is None:
+        return digits - (q - 1) // 2, uniforms, normals
+    return table[digits @ q ** np.arange(d - 1, -1, -1)], uniforms, normals
 
 
 def run_trial(scheme: Scheme, trial_seed: tuple[int, int]) -> TrialOutcome:
@@ -454,30 +456,29 @@ def run_trial(scheme: Scheme, trial_seed: tuple[int, int]) -> TrialOutcome:
 
     ``trial_seed`` is ``derive_trial_seed(master_seed, i)``, the pair
     (key, i); the draws are row i of ``_codeword_draws``, the engine's
-    draw function, in its order: codeword indices, dither uniforms and
-    channel noise, interferers first and user K last.
+    draw function, in its order: codewords, dither uniforms and channel
+    noise, interferers first and user K last.
     """
     key, i = trial_seed
-    drawn_idx, uniforms, noise = (a[0] for a in _codeword_draws(
+    codewords, uniforms, noise = (a[0] for a in _codeword_draws(
         scheme, key, i, i + 1))
     k = scheme.config.K
     n = scheme.dimension
     pair = scheme.pair
-    leaders = scheme.leaders
 
-    idx, idx_k = drawn_idx[:k - 1], drawn_idx[k - 1]
+    cw, cw_k = codewords[:k - 1], codewords[k - 1]
     dithers, dither_k = _fold_dithers(scheme, uniforms)
 
-    u, signals = encode_interferer(scheme, idx, dithers)
-    u_k, signal_k = encode_user_k(scheme, idx_k, dither_k)
+    u, signals = encode_interferer(scheme, cw, dithers)
+    u_k, signal_k = encode_user_k(scheme, cw_k, dither_k)
     direct, interference, y_k = apply_channel(scheme, signals, signal_k,
                                               noise)
 
     decoded = decode_direct(scheme, direct, dithers)
-    direct_errors = tuple(np.any(decoded != leaders[idx], axis=1).tolist())
+    direct_errors = tuple(np.any(decoded != cw, axis=1).tolist())
 
     s_hat = decode_mod_sum(scheme, y_k, dithers)
-    s_true = pair.reduce(leaders[idx].sum(axis=0))
+    s_true = pair.reduce(cw.sum(axis=0))
 
     # Reconstruct the exact unwrapped residual from simulator-side truth:
     # gamma*U_K + Z'; the wrap event is its escape from the coarse cell.
@@ -490,7 +491,7 @@ def run_trial(scheme: Scheme, trial_seed: tuple[int, int]) -> TrialOutcome:
     e1, e2, e3 = classify_events(
         np.array_equal(s_hat, s_true),
         in_voronoi(pair.coarse, unwrapped),
-        np.array_equal(t_k_hat, leaders[idx_k]))
+        np.array_equal(t_k_hat, cw_k))
 
     z_eff = (scheme.alpha_mod_sum - 1.0) * np.sum(u, axis=0) \
         + scheme.alpha_mod_sum * unwrapped
@@ -513,23 +514,22 @@ def _batch_trial_arrays(scheme: Scheme, key: int, lo: int, hi: int) -> dict:
     """
     k1 = scheme.config.K - 1
     pair = scheme.pair
-    leaders = scheme.leaders
     n = scheme.dimension
 
-    idx_all, uniforms, noise = _codeword_draws(scheme, key, lo, hi)
-    idx, idx_k = idx_all[:, :k1], idx_all[:, k1]
+    codewords, uniforms, noise = _codeword_draws(scheme, key, lo, hi)
+    cw, cw_k = codewords[:, :k1], codewords[:, k1]
     dithers, dither_k = _fold_dithers(scheme, uniforms)
 
-    u, signals = encode_interferer(scheme, idx, dithers)
-    u_k, signal_k = encode_user_k(scheme, idx_k, dither_k)
+    u, signals = encode_interferer(scheme, cw, dithers)
+    u_k, signal_k = encode_user_k(scheme, cw_k, dither_k)
     direct, interference, y_k = apply_channel(scheme, signals, signal_k,
                                               noise)
 
-    direct_errors = np.any(decode_direct(scheme, direct, dithers)
-                           != leaders[idx], axis=-1)
+    direct_errors = np.any(decode_direct(scheme, direct, dithers) != cw,
+                           axis=-1)
 
     s_hat = decode_mod_sum(scheme, y_k, dithers)
-    s_true = pair.reduce(np.sum(leaders[idx], axis=1))
+    s_true = pair.reduce(np.sum(cw, axis=1))
 
     z_prime = (y_k - interference - signal_k) / math.sqrt(scheme.aligned_power)
     unwrapped = scheme.gamma * u_k + z_prime
@@ -540,7 +540,7 @@ def _batch_trial_arrays(scheme: Scheme, key: int, lo: int, hi: int) -> dict:
     e1, e2, e3 = classify_events(
         np.all(s_hat == s_true, axis=1),
         in_voronoi(pair.coarse, unwrapped),
-        np.all(t_k_hat == leaders[idx_k], axis=1))
+        np.all(t_k_hat == cw_k, axis=1))
 
     z_eff = (scheme.alpha_mod_sum - 1.0) * np.sum(u, axis=1) \
         + scheme.alpha_mod_sum * unwrapped

@@ -142,6 +142,14 @@ class TestExitCodes:
         (["repr-check", "--K", "32768", "--N", "1", "--trials", "1"],
          ["repr-check", "--K", "32769", "--N", "1", "--trials", "1"],
          "K*N = 32769 draws exceed 32768"),
+        # so does a campaign trial (K=3), whose 32-bit digit rule needs
+        # q <= 2^32
+        (["simulate", "--N", "10922", "--trials", "1"],
+         ["simulate", "--N", "16385", "--trials", "1"],
+         "K*N = 49155 draws exceed 32768"),
+        (["simulate", "--q", "4294967296", "--N", "1", "--trials", "1"],
+         ["simulate", "--q", "4294967297", "--N", "1", "--trials", "1"],
+         "q = 4294967297 exceeds 2^32"),
     ])
     def test_printed_powers_and_trial_draws_are_capped(self, argv, over,
                                                       message, capsys):

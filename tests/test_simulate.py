@@ -94,7 +94,7 @@ def embed(pair, coords):
 class TestEncoding:
     def test_zero_codeword_zero_dither(self):
         scheme = default_scheme()
-        origin = np.flatnonzero(~scheme.leaders.any(axis=1))[0]
+        origin = np.zeros(2, dtype=np.int64)
         u, x = encode_interferer(scheme, [origin, origin], np.zeros((2, 2)))
         assert np.all(x == 0.0) and np.all(u == 0.0)
         assert np.all(encode_user_k(scheme, origin, np.zeros(2))[1] == 0.0)
@@ -107,7 +107,8 @@ class TestEncoding:
         # user 1's 20,000 dithers, then user 2's, as sequential draws
         dithers = np.stack([draw_dithers(coarse, rng, 20_000)
                             for _ in (1, 2)], axis=1)
-        _, x = encode_interferer(scheme, np.full((20_000, 2), 3), dithers)
+        _, x = encode_interferer(scheme, np.ones((20_000, 2, 2), np.int64),
+                                 dithers)
         powers = np.sum(x ** 2, axis=-1) / n
         for user in (1, 2):
             target = scheme.aligned_power / scheme.config.a[user - 1]
@@ -115,7 +116,7 @@ class TestEncoding:
                                                                  rel=0.01)
             assert target <= scheme.config.P[user - 1] + 1e-12
         d_k = draw_dithers(scheme.pair.coarse, rng, 20_000)
-        _, x_k = encode_user_k(scheme, np.ones(20_000, dtype=int), d_k)
+        _, x_k = encode_user_k(scheme, np.tile([0, 1], (20_000, 1)), d_k)
         powers_k = np.sum(x_k ** 2, axis=-1) / n
         assert np.mean(powers_k) == pytest.approx(scheme.config.p_k, rel=0.01)
 
@@ -125,26 +126,19 @@ class TestEncoding:
         pair = scheme.pair
         rng = np.random.default_rng(7)
         d = draw_dithers(pair.coarse, rng, 2)
-        u, x = encode_interferer(scheme, [2, 2], d)
+        codeword = np.array([1, 0])
+        u, x = encode_interferer(scheme, [codeword, codeword], d)
         for user in (1, 2):
             expected_u = mod_lattice(
-                pair.coarse, embed(pair, scheme.leaders[2])
-                + d[user - 1])
+                pair.coarse, embed(pair, codeword) + d[user - 1])
             assert np.array_equal(u[user - 1], expected_u)
             arrived = math.sqrt(scheme.config.a[user - 1]) * x[user - 1]
             assert np.allclose(
                 arrived, math.sqrt(scheme.aligned_power) * expected_u,
                 rtol=1e-12)
 
-    def test_rejects_index_or_user_out_of_range(self):
+    def test_rejects_user_axis_out_of_range(self):
         scheme = default_scheme()
-        m = len(scheme.leaders)
-        for bad in ([0, m], [-1, 0], [[0, 1], [2, m + 5]]):
-            with pytest.raises(ValueError):
-                encode_interferer(scheme, bad, np.zeros(np.shape(bad) + (2,)))
-        for bad in (len(scheme.leaders), -1, [0, -2]):
-            with pytest.raises(ValueError):
-                encode_user_k(scheme, bad, np.zeros(np.shape(bad) + (2,)))
         # the user axis must hold all K-1 = 2 links: a length-1 axis
         # would otherwise broadcast the first user's constants silently
         for direct, dithers in (((1, 2), (1, 2)), ((3, 2), (3, 2)),
@@ -152,11 +146,13 @@ class TestEncoding:
                                 ((5, 2, 2), (5, 1, 2))):
             with pytest.raises(ValueError):
                 decode_direct(scheme, np.zeros(direct), np.zeros(dithers))
-        for index, dithers in (((1,), (1, 2)), ((3,), (3, 2)), ((), (2,)),
-                               ((2,), (1, 2)), ((5, 1), (5, 1, 2)),
-                               ((5, 2), (5, 1, 2)), ((5, 1), (5, 2, 2))):
+        for codewords, dithers in (((1, 2), (1, 2)), ((3, 2), (3, 2)),
+                                   ((2,), (2,)), ((2, 2), (1, 2)),
+                                   ((5, 1, 2), (5, 1, 2)),
+                                   ((5, 2, 2), (5, 1, 2)),
+                                   ((5, 1, 2), (5, 2, 2))):
             with pytest.raises(ValueError):
-                encode_interferer(scheme, np.zeros(index, np.int64),
+                encode_interferer(scheme, np.zeros(codewords, np.int64),
                                   np.zeros(dithers))
         # the channel takes K-1 = 2 signals and K = 3 noise rows
         for signals, noise in (((1, 2), (3, 2)), ((3, 2), (3, 2)),
@@ -177,10 +173,19 @@ class TestEncoding:
             Scheme.for_config(cfg, pair)
 
     def test_leaders_are_the_codebook(self):
-        for scheme in (default_scheme(q=3, dim=2), coded_benchmark_scheme()):
-            assert scheme.leaders.dtype == np.int64
-            assert not scheme.leaders.flags.writeable
-            assert np.array_equal(scheme.leaders, codebook(scheme.pair))
+        # a Construction-A scheme holds codebook(pair) as its one table; a
+        # cubic scheme holds none, and its rule, the q^N digit rows in
+        # lexicographic order minus (q-1)//2, lists the same rows in order
+        for q, n in ((2, 2), (3, 3), (4, 2), (5, 2), (6, 1)):
+            scheme = default_scheme(q, n)
+            assert scheme._table is None
+            digits = np.array(list(itertools.product(range(q), repeat=n)),
+                              dtype=np.int64)
+            assert np.array_equal(digits - (q - 1) // 2,
+                                  codebook(scheme.pair))
+        for scheme in (coded_benchmark_scheme(), composite_scheme()):
+            assert scheme._table.dtype == np.int64
+            assert np.array_equal(scheme._table, codebook(scheme.pair))
 
 
 class TestChannel:
@@ -188,21 +193,19 @@ class TestChannel:
         scheme = default_scheme()
         pair = scheme.pair
         rng = np.random.default_rng(3)
+        leaders = codebook(pair)
         idx = [1, 3]
         dithers = draw_dithers(pair.coarse, rng, 2)
-        _, signals = encode_interferer(scheme, idx, dithers)
+        _, signals = encode_interferer(scheme, leaders[idx], dithers)
         d_k = draw_dithers(scheme.pair.coarse, rng)
-        _, signal_k = encode_user_k(scheme, 2, d_k)
+        _, signal_k = encode_user_k(scheme, leaders[2], d_k)
         direct, _, y_k = apply_channel(scheme, signals, signal_k,
                                        np.zeros((3, 2)))
         for x, y in zip(signals, direct):
             assert np.array_equal(x, y)
-        us = [mod_lattice(pair.coarse,
-                          embed(pair, scheme.leaders[i]) + d)
+        us = [mod_lattice(pair.coarse, embed(pair, leaders[i]) + d)
               for i, d in zip(idx, dithers)]
-        u_k = mod_lattice(scheme.pair.coarse,
-                          embed(scheme.pair, scheme.leaders[2])
-                          + d_k)
+        u_k = mod_lattice(pair.coarse, embed(pair, leaders[2]) + d_k)
         expected = math.sqrt(scheme.aligned_power) * (us[0] + us[1]) \
             + math.sqrt(scheme.config.p_k) * u_k
         assert np.allclose(y_k, expected, rtol=1e-12)
@@ -234,17 +237,16 @@ class TestDecoding:
         # on a cubic pair and on the campaign-coded Construction-A pair
         for scheme in (default_scheme(q=2, dim=1), coded_benchmark_scheme()):
             pair = scheme.pair
-            leaders = scheme.leaders
+            leaders = codebook(pair)
             rng = np.random.default_rng(5)
             combos = np.array(list(itertools.product(
-                range(len(leaders)), range(len(leaders)),
-                range(len(scheme.leaders)))))
+                range(len(leaders)), repeat=3)))
             idx, idx_k = combos[:, :2], combos[:, 2]
             # per combo: both interferer dithers, then user K's
             drawn = draw_dithers(pair.coarse, rng, len(combos), 3)
             dithers, d_k = drawn[:, :2], drawn[:, 2]
-            _, signals = encode_interferer(scheme, idx, dithers)
-            _, signal_k = encode_user_k(scheme, idx_k, d_k)
+            _, signals = encode_interferer(scheme, leaders[idx], dithers)
+            _, signal_k = encode_user_k(scheme, leaders[idx_k], d_k)
             direct, _, y_k = apply_channel(
                 scheme, signals, signal_k,
                 np.zeros((len(combos), 3, scheme.dimension)))
@@ -256,17 +258,17 @@ class TestDecoding:
                                       pair.reduce(leaders[t1] + leaders[t2]))
             residual = subtract_interference(scheme, y_k, s_hat, dithers)
             assert np.array_equal(decode_user_k(scheme, residual, d_k),
-                                  scheme.leaders[idx_k])
+                                  leaders[idx_k])
 
     def test_mod_sum_collapse_with_unit_alpha(self):
         # zero dither, zero noise, silent user K: folding y_K/sqrt(P)
         # directly (alpha = 1) returns the folded codeword sum exactly
         scheme = default_scheme(q=2, dim=2)
         pair = scheme.pair
-        leaders = scheme.leaders
+        leaders = codebook(pair)
         for t1 in range(2):
             for t2 in range(2, len(leaders)):
-                _, signals = encode_interferer(scheme, [t1, t2],
+                _, signals = encode_interferer(scheme, leaders[[t1, t2]],
                                                np.zeros((2, 2)))
                 silent_k = np.zeros(2)
                 _, _, y_k = apply_channel(scheme, signals, silent_k,
@@ -280,7 +282,7 @@ class TestDecoding:
     def test_residual_equals_unwrapped_value(self):
         scheme = default_scheme(q=2, dim=2)
         pair = scheme.pair
-        leaders = scheme.leaders
+        leaders = codebook(pair)
         rng = np.random.default_rng(8)
         hits = 0
         for _ in range(200):
@@ -288,17 +290,15 @@ class TestDecoding:
             t_k = rng.integers(0, 4)
             dithers = draw_dithers(pair.coarse, rng, 2)
             d_k = draw_dithers(scheme.pair.coarse, rng)
-            _, signals = encode_interferer(scheme, idx, dithers)
-            _, signal_k = encode_user_k(scheme, t_k, d_k)
+            _, signals = encode_interferer(scheme, leaders[idx], dithers)
+            _, signal_k = encode_user_k(scheme, leaders[t_k], d_k)
             noise = rng.standard_normal((3, 2))
             _, _, y_k = apply_channel(scheme, signals, signal_k, noise)
             s_hat = decode_mod_sum(scheme, y_k, dithers)
             s_true = pair.reduce(leaders[idx[0]] + leaders[idx[1]])
             if not np.array_equal(s_hat, s_true):
                 continue
-            u_k = mod_lattice(scheme.pair.coarse,
-                              embed(scheme.pair,
-                                    scheme.leaders[t_k]) + d_k)
+            u_k = mod_lattice(pair.coarse, embed(pair, leaders[t_k]) + d_k)
             z_k = y_k - math.sqrt(scheme.config.a[0]) * signals[0] \
                 - math.sqrt(scheme.config.a[1]) * signals[1] - signal_k
             unwrapped = scheme.gamma * u_k \
@@ -369,16 +369,17 @@ class TestStages:
         k1 = scheme.config.K - 1
         n = scheme.dimension
         rng = np.random.default_rng(seed)
-        idx = rng.integers(0, len(scheme.leaders), size=(t, k1))
-        idx_k = rng.integers(0, len(scheme.leaders), size=t)
+        leaders = codebook(scheme.pair)
+        cw = leaders[rng.integers(0, len(leaders), size=(t, k1))]
+        cw_k = leaders[rng.integers(0, len(leaders), size=t)]
         dithers = draw_dithers(scheme.pair.coarse, rng, t, k1)
         d_k = draw_dithers(scheme.pair.coarse, rng, t)
         noise = (np.zeros((t, k1 + 1, n)) if noiseless
                  else rng.standard_normal((t, k1 + 1, n)))
         flags = rng.random((3, t)) < 0.5
 
-        enc = encode_interferer(scheme, idx, dithers)
-        enc_k = encode_user_k(scheme, idx_k, d_k)
+        enc = encode_interferer(scheme, cw, dithers)
+        enc_k = encode_user_k(scheme, cw_k, d_k)
         channel = apply_channel(scheme, enc[1], enc_k[1], noise)
         direct, _, y_k = channel
         decoded = decode_direct(scheme, direct, dithers)
@@ -389,8 +390,8 @@ class TestStages:
 
         for r in range(t):
             rows = (
-                (enc, encode_interferer(scheme, idx[r], dithers[r])),
-                (enc_k, encode_user_k(scheme, idx_k[r], d_k[r])),
+                (enc, encode_interferer(scheme, cw[r], dithers[r])),
+                (enc_k, encode_user_k(scheme, cw_k[r], d_k[r])),
                 (channel, apply_channel(scheme, enc[1][r], enc_k[1][r],
                                         noise[r])),
                 ((decoded,), (decode_direct(scheme, direct[r], dithers[r]),)),
@@ -522,8 +523,11 @@ class TestReproducibility:
     def test_campaign_matches_reference_trials(self):
         # the vectorized engine must reproduce run_trial bit for bit, on
         # cubic and Construction-A pairs alike, composite q included
+        # cubic pairs past the q^N <= 2^16 a codebook would allow too
         wrap = coded_wrap_scheme()
         for scheme in (default_scheme(q=2, dim=2), default_scheme(q=3, dim=3),
+                       default_scheme(q=2, dim=17),
+                       default_scheme(q=2, dim=64),
                        coded_benchmark_scheme(), wrap, composite_scheme(),
                        *unequal_schemes()):
             outcomes = [run_trial(scheme, derive_trial_seed(31, i))
@@ -540,8 +544,8 @@ class TestReproducibility:
         draws = lsl.simulate._codeword_draws
 
         def noiseless_draws(*args):
-            idx, uniforms, noise = draws(*args)
-            return idx, uniforms, np.zeros_like(noise)
+            codewords, uniforms, noise = draws(*args)
+            return codewords, uniforms, np.zeros_like(noise)
 
         monkeypatch.setattr(lsl.simulate, "_codeword_draws", noiseless_draws)
         for scheme in (default_scheme(), coded_benchmark_scheme()):
@@ -630,6 +634,48 @@ class TestReproducibility:
             sizes.clear()
             assert run_campaign(scheme, 50, 4) == report
             assert sum(sizes) == 50 and max(sizes) <= rows
+
+    def test_codebook_is_built_once_per_coded_scheme(self, monkeypatch):
+        # a Construction-A scheme looks its codewords up in one table,
+        # built with the scheme, not per chunk; a cubic one builds none
+        import lsl.simulate
+        families = []
+        build = lsl.simulate.codebook
+
+        def recording_codebook(pair):
+            families.append(pair.fine.family)
+            return build(pair)
+
+        monkeypatch.setattr(lsl.simulate, "codebook", recording_codebook)
+        # K=3: four chunks of two or three trials at N=4, three of six
+        # at N=2
+        monkeypatch.setattr(lsl.simulate, "CHUNK_DRAWS", 36)
+        chunks = []
+        engine = lsl.simulate._batch_trial_arrays
+
+        def recording_engine(scheme, key, lo, hi):
+            chunks.append(hi - lo)
+            return engine(scheme, key, lo, hi)
+
+        monkeypatch.setattr(lsl.simulate, "_batch_trial_arrays",
+                            recording_engine)
+        run_campaign(coded_benchmark_scheme(), 10, 3)
+        run_campaign(default_scheme(), 18, 3)
+        assert families == ["construction-a"]
+        assert chunks == [2, 3, 2, 3, 6, 6, 6]
+
+    def test_cubic_scheme_allocates_no_codebook(self):
+        # q=2, N=64: 2^64 codewords, read off their digits as drawn
+        import tracemalloc
+        cfg = SystemConfig(K=3, P=(10, 10, 10), a=(12, 12))
+        pair = make_cubic_pair(2, 64)
+        tracemalloc.start()
+        try:
+            Scheme.for_config(cfg, pair)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -809,19 +855,23 @@ class TestDrawContract:
         assert stats.kstest(normals.ravel(), "norm").pvalue > 1e-3
 
     def test_digits_index_the_leaders(self):
-        # a codeword index is its digits' mixed-radix value, most
-        # significant first, for cubic and Construction-A pairs alike
+        # a drawn codeword is the leader (codebook row) at its digits'
+        # mixed-radix value, most significant first: a cubic pair reads
+        # it off the digits with no table, a Construction-A pair looks it up
         import lsl.simulate
-        for scheme in (default_scheme(q=3, dim=3), coded_benchmark_scheme(),
-                       composite_scheme()):
+        cubic = ((2, 2), (3, 3), (4, 5), (5, 2), (2, 16), (65175, 1))
+        for scheme in (*(default_scheme(q, n) for q, n in cubic),
+                       coded_benchmark_scheme(), composite_scheme()):
             q = scheme.pair.q
-            d = round(math.log(len(scheme.leaders), q))
-            assert q ** d == len(scheme.leaders)
-            idx = lsl.simulate._codeword_draws(scheme, 5, 0, 30)[0]
-            coded = _draws(5, 0, 30, q, d, scheme.config.K,
-                           scheme.dimension)[0]
-            assert np.array_equal(idx, np.ravel_multi_index(
-                np.moveaxis(coded, -1, 0), (q,) * d))
+            leaders = codebook(scheme.pair)
+            d = round(math.log(len(leaders), q))
+            assert q ** d == len(leaders)
+            codewords = lsl.simulate._codeword_draws(scheme, 5, 0, 3000)[0]
+            digits = _draws(5, 0, 3000, q, d, scheme.config.K,
+                            scheme.dimension)[0]
+            assert codewords.dtype == np.int64
+            assert np.array_equal(codewords, leaders[np.ravel_multi_index(
+                np.moveaxis(digits, -1, 0), (q,) * d)])
 
 
 #: ROADMAP item 1's eight cubic configs, (K, P, a, q, N, master seed),
