@@ -14,13 +14,15 @@ name on every call.
 
 CSV output is byte-deterministic for a fixed (config, seed): rates print
 with six fixed decimals, probabilities in scientific notation, and the
-config echo is lossless.
+config echo is lossless; ``leakage``, ``repr-check`` and ``lattice-info``
+read no channel, so they echo no P or a.
 
 Exit codes: 0 success, 1 usage or parse error (an unwritable ``--out``
 too; a missing ``--out`` directory is caught before any work), 2
 infeasible configuration or a cap exceeded, 3 internal invariant
 violation.  Caps go before any work: a printed q^N or K^N needs
-N*log2(base) <= 4096 bits, a trial K*N <= ``CHUNK_DRAWS``, simulate q <= 2^32.
+N*log2(base) <= 4096 bits, a leakage row's tallies ``STATE_CAP`` rows, a
+trial K*N <= ``CHUNK_DRAWS``, simulate q <= 2^32.
 """
 from __future__ import annotations
 
@@ -132,9 +134,10 @@ class RunConfig:
             return make_construction_a_pair(self.q, self.N, self.generator)
         raise UsageError(f"unknown lattice family {self.family!r}")
 
-    def echo(self) -> str:
+    def echo(self, channel: bool = True) -> str:
         return " ".join(f"{key}={spec.show(getattr(self, spec.field))}"
-                        for key, spec in _KEYS.items() if spec.show)
+                        for key, spec in _KEYS.items() if spec.show
+                        and (channel or key not in ("P", "a")))
 
     def hash(self) -> str:
         return hashlib.sha256(self.echo().encode()).hexdigest()[:12]
@@ -272,10 +275,11 @@ def _resolve_config(args) -> RunConfig:
                    **{_KEYS[key].field: v for key, v in values.items()})
 
 
-def _emit(cfg: RunConfig, records) -> None:
+def _emit(cfg: RunConfig, records, channel: bool = True) -> None:
     """Write the config echo, the header (from the first record) and one
-    row per record; a record is an ordered list of ``(column, cell)``."""
-    lines = [f"# config: {cfg.echo()}",
+    row per record; a record is an ordered list of ``(column, cell)``.
+    A subcommand that reads no channel passes ``channel=False``."""
+    lines = [f"# config: {cfg.echo(channel)}",
              ",".join(column for column, _ in records[0])]
     lines += [",".join(cell for _, cell in record) for record in records]
     text = "\n".join(lines) + "\n"
@@ -290,7 +294,7 @@ def _emit(cfg: RunConfig, records) -> None:
             from None
 
 
-def _report(cfg: RunConfig, fields) -> None:
+def _report(cfg: RunConfig, fields, channel: bool = True) -> None:
     """Print ``(label, column, cell)`` fields as text, and as CSV with
     --out; a field without a label is CSV only, one without a column text
     only."""
@@ -298,7 +302,8 @@ def _report(cfg: RunConfig, fields) -> None:
         if label:
             print(f"  {label:<26} {cell or 'n/a'}")
     if cfg.out:
-        _emit(cfg, [[(column, cell) for _, column, cell in fields if column]])
+        _emit(cfg, [[(column, cell) for _, column, cell in fields if column]],
+              channel)
 
 
 def cmd_rates(cfg: RunConfig) -> int:
@@ -464,7 +469,7 @@ def cmd_leakage(cfg: RunConfig) -> int:
         ("modsum_entropy", _fmt_rate(row.modsum_entropy)),
         ("index_entropy", _fmt_rate(row.index_entropy)),
         ("index_bound", _fmt_rate(row.index_bound)),
-        ("passed", _fmt_bool(row.passed))]])
+        ("passed", _fmt_bool(row.passed))]], channel=False)
     return 0
 
 
@@ -499,7 +504,8 @@ def cmd_repr_check(cfg: RunConfig) -> int:
         ("K", str(k)), ("trials", str(cfg.trials)),
         ("failures", str(failures)), ("max_index", str(max_index)),
         ("index_bound", str(bound)),
-        ("passed", _fmt_bool(failures == 0 and max_index <= bound))]])
+        ("passed", _fmt_bool(failures == 0 and max_index <= bound))]],
+          channel=False)
     if failures or max_index > bound:
         raise InvariantViolationError(
             f"{failures} reconstruction failures, max index {max_index}")
@@ -534,7 +540,7 @@ def cmd_lattice_info(cfg: RunConfig) -> int:
          f"{covering_ball_second_moment(coarse):.9f}"),
         ("ball moment constant", "ball_constant",
          f"{ball_normalized_second_moment(cfg.N):.9f}"),
-    ])
+    ], channel=False)
     return 0
 
 

@@ -6,21 +6,18 @@ codewords plus the small integer that pins down their true integer sum.
 Everything here derives from exact integer tallies over the uniform
 product distribution (denominators are powers of the codebook size), so
 the entropy identities hold to float rounding, not to sampling error.
-``DiscreteEnsemble._sum_counts`` tallies the distinct raw coordinate sums
-as int64 rows and keeps each tally on the ensemble; its memory never
-exceeds the joint state count.
+``_sum_step`` is the one tally step, and ``leakage_row`` the one leakage
+computation: it reads every column of ``lsl leakage`` off the tallies of
+0, 1, K-2 and K-1 summed codewords.
 
-``leakage_row`` is the one leakage computation: it reads every column of
-``lsl leakage`` off those tallies.  The ensemble checks its M^(K-1) joint
-states against ``STATE_CAP`` once, before the codebook is built and
-before the closure tally, and no tally reads more states.  A cubic
-pair's coordinates are iid, so each of its entropies is N times that of
-the one-dimensional pair: the row tallies q^(K-1) states, not
-q^(N(K-1)).
-
-Entropies are in bits.  An ensemble is made from one nested pair: its
-elements are the pair's ``codebook``, the centered coordinate rows of the
-quotient fine/coarse, a group under coordinate addition mod q.
+A Construction-A pair is tallied whole by a ``DiscreteEnsemble``, whose
+elements are the pair's ``codebook``: the centered coordinate rows of
+the quotient fine/coarse, a group under coordinate addition mod q.  A
+cubic pair's coordinates are iid, so each of its entropies is N times
+that of one coordinate, and its row tallies the q centered residues of
+Z_q with Python-int counts: no codebook, no closure test, and a cap on
+the rows its steps build, not on the q^(K-1) joint states.  Entropies
+are in bits.
 """
 
 from __future__ import annotations
@@ -41,7 +38,8 @@ from .lattices import (
 )
 from .representation import window_index
 
-#: Most joint states one tally may enumerate.
+#: Most rows one leakage row may tally: a Construction-A ensemble's
+#: M^(K-1) joint states, or the sum rows a cubic row's steps build.
 STATE_CAP = 10_000_000
 
 #: Most bits of a cubic pair's codebook size M = q^N, so N*log2(q).
@@ -76,6 +74,7 @@ class DiscreteEnsemble:
     largest tally any column reads, against ``STATE_CAP`` before the
     codebook is built and before the M^2 pair sums of its closure test
     are tallied; since K >= 3 that covers the closure test too.
+    ``leakage_row`` builds one for Construction-A pairs only.
     """
 
     pair: NestedPair
@@ -87,10 +86,10 @@ class DiscreteEnsemble:
     def __post_init__(self):
         if self.num_users < 3:
             raise ValueError("need at least 3 users")
-        self._check_cap(self.num_senders)
+        self._check_cap(self.num_users - 1)
         # Closed iff the folded pair sums add no row to the elements.
         rows = np.vstack([self.elements,
-                          _centered_mod(self._sum_counts(2)[0], self.q)])
+                          _centered_mod(self._sum_counts(2)[0], self.pair.q)])
         if len(_tally(rows, np.zeros(len(rows), np.int64))[0]) != self.size:
             raise InvariantViolationError(
                 "codebook is not closed under mod-q addition")
@@ -100,51 +99,25 @@ class DiscreteEnsemble:
         return codebook(self.pair)
 
     @property
-    def q(self) -> int:
-        return self.pair.q
-
-    @property
-    def dimension(self) -> int:
-        return self.pair.dimension
-
-    @property
     def size(self) -> int:
         return self.pair.nesting_ratio
-
-    @property
-    def num_senders(self) -> int:
-        return self.num_users - 1
 
     def _check_cap(self, exponent: int):
         _check_states(self.size, exponent)
 
     def _sum_counts(self, num_vars: int):
-        """Exact tally of the raw integer sum of ``num_vars`` elements.
-
-        Returns the distinct sums as (S, N) int64 rows and their int64
-        counts, both read-only.  Each step adds every element to every
-        support row of the ``num_vars - 1`` tally, so memory is at most
-        (support x M) rows, never the dense sum box.  Every tally is kept
-        on the ensemble: the closure check and ``leakage_row`` share them.
-        """
+        """The read-only tally of ``num_vars`` summed elements, kept on
+        the ensemble: the closure check and ``leakage_row`` share it."""
         if num_vars not in self._tallies:
             if num_vars == 0:
-                sums = np.zeros((1, self.dimension), dtype=np.int64)
+                sums = np.zeros((1, self.pair.dimension), dtype=np.int64)
                 counts = np.ones(1, dtype=np.int64)
             else:
-                prev, prev_counts = self._sum_counts(num_vars - 1)
-                sums, counts = _tally(
-                    (prev[:, None, :] + self.elements).reshape(
-                        -1, self.dimension),
-                    np.repeat(prev_counts, self.size))
+                sums, counts = _sum_step(self._sum_counts(num_vars - 1),
+                                         self.elements)
             sums.flags.writeable = counts.flags.writeable = False
             self._tallies[num_vars] = sums, counts
         return self._tallies[num_vars]
-
-    def _folded_entropy(self, num_vars: int) -> float:
-        """Entropy of the folded sum of ``num_vars`` elements."""
-        sums, counts = self._sum_counts(num_vars)
-        return _entropy_bits(_tally(_centered_mod(sums, self.q), counts)[1])
 
 
 def _tally(keys: np.ndarray, counts: np.ndarray):
@@ -156,13 +129,31 @@ def _tally(keys: np.ndarray, counts: np.ndarray):
     return keys[starts], np.add.reduceat(counts, starts)
 
 
-def _plogp(counts: np.ndarray) -> float:
-    return sum(c * math.log2(c) for c in counts.tolist() if c > 1)
+def _sum_step(tally, elements: np.ndarray):
+    """The tally of one more summand: add every (M, N) element to every
+    support row of ``tally`` (sums, counts) and merge equal sums, so
+    memory is (support x M) rows, never the dense sum box."""
+    sums, counts = tally
+    return _tally((sums[:, None, :] + elements).reshape(-1, elements.shape[1]),
+                  np.repeat(counts, len(elements)))
+
+
+def _mean_log2(counts: np.ndarray) -> float:
+    """Sum of (c/T)*log2(c) over the counts c of total T.  Python ints
+    divide with correct rounding, so no count overflows a float."""
+    counts = counts.tolist()
+    total = sum(counts)
+    return sum((c / total) * math.log2(c) for c in counts if c > 1)
 
 
 def _entropy_bits(counts: np.ndarray) -> float:
-    total = int(counts.sum())
-    return math.log2(total) - _plogp(counts) / total
+    return math.log2(sum(counts.tolist())) - _mean_log2(counts)
+
+
+def _folded_entropy(tally, q: int) -> float:
+    """Entropy of the folded sum of a tally (sums, counts)."""
+    sums, counts = tally
+    return _entropy_bits(_tally(_centered_mod(sums, q), counts)[1])
 
 
 @dataclass(frozen=True)
@@ -195,37 +186,48 @@ def _targets(pair: NestedPair, num_users: int):
 def leakage_row(pair: NestedPair, num_users: int) -> LeakageRow:
     """Exact leakage accounting of ``pair`` with K = ``num_users`` users.
 
-    A Construction-A pair is tallied whole.  A cubic pair's codewords are
-    N iid coordinates, each uniform over the one-dimensional pair's
-    codebook, and the folded sum, the raw sum and the window index split
-    per coordinate (the index is a mixed-radix bijection of the
-    per-coordinate offsets).  So every entropy is N times the 1-D pair's,
-    and only the 1-D pair is tallied, under its q^(K-1) state cap, once
-    N*log2(q) is checked against ``MAX_CODEBOOK_BITS``.  M, the rate, the
-    identity target and both bounds are read off ``pair``; ``identity_ok``
-    and ``passed`` compare the tallied pair's own values with its own
-    targets, since at large N the scaled floats can miss their targets by
-    rounding alone.  Every column but the chain terms reads the tally of
-    the K-1 raw sums and its one folded tally.
+    A cubic pair's codewords are N iid coordinates, each uniform over the
+    q centered residues, and the folded sum, the raw sum and the window
+    index split per coordinate (the index is a mixed-radix bijection of
+    the per-coordinate offsets).  So every entropy is N times that of the
+    residues, tallied in K-1 ``_sum_step`` calls.  Before any tally come
+    K >= 3, N*log2(q) <= ``MAX_CODEBOOK_BITS`` and the rows those calls
+    build, q(K-2)(2 + (q-1)(K-1))/2 <= ``STATE_CAP`` (q^2 at K=3).
+    ``identity_ok`` and ``passed`` compare the tallied pair's own values
+    with its own targets: at large N the scaled floats can miss their
+    targets by rounding alone.
     """
-    n = pair.dimension
+    if num_users < 3:
+        raise ValueError("need at least 3 users")
+    q, n, senders = pair.q, pair.dimension, num_users - 1
     if pair.fine.family == CUBIC:
-        check_power_bits("codebook size", pair.q, n)
-        tallied, scale = make_cubic_pair(pair.q, 1), n
+        check_power_bits("codebook size", q, n)
+        rows = q * (senders - 1) * (2 + (q - 1) * senders) // 2
+        if rows > STATE_CAP:
+            raise CapacityError(
+                f"cubic tally of {rows} sum rows exceeds cap {STATE_CAP}")
+        tallied, scale = make_cubic_pair(q, 1), n
+        residues = np.arange(-((q - 1) // 2), q // 2 + 1)[:, None]
+        tally = np.zeros((1, 1), np.int64), np.ones(1, object)
+        tallies = {0: tally}
+        for j in range(1, num_users):
+            tally = _sum_step(tally, residues)
+            if j in (1, senders - 1, senders):
+                tallies[j] = tally
     else:
         tallied, scale = pair, 1
-    ens = DiscreteEnsemble(tallied, num_users)
-    senders = ens.num_senders
-    raw, counts = ens._sum_counts(senders)
-    folded = _centered_mod(raw, ens.q)
+        ens = DiscreteEnsemble(pair, num_users)
+        tallies = {j: ens._sum_counts(j) for j in (0, 1, senders - 1, senders)}
+    raw, counts = tallies[senders]
+    folded = _centered_mod(raw, q)
     modsum_counts = _tally(folded, counts)[1]
     # Given any folded sum the K-1 codewords are uniform over M^(K-2)
     # tuples: H(codewords | folded sum) is the hidden payload.
-    h_cond = _plogp(modsum_counts) / ens.size ** senders
+    h_cond = _mean_log2(modsum_counts)
     modsum_entropy = _entropy_bits(modsum_counts)
     # In coarse-cell units the folded sum is folded/q and the removed
     # coarse point has integer coordinates (raw - folded)/q.
-    indices = window_index(folded / ens.q, (raw - folded) // ens.q, senders)
+    indices = window_index(folded / q, (raw - folded) // q, senders)
     index_entropy = _entropy_bits(_tally(indices[:, None], counts)[1])
     # The observation is a function of the codewords, and (folded sum,
     # index) determines the raw sum and back: the leakage is H(raw sum).
@@ -234,9 +236,11 @@ def leakage_row(pair: NestedPair, num_users: int) -> LeakageRow:
     # (t_j, rest sum) determine each other and t_j is independent of the
     # rest, so it is log2 M + H(rest) - H(tail).  The tail one-time-pads
     # t_j at j = 1 and determines it at j = K-1.
-    log_m = math.log2(ens.size)
-    chain_first = log_m + ens._folded_entropy(senders - 1) - modsum_entropy
-    chain_last = log_m + ens._folded_entropy(0) - ens._folded_entropy(1)
+    log_m = math.log2(tallied.nesting_ratio)
+    chain_first = (log_m + _folded_entropy(tallies[senders - 1], q)
+                   - modsum_entropy)
+    chain_last = (log_m + _folded_entropy(tallies[0], q)
+                  - _folded_entropy(tallies[1], q))
     own_target, own_bound, own_index_bound = _targets(tallied, num_users)
     target, bound, index_bound = _targets(pair, num_users)
     return LeakageRow(

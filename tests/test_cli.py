@@ -92,31 +92,33 @@ class TestExitCodes:
 
     def test_cap_exceeded(self, tmp_path, capsys):
         # a size cap has its own prefix, not "infeasible configuration";
-        # a cubic pair tallies one coordinate, so K sets its state count
+        # a cubic row's K-1 tally steps build (K-2)(K+1) rows at q=2
         out = tmp_path / "leak.csv"
-        assert main(["leakage", "--q", "4", "--K", "14",
+        assert main(["leakage", "--q", "2", "--K", "3163",
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            "cap exceeded: state space 4^13 exceeds cap 10000000\n")
+            "cap exceeded: cubic tally of 10001404 sum rows exceeds cap "
+            "10000000\n")
         assert not out.exists()
 
     def test_state_cap_at_huge_k_exits_at_once(self, capsys):
-        # 3^(10^8 - 1) states: the cap check never builds the power
+        # 3(K-2)(2 + 2(K-1))/2 rows at K = 10^8, counted, never built
         start = time.perf_counter()
         assert main(["leakage", "--q", "3", "--N", "1",
                      "--K", "100000000"]) == 2
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().err == (
-            "cap exceeded: state space 3^99999999 exceeds cap 10000000\n")
+            "cap exceeded: cubic tally of 29999999400000000 sum rows "
+            "exceeds cap 10000000\n")
 
     def test_codebook_bits_checked_before_any_tally(self, tmp_path, capsys,
                                                    monkeypatch):
         def no_tally(*args, **kwargs):
-            raise AssertionError("an ensemble was built")
+            raise AssertionError("a tally step ran")
 
         out = tmp_path / "leak.csv"
         bits = lsl.leakage.MAX_CODEBOOK_BITS
-        monkeypatch.setattr(lsl.leakage, "DiscreteEnsemble", no_tally)
+        monkeypatch.setattr(lsl.leakage, "_sum_step", no_tally)
         assert main(["leakage", "--q", "2", "--N", str(bits + 1),
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
@@ -583,6 +585,34 @@ class TestLeakageCommand:
         code, max_rss_kb = child_usage("leakage", "--q", "3", "--N", "7")
         assert code == 0
         assert max_rss_kb < 80 * 1024
+
+    @linux_rss
+    def test_cubic_row_at_its_cap_is_small_and_fast(self):
+        # K = 3162 at q=2: 2^3161 joint states, 9,995,080 tally rows
+        start = time.perf_counter()
+        code, max_rss_kb = child_usage("leakage", "--q", "2", "--K", "3162")
+        assert code == 0
+        assert time.perf_counter() - start < 5.0
+        assert max_rss_kb < 100 * 1024
+
+    @pytest.mark.parametrize("k", ["2", "0", "-5"])
+    def test_needs_three_users(self, k, tmp_path, capsys):
+        out = tmp_path / "leak.csv"
+        assert main(["leakage", "--K", k, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: need at least 3 users\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["leakage", "repr-check",
+                                         "lattice-info"])
+    def test_echo_names_no_channel(self, command, tmp_path):
+        # these subcommands never read P or a, so a K the default
+        # channel does not fit still echoes a config that reads back
+        out = tmp_path / "out.csv"
+        assert main([command, "--K", "5", "--trials", "10",
+                     "--out", str(out)]) == 0
+        assert read(out).decode().splitlines()[0] == (
+            "# config: K=5 family=cubic q=2 N=2 generator=- trials=10 "
+            "seed=1")
 
     def test_identity_columns(self, tmp_path):
         out = tmp_path / "leak.csv"

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import lsl.leakage
@@ -25,7 +25,7 @@ def entropy(dist):
 def brute_force_stats(ens):
     """Literal tuple enumeration: every ``LeakageRow`` column from first
     principles."""
-    q, k1 = ens.q, ens.num_senders
+    q, k1 = ens.pair.q, ens.num_users - 1
 
     def centered(v):
         r = v % q
@@ -66,10 +66,10 @@ def brute_force_stats(ens):
     chain = [entropy(chain_joint[j]) - entropy(chain_sum[j])
              for j in range(k1)]
     log_m = math.log2(len(elements))
-    index_bound = ens.dimension * math.log2(k1)
+    index_bound = ens.pair.dimension * math.log2(k1)
     return {
         "M": len(elements),
-        "rate_per_dim": log_m / ens.dimension,
+        "rate_per_dim": log_m / ens.pair.dimension,
         "h_cond": h_tuple_given_modsum,
         "identity_target": (k1 - 1) * log_m,
         "chain_first": chain[0],
@@ -280,8 +280,10 @@ class TestEnsembleValidation:
             DiscreteEnsemble(make_cubic_pair(2, 1), 3)
 
     def test_closure_fault_exits_3(self, monkeypatch, capsys):
-        self.faulty_codebook(monkeypatch, [[0], [0], [0]])
-        assert main(["leakage", "--q", "3"]) == 3
+        # a cubic row builds no codebook: the fault reaches a coded row
+        self.faulty_codebook(monkeypatch, [[0, 0], [0, 0]])
+        assert main(["leakage", "--family", "construction-a", "--q", "2",
+                     "--N", "2", "--generator", "1,1"]) == 3
         assert capsys.readouterr().err == (
             "internal invariant violation: codebook is not closed under "
             "mod-q addition\n")
@@ -333,13 +335,13 @@ class TestSharedTally:
         assert not ens.elements.flags.writeable
         assert np.array_equal(ens.elements, codebook(pair))
         assert ens.elements is ens.elements  # built once
-        assert (ens.q, ens.dimension, ens.size) == (3, 2, 9)
+        assert (ens.pair.q, ens.pair.dimension, ens.size) == (3, 2, 9)
         # the one-element tally is that array, row for row
         assert ens._sum_counts(1)[0].tolist() == ens.elements.tolist()
 
     def test_tallies_do_not_change_identity(self):
         used = DiscreteEnsemble(make_cubic_pair(3, 2), 4)
-        used._sum_counts(used.num_senders)
+        used._sum_counts(used.num_users - 1)
         fresh = DiscreteEnsemble(make_cubic_pair(3, 2), 4)
         assert used == fresh and hash(used) == hash(fresh)
         assert repr(used) == repr(fresh)
@@ -451,3 +453,93 @@ class TestCubicRow:
         (ens,) = ensembles
         assert ens.pair is pair and row.M == ens.size == 9
         assert_row_matches(row, ens)
+
+
+def residue_rows(q, k):
+    """Rows a cubic row's tally steps build: step j adds q residues to
+    each of the (j-1)(q-1)+1 sums of j-1 residues."""
+    return sum(((j - 1) * (q - 1) + 1) * q for j in range(2, k))
+
+
+def largest_k(q):
+    """The largest K whose residue tally stays within the state cap."""
+    k, rows = 2, 0
+    while rows + ((k - 1) * (q - 1) + 1) * q <= lsl.leakage.STATE_CAP:
+        rows += ((k - 1) * (q - 1) + 1) * q
+        k += 1
+    return k
+
+
+@st.composite
+def huge_cubic_rows(draw):
+    """(q, K, N) with q^(K-1) past 2^63 joint states, within the cap."""
+    q = draw(st.integers(2, 40))
+    k = draw(st.integers(63 // int(math.log2(q)) + 2, largest_k(q)))
+    return q, k, draw(st.integers(1, 8))
+
+
+class TestResidueTally:
+    def test_q2_k1000_row_is_binomial(self, tmp_path):
+        # The raw sum s of 999 bits has count C(999, s) of 2^999; its
+        # folded sum is s mod 2 and its index the window offset of s.
+        k1 = 999
+        counts = [math.comb(k1, s) for s in range(k1 + 1)]
+        index = {}
+        for s, c in enumerate(counts):
+            m = s % 2
+            offset = (s - m) // 2 - ((-2 * k1 - 2 * m) // 4 + 1)
+            index[offset] = index.get(offset, 0) + c
+        h_sum = entropy(dict(enumerate(counts)))
+        h_index = entropy(index)
+        assert f"{h_sum:.6f}" == "6.029266"
+        row = leakage_row(make_cubic_pair(2, 2), 1000)
+        assert row.leakage == pytest.approx(2 * h_sum, abs=1e-9)
+        assert row.index_entropy == pytest.approx(2 * h_index, abs=1e-9)
+        assert (row.modsum_entropy, row.h_cond) == (2.0, 2 * 998.0)
+        assert (row.chain_first, row.chain_last) == (2.0, 0.0)
+        assert row.identity_ok and row.passed
+        out = tmp_path / "leak.csv"
+        assert main(["leakage", "--q", "2", "--K", "1000",
+                     "--out", str(out)]) == 0
+        cells = out.read_text().splitlines()[2].split(",")
+        assert cells[10] == "12.058532" == f"{2 * h_sum:.6f}"
+        assert cells[13] == f"{2 * h_index:.6f}"
+
+    @settings(max_examples=8, deadline=None)
+    @given(huge_cubic_rows())
+    @example((2, 3162, 3))
+    def test_identities_past_int64(self, config):
+        q, k, n = config
+        assert q ** (k - 1) > 2 ** 63
+        row = leakage_row(make_cubic_pair(q, n), k)
+        assert row.identity_ok and row.passed
+        assert row.chain_first == pytest.approx(n * math.log2(q), abs=1e-9)
+        assert row.chain_last == 0.0
+
+    def test_cubic_row_builds_no_ensemble_or_codebook(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a cubic row built an ensemble or codebook")
+
+        whole = leakage_row(identity_pair(3, 2), 5)
+        monkeypatch.setattr(lsl.leakage, "DiscreteEnsemble", forbidden)
+        monkeypatch.setattr(lsl.leakage, "codebook", forbidden)
+        row = leakage_row(make_cubic_pair(3, 2), 5)
+        assert printed(dataclasses.astuple(row)) == printed(
+            dataclasses.astuple(whole))
+
+    @pytest.mark.parametrize("q, k, over", [
+        (2, 3162, False), (2, 3163, True), (4, 1292, False), (4, 1293, True),
+        (3162, 3, False), (3163, 3, True), (3, 10 ** 8, True)])
+    def test_cap_checked_before_any_tally(self, q, k, over, monkeypatch):
+        class Tallied(Exception):
+            pass
+
+        def no_step(*args, **kwargs):
+            raise Tallied
+
+        if k < 10 ** 4:
+            assert (residue_rows(q, k) > lsl.leakage.STATE_CAP) == over
+            assert (k > largest_k(q)) == over
+        monkeypatch.setattr(lsl.leakage, "_sum_step", no_step)
+        with pytest.raises(CapacityError if over else Tallied):
+            leakage_row(make_cubic_pair(q, 1), k)
