@@ -20,7 +20,7 @@ the normalization survives round-tripping through floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,6 +38,11 @@ BOUNDARY_TOL = 1e-9
 #: Most codewords a Construction-A generator may enumerate, and the most
 #: coset leaders ``codebook`` may list.
 ENUMERATION_CAP = 1 << 16
+
+#: Most entries a Construction-A decode holds in one array: row x codeword
+#: distances of a scored block, and row x coordinate x residue entries of
+#: a distance table (unless one row's N*q entries are more).
+SCORE_BLOCK = 1 << 18
 
 
 def _round_half_down(t):
@@ -83,7 +88,9 @@ class Lattice:
     ``scale_sq`` is the squared coordinate scale; the real embedding of a
     point with integer coordinates ``v`` is ``sqrt(scale_sq) * v``.  For
     Construction-A, valid coordinate vectors are ``c + q*z`` with ``c`` a
-    codeword of the stored linear code and ``z`` integer.
+    codeword of the stored linear code and ``z`` integer.  ``residues``
+    holds the codewords once, as a read-only (M, N) int64 array of their
+    residues in [0, q); a cubic lattice has none.
     """
 
     dimension: int
@@ -91,6 +98,8 @@ class Lattice:
     scale_sq: float
     modulus: int | None = None
     codewords: tuple[tuple[int, ...], ...] | None = None
+    residues: np.ndarray | None = field(default=None, init=False,
+                                        repr=False, compare=False)
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -105,6 +114,18 @@ class Lattice:
                 raise ValueError("construction-A requires a modulus q >= 2")
             if not self.codewords:
                 raise ValueError("construction-A requires a code")
+            try:
+                words = np.array(self.codewords)
+            except ValueError:  # ragged rows
+                words = None
+            if (words is None or words.dtype.kind not in "iu"
+                    or words.shape != (len(self.codewords), self.dimension)):
+                raise ValueError(
+                    f"construction-A codewords must be {self.dimension} "
+                    "integers each")
+            residues = np.mod(words, self.modulus).astype(np.int64)
+            residues.setflags(write=False)
+            object.__setattr__(self, "residues", residues)
         else:
             raise ValueError(f"unknown lattice family {self.family!r}")
 
@@ -222,36 +243,99 @@ def make_construction_a_pair(q: int, dimension: int, generator) -> NestedPair:
     return NestedPair(fine=fine, coarse=coarse, q=q)
 
 
+def _coset_table(u, q):
+    """Best representative of every residue class mod q, per coordinate.
+
+    ``u`` holds rows coordinate-major, shape (N, R).  Returns ``(v, d)``,
+    both (N, q, R): v[j, a, r] is the integer congruent to a mod q
+    nearest u[j, r], halves rounded down, and d its float squared
+    distance (u - v)^2.
+    """
+    a = np.arange(q, dtype=np.int64)[:, None]
+    u = u[:, None, :]
+    v = a + q * _round_half_down((u - a) / q).astype(np.int64)
+    # (u - a)/q can round across a half-integer near a coset boundary:
+    # step v by q where u - v leaves (-q/2, q/2], compared exactly
+    v = v + q * ((u > v + q / 2).astype(np.int64) - (u <= v - q / 2))
+    return v, (u - v) ** 2
+
+
+def _lex_first(v, block, tied):
+    """Per row, the index in ``block`` of the lexicographically smallest
+    tied candidate: ``v`` is the (N, q, R) representative table of the
+    rows, ``tied`` their (M, R) candidate mask, narrowed one coordinate
+    at a time.  Distinct codewords give distinct vectors, so one stays."""
+    for j in range(len(v)):
+        vals = np.where(tied, v[j, block[:, j]], np.iinfo(np.int64).max)
+        tied &= vals == vals.min(axis=0)
+    return np.argmax(tied, axis=0)
+
+
+def _lex_less(a, b):
+    """Per row of the (R, N) arrays: does ``a`` sort before ``b``?"""
+    first = np.argmax(a != b, axis=-1)[:, None]
+    return np.take_along_axis(a < b, first, axis=-1)[:, 0]
+
+
+def _nearest_in_code(words, q, u):
+    """``nearest_coords`` of the (R, N) rows ``u`` on the Construction-A
+    lattice of the (M, N) codeword residues ``words``."""
+    v, d = _coset_table(u.T, q)
+    n, _, rows = v.shape
+    span = max(1, SCORE_BLOCK // rows)
+    cols, at = np.arange(n)[:, None], np.arange(rows)
+    best = best_d2 = None
+    for lo in range(0, len(words), span):
+        block = words[lo:lo + span]
+        d2 = d[0, block[:, 0]]
+        for j in range(1, n):
+            d2 += d[j, block[:, j]]
+        pick = np.argmin(d2, axis=0)
+        low = d2[pick, at]
+        tied = np.flatnonzero(np.count_nonzero(d2 == low, axis=0) > 1)
+        if tied.size:
+            pick[tied] = _lex_first(v[:, :, tied], block,
+                                    d2[:, tied] == low[tied])
+        coords = v[cols, block[pick].T, at].T
+        if best is None:
+            best, best_d2 = coords, low
+            continue
+        better = (low < best_d2) | ((low == best_d2)
+                                    & _lex_less(coords, best))
+        best = np.where(better[:, None], coords, best)
+        best_d2 = np.where(better, low, best_d2)
+    return best
+
+
 def nearest_coords(lat: Lattice, x) -> np.ndarray:
     """Integer coordinates of the lattice points nearest to ``x``.
 
     ``x`` has shape (..., N) and so does the result.  Ties go to the
     lexicographically smallest coordinate vector.  Cubic lattices round
-    per coordinate.  Construction-A scans the q^k codeword cosets, takes
-    the best representative of each, and keeps a running best, so the
-    result is globally nearest and memory stays at a few (..., N) arrays.
-    Every row gets the same answer whatever batch it is in.
+    per coordinate, halves down.  Construction-A tabulates, for every
+    row, coordinate j and residue a mod q, the nearest integer v_j(a)
+    congruent to a and its squared distance d_j(a).  A codeword c then
+    scores sum_j d_j(c_j), added left to right over j (the float that
+    ``np.sum`` gives for N < 8), and every codeword is scored from the
+    table.  A row keeps its least score; exact ties go to the
+    lexicographically smallest vector, narrowed one coordinate at a time.
+    Memory is bounded by ``SCORE_BLOCK``: rows are decoded in passes of
+    max(1, SCORE_BLOCK // (N*q)), so a pass's table holds at most
+    max(SCORE_BLOCK, N*q) entries, and each pass scores the codewords in
+    blocks of max(1, SCORE_BLOCK // rows).  The blocks' winners merge by the same
+    (distance, lexicographic) rule, so every row gets the same answer
+    whatever batch it is in.
     """
     u = _check_vector(lat, x) / lat.scale
     if lat.family == CUBIC:
         return _round_half_down(u).astype(np.int64)
-    q = lat.modulus
-    best = np.zeros(u.shape, dtype=np.int64)
-    best_d2 = np.full(u.shape[:-1], np.inf)
-    for c in lat.codewords:
-        carr = np.asarray(c, dtype=np.int64)
-        v = carr + q * _round_half_down((u - carr) / q).astype(np.int64)
-        # (u - c)/q can round across a half-integer near a coset boundary:
-        # step v by q where u_j - v_j leaves (-q/2, q/2], compared exactly
-        v = v + q * ((u > v + q / 2).astype(np.int64) - (u <= v - q / 2))
-        d2 = np.sum((u - v) ** 2, axis=-1)
-        differs = v != best
-        first = np.argmax(differs, axis=-1)[..., None]
-        lex_smaller = np.take_along_axis(v < best, first, axis=-1)[..., 0]
-        better = (d2 < best_d2) | ((d2 == best_d2) & lex_smaller)
-        best = np.where(better[..., None], v, best)
-        best_d2 = np.where(better, d2, best_d2)
-    return best
+    rows = u.reshape(-1, lat.dimension)
+    out = np.empty(rows.shape, dtype=np.int64)
+    step = max(1, SCORE_BLOCK // (lat.dimension * lat.modulus))
+    for lo in range(0, len(rows), step):
+        out[lo:lo + step] = _nearest_in_code(lat.residues, lat.modulus,
+                                             rows[lo:lo + step])
+    return out.reshape(u.shape)
 
 
 def quantize(lat: Lattice, x) -> np.ndarray:
@@ -316,7 +400,7 @@ def codebook(pair: NestedPair) -> np.ndarray:
         lowest = -((pair.q - 1) // 2)
         leaders = (grid.reshape(pair.dimension, -1) + lowest).T.copy()
     else:
-        centered = pair.reduce(pair.fine.codewords).tolist()
+        centered = pair.reduce(pair.fine.residues).tolist()
         leaders = np.array(sorted(centered), dtype=np.int64)
     leaders.setflags(write=False)
     return leaders

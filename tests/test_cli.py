@@ -577,6 +577,22 @@ class TestSimulateMemory:
         assert code == 0
         assert max_rss_kb < 80 * 1024
 
+    @linux_rss
+    def test_coded_campaign_over_4096_codewords(self):
+        # q=2, N=16, k=12: every decoded row scores 4,096 codewords from
+        # one distance table (about 10 s at 2,000 trials as a loop over
+        # the codeword cosets, under 2 s as a table scan)
+        gen = ";".join(",".join(str(int(i == r)) for i in range(12)) + ","
+                       + ",".join(str((r + 1) >> b & 1) for b in range(4))
+                       for r in range(12))
+        start = time.perf_counter()
+        code, max_rss_kb = child_usage(
+            "simulate", "--family", "construction-a", "--q", "2", "--N",
+            "16", "--generator", gen, "--trials", "2000")
+        assert code == 0
+        assert time.perf_counter() - start < 5.0
+        assert max_rss_kb < 60 * 1024
+
 
 class TestLeakageCommand:
     @linux_rss

@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,12 +12,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import lsl.lattices
 from lsl.errors import CapacityError, InvalidCodeError
 from lsl.lattices import (
     CONSTRUCTION_A,
     CUBIC,
     Lattice,
     NestedPair,
+    _round_half_down,
     ball_normalized_second_moment,
     codebook,
     covering_ball_second_moment,
@@ -171,6 +176,29 @@ class TestConstructionA:
         with pytest.raises(InvalidCodeError):
             make_construction_a_pair(2, 1, [(1,), (1,)])
 
+    @pytest.mark.parametrize("codewords", [
+        ((0, 0, 0), (1, 1, 1)),  # once a numpy broadcast error on N=2
+        ((0, 0), (1, 1, 1)),
+        ((0,), (1,)),
+        (0, 1),
+        ((0, 0), (0.5, 1)),
+        ((False, False), (True, True)),
+        ((0, 0), ("1", "1")),
+    ])
+    def test_lattice_rejects_codewords_that_are_not_n_integers(self,
+                                                               codewords):
+        with pytest.raises(ValueError, match="must be 2 integers each"):
+            Lattice(dimension=2, family=CONSTRUCTION_A, scale_sq=1.0,
+                    modulus=2, codewords=codewords)
+
+    def test_residues_are_one_read_only_array(self):
+        lat = Lattice(dimension=2, family=CONSTRUCTION_A, scale_sq=1.0,
+                      modulus=3, codewords=((0, 0), (4, -2), (2, 1)))
+        assert lat.residues.dtype == np.int64
+        assert lat.residues.tolist() == [[0, 0], [1, 1], [2, 1]]
+        assert not lat.residues.flags.writeable
+        assert unit_cubic(2).residues is None
+
 
 class TestQuantize:
     def test_nearest_integer(self):
@@ -233,7 +261,53 @@ PROPERTY_LATTICES = (
             codewords=((0, 0, 0), (1, 1, 1), (2, 2, 2))),
     Lattice(dimension=3, family=CONSTRUCTION_A, scale_sq=1.0, modulus=2,
             codewords=((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))),
+    # composite q: the code of generator (2, 3) mod 6
+    Lattice(dimension=2, family=CONSTRUCTION_A, scale_sq=1.0, modulus=6,
+            codewords=((0, 0), (0, 3), (2, 0), (2, 3), (4, 0), (4, 3))),
 )
+
+
+def unit_code(q, generator):
+    """The unit-scale Construction-A lattice of ``generator`` mod q."""
+    n = len(generator[0])
+    words = make_construction_a_pair(q, n, generator).fine.codewords
+    return Lattice(dimension=n, family=CONSTRUCTION_A, scale_sq=1.0,
+                   modulus=q, codewords=words)
+
+
+# The [8,4] extended Hamming code and a [16,12] code (M = 4096) whose
+# parity columns are the 4 bits of the row number plus one.
+HAMMING_8_4 = unit_code(2, [(1, 0, 0, 0, 0, 1, 1, 1),
+                            (0, 1, 0, 0, 1, 0, 1, 1),
+                            (0, 0, 1, 0, 1, 1, 0, 1),
+                            (0, 0, 0, 1, 1, 1, 1, 0)])
+CODE_16_12 = unit_code(2, [[int(i == r) for i in range(12)]
+                           + [(r + 1) >> b & 1 for b in range(4)]
+                           for r in range(12)])
+
+
+def coset_loop_nearest(lat, x):
+    """Reference Construction-A quantizer, one codeword coset at a time:
+    take each coset's best representative (halves rounded down, then
+    stepped by q where u_j - v_j leaves (-q/2, q/2]), sum its squared
+    distance with ``np.sum`` and keep a running best under (distance,
+    lexicographic order).  ``np.sum`` adds left to right for N < 8."""
+    u = np.asarray(x, dtype=float) / lat.scale
+    q = lat.modulus
+    best = np.zeros(u.shape, dtype=np.int64)
+    best_d2 = np.full(u.shape[:-1], np.inf)
+    for c in lat.codewords:
+        carr = np.asarray(c, dtype=np.int64)
+        v = carr + q * _round_half_down((u - carr) / q).astype(np.int64)
+        v = v + q * ((u > v + q / 2).astype(np.int64) - (u <= v - q / 2))
+        d2 = np.sum((u - v) ** 2, axis=-1)
+        differs = v != best
+        first = np.argmax(differs, axis=-1)[..., None]
+        lex_smaller = np.take_along_axis(v < best, first, axis=-1)[..., 0]
+        better = (d2 < best_d2) | ((d2 == best_d2) & lex_smaller)
+        best = np.where(better[..., None], v, best)
+        best_d2 = np.where(better, d2, best_d2)
+    return best
 
 
 def brute_force_nearest(lat, x):
@@ -262,12 +336,32 @@ ANY_ENTRY = st.floats(-4.0, 4.0, allow_nan=False)
 
 
 @st.composite
-def lattice_and_batch(draw, entry):
-    lat = draw(st.sampled_from(PROPERTY_LATTICES))
+def lattice_and_batch(draw, entry, lattices=PROPERTY_LATTICES):
+    lat = draw(st.sampled_from(lattices))
     rows = draw(st.lists(st.lists(entry, min_size=lat.dimension,
                                   max_size=lat.dimension),
                          min_size=1, max_size=8))
     return lat, np.array(rows)
+
+
+CODED_LATTICES = tuple(lat for lat in PROPERTY_LATTICES
+                       if lat.family == CONSTRUCTION_A)
+
+
+@st.composite
+def long_batch(draw, lattices, any_floats):
+    """A lattice of ``lattices`` and 100 to 300 rows from a drawn seed:
+    entries are half-integers, multiples of 1/16 and, with
+    ``any_floats``, uniform floats in [-4, 4], mixed at random.  The
+    seed keeps the drawn data small where hypothesis would refuse
+    thousands of drawn entries."""
+    lat = draw(st.sampled_from(lattices))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (draw(st.integers(100, 300)), lat.dimension)
+    kinds = [rng.integers(-8, 9, shape) / 2, rng.integers(-64, 65, shape) / 16]
+    if any_floats:
+        kinds.append(rng.uniform(-4.0, 4.0, shape))
+    return lat, np.choose(rng.integers(0, len(kinds), shape), kinds)
 
 
 class TestNearestCoords:
@@ -310,6 +404,66 @@ class TestNearestCoords:
         lat, batch = case
         rows = np.array([nearest_coords(lat, x) for x in batch])
         assert np.array_equal(nearest_coords(lat, batch), rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lattice_and_batch(st.one_of(EXACT_ENTRY, ANY_ENTRY),
+                             CODED_LATTICES))
+    def test_equals_the_coset_loop_for_any_floats(self, case):
+        # N < 8: both sum a codeword's distance left to right
+        lat, batch = case
+        assert np.array_equal(nearest_coords(lat, batch),
+                              coset_loop_nearest(lat, batch))
+
+    @settings(max_examples=6, deadline=None)
+    @given(long_batch((HAMMING_8_4, CODE_16_12), any_floats=False))
+    def test_equals_the_coset_loop_on_long_codes(self, case):
+        # Multiples of 1/16 make every distance exact, so the summation
+        # order of N >= 8 cannot matter; 100+ rows of the M = 4096 code
+        # score it in two or more blocks, whose winners merge.
+        lat, batch = case
+        if lat is CODE_16_12:
+            assert len(batch) * len(lat.codewords) \
+                > lsl.lattices.SCORE_BLOCK
+        assert np.array_equal(nearest_coords(lat, batch),
+                              coset_loop_nearest(lat, batch))
+
+    @settings(max_examples=4, deadline=None)
+    @given(long_batch((CODE_16_12,), any_floats=True))
+    def test_long_code_batch_equals_its_rows(self, case):
+        # a row alone is one block; in a batch the blocks shrink with the
+        # row count
+        lat, batch = case
+        rows = np.array([nearest_coords(lat, x) for x in batch])
+        assert np.array_equal(nearest_coords(lat, batch), rows)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads /proc/self/status")
+    def test_large_code_decode_memory_is_bounded(self):
+        # One chunk of direct-link rows at K=3 (546 trials x 2 links) on
+        # the 2^16-codeword [I16 | 1] code: a full row x codeword table
+        # would be 1092 x 65536 floats, over half a GB.  VmHWM is the
+        # child's own peak RSS, without what fork passes on to ru_maxrss.
+        script = (
+            "import numpy as np\n"
+            "from lsl.lattices import make_construction_a_pair, "
+            "nearest_coords\n"
+            "def peak_kb():\n"
+            "    with open('/proc/self/status') as f:\n"
+            "        return next(int(l.split()[1]) for l in f\n"
+            "                    if l.startswith('VmHWM'))\n"
+            "gen = [[int(i == r) for i in range(16)] + [1] * 4\n"
+            "       for r in range(16)]\n"
+            "pair = make_construction_a_pair(2, 20, gen)\n"
+            "x = np.random.default_rng(0).uniform(-2, 2, (546, 2, 20))\n"
+            "before = peak_kb()\n"
+            "coords = nearest_coords(pair.fine, x)\n"
+            "assert coords.shape == x.shape\n"
+            "print(peak_kb() - before)\n")
+        src = os.path.dirname(os.path.dirname(lsl.lattices.__file__))
+        result = subprocess.run([sys.executable, "-c", script],
+                                env={**os.environ, "PYTHONPATH": src},
+                                capture_output=True, text=True, check=True)
+        assert int(result.stdout) < 64 * 1024
 
     def test_leading_axes_are_kept(self):
         lat = PROPERTY_LATTICES[1]
