@@ -21,8 +21,11 @@ Exit codes: 0 success, 1 usage or parse error (an unwritable ``--out``
 too; a missing ``--out`` directory is caught before any work), 2
 infeasible configuration or a cap exceeded, 3 internal invariant
 violation.  Caps go before any work: a printed q^N or K^N needs
-N*log2(base) <= 4096 bits, a leakage row's tallies ``STATE_CAP`` rows, a
-trial K*N <= ``CHUNK_DRAWS``, simulate q <= 2^32.
+N*log2(base) <= 4096 bits, a leakage row ``STATE_CAP``: a
+Construction-A row's M^(K-1) joint states, and for a cubic row, one
+count vector stepped by a prefix sum, the additions a direct window sum
+would do.  A trial needs K*N <= ``CHUNK_DRAWS``, simulate q <= 2^32, and
+a Construction-A code q^k*N <= 2^22 enumerated entries.
 """
 from __future__ import annotations
 

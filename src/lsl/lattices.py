@@ -39,6 +39,11 @@ BOUNDARY_TOL = 1e-9
 #: coset leaders ``codebook`` may list.
 ENUMERATION_CAP = 1 << 16
 
+#: Most entries, q^k codewords x N coordinates, a Construction-A
+#: generator may enumerate: each is held as an int64, a Python int and
+#: a tuple slot while the codewords are sorted, about 40 bytes in all.
+_ENUMERATION_ENTRIES = 1 << 22
+
 #: Most entries a Construction-A decode holds in one array: row x codeword
 #: distances of a scored block, and row x coordinate x residue entries of
 #: a distance table (unless one row's N*q entries are more).
@@ -214,9 +219,10 @@ def make_construction_a_pair(q: int, dimension: int, generator) -> NestedPair:
 
     ``generator`` is a k x N integer matrix whose rows span C.  The one
     validity rule is injectivity: the q^k messages, enumerated under
-    ``ENUMERATION_CAP`` (checked first), must give q^k distinct
-    codewords.  This accepts every injective code, also over composite q
-    where a generator need not have unit pivots.
+    ``ENUMERATION_CAP`` and q^k*N <= ``_ENUMERATION_ENTRIES`` (checked
+    first), must give q^k distinct codewords.  This accepts every
+    injective code, also over composite q where a generator need not
+    have unit pivots.
     """
     if q < 2:
         raise ValueError("q must be an integer >= 2")
@@ -229,6 +235,10 @@ def make_construction_a_pair(q: int, dimension: int, generator) -> NestedPair:
     if q ** k > ENUMERATION_CAP:
         raise CapacityError(
             f"codeword enumeration would exceed cap ({q ** k} > {ENUMERATION_CAP})")
+    if q ** k * dimension > _ENUMERATION_ENTRIES:
+        raise CapacityError(
+            f"codeword enumeration of {q ** k}x{dimension} entries exceeds "
+            f"cap {_ENUMERATION_ENTRIES}")
     # Every message times the generator, reduced first to stay in int64.
     messages = np.indices((q,) * k).reshape(k, -1).T
     residues = np.array([[x % q for x in row] for row in rows], np.int64)

@@ -6,18 +6,19 @@ codewords plus the small integer that pins down their true integer sum.
 Everything here derives from exact integer tallies over the uniform
 product distribution (denominators are powers of the codebook size), so
 the entropy identities hold to float rounding, not to sampling error.
-``_sum_step`` is the one tally step, and ``leakage_row`` the one leakage
-computation: it reads every column of ``lsl leakage`` off the tallies of
-0, 1, K-2 and K-1 summed codewords.
+``leakage_row`` is the one leakage computation: it reads every column of
+``lsl leakage`` off the tallies of 0, 1, K-2 and K-1 summed codewords.
 
 A Construction-A pair is tallied whole by a ``DiscreteEnsemble``, whose
 elements are the pair's ``codebook``: the centered coordinate rows of
-the quotient fine/coarse, a group under coordinate addition mod q.  A
-cubic pair's coordinates are iid, so each of its entropies is N times
-that of one coordinate, and its row tallies the q centered residues of
-Z_q with Python-int counts: no codebook, no closure test, and a cap on
-the rows its steps build, not on the q^(K-1) joint states.  Entropies
-are in bits.
+the quotient fine/coarse, a group under coordinate addition mod q; each
+``_sum_step`` adds every element to every support row.  A cubic pair's
+coordinates are iid, so each of its entropies is N times that of one
+coordinate.  The sums of j residues of Z_q are consecutive integers, so
+its row keeps one Python-int count vector over them and steps it by a
+prefix sum (``_residue_step``): no codebook, no closure test, no row
+expansion, and a cap on the work a direct window sum would do, not on
+the q^(K-1) joint states.  Entropies are in bits.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ from .lattices import (
 )
 from .representation import window_index
 
-#: Most rows one leakage row may tally: a Construction-A ensemble's
-#: M^(K-1) joint states, or the sum rows a cubic row's steps build.
+#: Most work one leakage row may do: a Construction-A ensemble's M^(K-1)
+#: joint states, or for a cubic row q additions per count of each step's
+#: input, the work of a direct window sum.
 STATE_CAP = 10_000_000
 
 #: Most bits of a cubic pair's codebook size M = q^N, so N*log2(q).
@@ -138,6 +140,14 @@ def _sum_step(tally, elements: np.ndarray):
                   np.repeat(counts, len(elements)))
 
 
+def _residue_step(counts: np.ndarray, q: int) -> np.ndarray:
+    """The counts of one more summand uniform over q consecutive residues:
+    over consecutive sums, c'[s] = c[s-q+1] + ... + c[s], one prefix sum
+    and one difference q places back.  The support grows by q-1."""
+    prefix = np.cumsum(np.concatenate((counts, np.zeros(q - 1, object))))
+    return np.concatenate((prefix[:q], prefix[q:] - prefix[:-q]))
+
+
 def _mean_log2(counts: np.ndarray) -> float:
     """Sum of (c/T)*log2(c) over the counts c of total T.  Python ints
     divide with correct rounding, so no count overflows a float."""
@@ -190,9 +200,11 @@ def leakage_row(pair: NestedPair, num_users: int) -> LeakageRow:
     q centered residues, and the folded sum, the raw sum and the window
     index split per coordinate (the index is a mixed-radix bijection of
     the per-coordinate offsets).  So every entropy is N times that of the
-    residues, tallied in K-1 ``_sum_step`` calls.  Before any tally come
-    K >= 3, N*log2(q) <= ``MAX_CODEBOOK_BITS`` and the rows those calls
-    build, q(K-2)(2 + (q-1)(K-1))/2 <= ``STATE_CAP`` (q^2 at K=3).
+    residues: one count vector over the consecutive sums j*lo .. j*hi of
+    j residues, stepped K-1 times by ``_residue_step``.  Before any step
+    come K >= 3, N*log2(q) <= ``MAX_CODEBOOK_BITS`` and the work of a
+    direct window sum, q additions per count of each step's input,
+    q(K-2)(2 + (q-1)(K-1))/2 <= ``STATE_CAP`` (q^2 at K=3).
     ``identity_ok`` and ``passed`` compare the tallied pair's own values
     with its own targets: at large N the scaled floats can miss their
     targets by rounding alone.
@@ -207,13 +219,13 @@ def leakage_row(pair: NestedPair, num_users: int) -> LeakageRow:
             raise CapacityError(
                 f"cubic tally of {rows} sum rows exceeds cap {STATE_CAP}")
         tallied, scale = make_cubic_pair(q, 1), n
-        residues = np.arange(-((q - 1) // 2), q // 2 + 1)[:, None]
-        tally = np.zeros((1, 1), np.int64), np.ones(1, object)
-        tallies = {0: tally}
-        for j in range(1, num_users):
-            tally = _sum_step(tally, residues)
-            if j in (1, senders - 1, senders):
-                tallies[j] = tally
+        lo, counts, tallies = -((q - 1) // 2), np.ones(1, object), {}
+        for j in range(num_users):
+            if j in (0, 1, senders - 1, senders):
+                sums = np.arange(j * lo, j * lo + len(counts))[:, None]
+                tallies[j] = sums, counts
+            if j < senders:
+                counts = _residue_step(counts, q)
     else:
         tallied, scale = pair, 1
         ens = DiscreteEnsemble(pair, num_users)

@@ -92,7 +92,8 @@ class TestExitCodes:
 
     def test_cap_exceeded(self, tmp_path, capsys):
         # a size cap has its own prefix, not "infeasible configuration";
-        # a cubic row's K-1 tally steps build (K-2)(K+1) rows at q=2
+        # at q=2 a direct window sum over a cubic row's K-1 steps would
+        # do (K-2)(K+1) additions
         out = tmp_path / "leak.csv"
         assert main(["leakage", "--q", "2", "--K", "3163",
                      "--out", str(out)]) == 2
@@ -118,7 +119,7 @@ class TestExitCodes:
 
         out = tmp_path / "leak.csv"
         bits = lsl.leakage.MAX_CODEBOOK_BITS
-        monkeypatch.setattr(lsl.leakage, "_sum_step", no_tally)
+        monkeypatch.setattr(lsl.leakage, "_residue_step", no_tally)
         assert main(["leakage", "--q", "2", "--N", str(bits + 1),
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
@@ -161,6 +162,18 @@ class TestExitCodes:
         assert main(over) == 2
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr() == ("", f"cap exceeded: {message}\n")
+
+    def test_over_wide_code_exits_before_enumeration(self, capsys):
+        # 2^16 codewords of 65 coordinates: over the 2^22 entries cap
+        gen = ";".join(",".join(str(int(i == r)) for i in range(16))
+                       + ",1" * 49 for r in range(16))
+        start = time.perf_counter()
+        assert main(["lattice-info", "--family", "construction-a", "--q",
+                     "2", "--N", "65", "--generator", gen]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr() == ("", (
+            "cap exceeded: codeword enumeration of 65536x65 entries "
+            "exceeds cap 4194304\n"))
 
     def test_repr_check_at_huge_k_exits_before_any_draw(self, capsys,
                                                         monkeypatch):
@@ -604,12 +617,24 @@ class TestLeakageCommand:
 
     @linux_rss
     def test_cubic_row_at_its_cap_is_small_and_fast(self):
-        # K = 3162 at q=2: 2^3161 joint states, 9,995,080 tally rows
+        # K = 3162 at q=2: 2^3161 joint states, 3,161 steps of a count
+        # vector of at most 3,162 sums (9,995,080 additions as a direct
+        # window sum, the work the cap counts)
         start = time.perf_counter()
         code, max_rss_kb = child_usage("leakage", "--q", "2", "--K", "3162")
         assert code == 0
         assert time.perf_counter() - start < 5.0
         assert max_rss_kb < 100 * 1024
+
+    @linux_rss
+    def test_cubic_row_at_its_large_q_cap_stays_at_start_up(self):
+        # q = 3162 at K=3: two steps to 6,323 sums, where expanding every
+        # support row by every residue built q^2 = 10^7 rows (414 MB)
+        start = time.perf_counter()
+        code, max_rss_kb = child_usage("leakage", "--q", "3162", "--K", "3")
+        assert code == 0
+        assert time.perf_counter() - start < 2.0
+        assert max_rss_kb < 60 * 1024
 
     @pytest.mark.parametrize("k", ["2", "0", "-5"])
     def test_needs_three_users(self, k, tmp_path, capsys):

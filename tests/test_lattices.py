@@ -165,6 +165,34 @@ class TestConstructionA:
         with pytest.raises(CapacityError):
             make_construction_a_pair(2, 17, [(0,) * 17] * 17)
 
+    def test_enumerated_entries_checked_before_enumeration(self,
+                                                           monkeypatch):
+        # [I16 | 1...] has 2^16 codewords: 64 coordinates are 2^22
+        # entries, 65 are over the cap.  Enumerating them would cost
+        # about 2.5 MB a coordinate.
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("the messages were enumerated")
+
+        gen = [[int(i == r) for i in range(16)] + [1] * 49
+               for r in range(16)]
+        monkeypatch.setattr(np, "indices", no_enumeration)
+        with pytest.raises(CapacityError, match=(
+                r"^codeword enumeration of 65536x65 entries exceeds cap "
+                r"4194304$")):
+            make_construction_a_pair(2, 65, gen)
+
+    @pytest.mark.parametrize("n, over", [(6, False), (7, True)])
+    def test_enumerated_entries_cap_is_exact(self, n, over, monkeypatch):
+        # 2^3 codewords of n coordinates against a cap of 48 entries
+        monkeypatch.setattr(lsl.lattices, "_ENUMERATION_ENTRIES", 48)
+        gen = [[int(i == r) for i in range(3)] + [1] * (n - 3)
+               for r in range(3)]
+        if over:
+            with pytest.raises(CapacityError):
+                make_construction_a_pair(2, n, gen)
+        else:
+            assert make_construction_a_pair(2, n, gen).nesting_ratio == 8
+
     def test_pair_rejects_fine_modulus_other_than_q(self):
         fine = Lattice(dimension=2, family=CONSTRUCTION_A, scale_sq=3.0,
                        modulus=3, codewords=((0, 0), (1, 1), (2, 2)))

@@ -456,8 +456,9 @@ class TestCubicRow:
 
 
 def residue_rows(q, k):
-    """Rows a cubic row's tally steps build: step j adds q residues to
-    each of the (j-1)(q-1)+1 sums of j-1 residues."""
+    """The work a cubic row's cap counts, that of a direct window sum:
+    step j adds q residues to each of the (j-1)(q-1)+1 sums of j-1
+    residues."""
     return sum(((j - 1) * (q - 1) + 1) * q for j in range(2, k))
 
 
@@ -518,11 +519,12 @@ class TestResidueTally:
 
     def test_cubic_row_builds_no_ensemble_or_codebook(self, monkeypatch):
         def forbidden(*args, **kwargs):
-            raise AssertionError("a cubic row built an ensemble or codebook")
+            raise AssertionError("a cubic row built an ensemble, a codebook "
+                                 "or a row expansion")
 
         whole = leakage_row(identity_pair(3, 2), 5)
-        monkeypatch.setattr(lsl.leakage, "DiscreteEnsemble", forbidden)
-        monkeypatch.setattr(lsl.leakage, "codebook", forbidden)
+        for name in ("DiscreteEnsemble", "codebook", "_sum_step"):
+            monkeypatch.setattr(lsl.leakage, name, forbidden)
         row = leakage_row(make_cubic_pair(3, 2), 5)
         assert printed(dataclasses.astuple(row)) == printed(
             dataclasses.astuple(whole))
@@ -540,6 +542,26 @@ class TestResidueTally:
         if k < 10 ** 4:
             assert (residue_rows(q, k) > lsl.leakage.STATE_CAP) == over
             assert (k > largest_k(q)) == over
-        monkeypatch.setattr(lsl.leakage, "_sum_step", no_step)
+        monkeypatch.setattr(lsl.leakage, "_residue_step", no_step)
         with pytest.raises(CapacityError if over else Tallied):
             leakage_row(make_cubic_pair(q, 1), k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 40), st.integers(0, 30))
+    @example(2, 30)
+    def test_step_equals_the_row_expansion(self, q, summands):
+        # the count vector over consecutive sums from summands*lo is the
+        # tally that adding every residue to every support row gives
+        lo = -((q - 1) // 2)
+        residues = np.arange(lo, q // 2 + 1)[:, None]
+        counts = np.ones(1, object)
+        tally = np.zeros((1, 1), np.int64), np.ones(1, object)
+        for _ in range(summands):
+            counts = lsl.leakage._residue_step(counts, q)
+            tally = lsl.leakage._sum_step(tally, residues)
+        sums = np.arange(summands * lo, summands * lo + len(counts))
+        assert np.array_equal(sums, tally[0][:, 0])
+        assert counts.tolist() == tally[1].tolist()
+        if q == 2:
+            assert counts.tolist() == [math.comb(summands, s)
+                                       for s in range(summands + 1)]

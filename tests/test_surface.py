@@ -25,7 +25,7 @@ ALLOWED_FIELDS = {
     "TrialOutcome.direct_errors": _ORACLE_OUTPUT,
     "TrialOutcome.effective_noise_power": _ORACLE_OUTPUT,
     "TrialOutcome.residual_power": _ORACLE_OUTPUT,
-    "RunConfig.jobs": "perfbench passes --jobs; ROADMAP item 8 deletes it",
+    "RunConfig.jobs": "perfbench passes --jobs; ROADMAP item 11 decides it",
 }
 
 
