@@ -65,12 +65,39 @@ def _round_half_down(t):
 
 def _centered_mod(v, q):
     """Residues of the integers ``v`` mod q in the centered range
-    (-q/2, q/2]; a non-integer dtype is rejected, not truncated."""
+    (-q/2, q/2]; a non-integer dtype is rejected, not truncated.
+
+    One scalar floor division, which numpy runs far faster than np.mod:
+    v - q*(v // q) is v mod q in [0, q), exact in int64 even where
+    q*(v // q) wraps, and a residue over q/2 steps down by q.  The
+    offset form v - q*((v + (q-1)//2) // q) saves that step but wraps
+    for v within q/2 of 2^63.
+    """
     v = np.asarray(v)
     if v.dtype.kind not in "iu":
         raise ValueError(f"expected integer coordinates, got {v.dtype}")
-    r = np.mod(v.astype(np.int64, copy=False), q)
-    return np.where(2 * r > q, r - q, r)
+    v = v.astype(np.int64, copy=False)
+    r = v - q * (v // q)
+    return r - q * (r > q // 2)
+
+
+def _reduce_axis(ufunc, a, axis):
+    """``ufunc`` reduced over one axis of ``a``, the terms taken in order
+    from the first, whatever the shape around the axis.
+
+    numpy reduces an axis that is not the innermost in a tiny inner loop
+    per output entry, and adds a contiguous run of 8 or more terms
+    pairwise.  Here, with 8 or more entries per term, the axis is moved
+    to the front of a contiguous copy and reduced in one pass over whole
+    rows per term; with fewer, such passes cost more than accumulating
+    along the axis, moved last.  Both branches add in order, and differ
+    only in the sign of a sum of negative zeros.
+    """
+    a = np.asarray(a)
+    if a.size < 8 * a.shape[axis]:
+        along = np.ascontiguousarray(np.moveaxis(a, axis, -1))
+        return ufunc.accumulate(along, axis=-1)[..., -1]
+    return ufunc.reduce(np.ascontiguousarray(np.moveaxis(a, axis, 0)), axis=0)
 
 
 def _check_vector(lat, x):
@@ -378,7 +405,8 @@ def in_voronoi(lat: Lattice, x):
     x = _check_vector(lat, x)
     if lat.family == CUBIC:
         u = x / lat.scale
-        return np.all((u <= 0.5 + BOUNDARY_TOL) & (u > -0.5), axis=-1)
+        return _reduce_axis(np.logical_and,
+                            (u <= 0.5 + BOUNDARY_TOL) & (u > -0.5), -1)
     return np.all(nearest_coords(lat, x) == 0, axis=-1)
 
 

@@ -56,6 +56,7 @@ from .errors import CapacityError, InvariantViolationError
 from .lattices import (
     CUBIC,
     NestedPair,
+    _reduce_axis,
     codebook,
     in_voronoi,
     mod_lattice,
@@ -266,8 +267,9 @@ def apply_channel(scheme: Scheme, signals: np.ndarray, signal_k: np.ndarray,
     if np.shape(signals)[-2:-1] != (k - 1,) or np.shape(noise)[-2:-1] != (k,):
         raise ValueError(f"channel needs {k - 1} signals and {k} noise rows")
     weighted = np.sqrt(np.asarray(scheme.config.a))[:, None] * signals
-    # cumsum adds the users left to right; np.sum would add them pairwise
-    interference = np.cumsum(weighted, axis=-2)[..., -1, :]
+    # _reduce_axis adds the users in order, user 1 first, at every N and
+    # batch size; np.sum adds a contiguous run of 8 or more pairwise
+    interference = _reduce_axis(np.add, weighted, -2)
     y_k = interference + signal_k + noise[..., -1, :]
     return signals + noise[..., :-1, :], interference, y_k
 
@@ -303,7 +305,7 @@ def decode_mod_sum(scheme: Scheme, y_k: np.ndarray,
     """
     scaled = scheme.alpha_mod_sum * y_k / math.sqrt(scheme.aligned_power)
     return _decode(scheme.pair,
-                   scaled - np.sum(dithers, axis=-2))
+                   scaled - _reduce_axis(np.add, dithers, -2))
 
 
 def subtract_interference(scheme: Scheme, y_k: np.ndarray, s_hat: np.ndarray,
@@ -317,7 +319,7 @@ def subtract_interference(scheme: Scheme, y_k: np.ndarray, s_hat: np.ndarray,
     pair = scheme.pair
     normalized = y_k / math.sqrt(scheme.aligned_power)
     return mod_lattice(pair.coarse, normalized - s_hat * pair.fine.scale
-                       - np.sum(dithers, axis=-2))
+                       - _reduce_axis(np.add, dithers, -2))
 
 
 def decode_user_k(scheme: Scheme, residual: np.ndarray,
@@ -417,8 +419,11 @@ def _draws(key: int, lo: int, hi: int, q: int, digits: int, users: int,
     threshold = np.uint64((1 << 32) % q)
     product = words[:, :size] * mult
     coded = (product >> _32).astype(np.int64)
+    # a q dividing 2^32 rejects no word, so its scan is skipped
+    rejected = (np.argwhere((product & _LO32) < threshold).tolist()
+                if threshold else [])
     next_block = {}
-    for r, j in np.argwhere((product & _LO32) < threshold).tolist():
+    for r, j in rejected:
         block = next_block.get(r, blocks)
         word = np.uint64(0)  # rejected, as threshold > 0 here
         while word * mult & _LO32 < threshold:
@@ -426,8 +431,8 @@ def _draws(key: int, lo: int, hi: int, q: int, digits: int, users: int,
             block += 1
         next_block[r] = block
         coded[r, j] = int(word * mult >> _32)
-    halves = words[:, size:end].reshape(rows, -1, 2)
-    uniforms = ((halves[..., 0] << _32 | halves[..., 1]) >> _11) * 2.0 ** -53
+    high, low = words[:, size:end:2], words[:, size + 1:end:2]
+    uniforms = ((high << _32 | low) >> _11) * 2.0 ** -53
     radius = np.sqrt(-2.0 * np.log(1.0 - uniforms[:, draws::2]))
     angle = 2.0 * math.pi * uniforms[:, draws + 1::2]
     normals = np.stack([radius * np.cos(angle), radius * np.sin(angle)], -1)
@@ -475,10 +480,11 @@ def run_trial(scheme: Scheme, trial_seed: tuple[int, int]) -> TrialOutcome:
                                               noise)
 
     decoded = decode_direct(scheme, direct, dithers)
-    direct_errors = tuple(np.any(decoded != cw, axis=1).tolist())
+    direct_errors = tuple(
+        _reduce_axis(np.logical_or, decoded != cw, 1).tolist())
 
     s_hat = decode_mod_sum(scheme, y_k, dithers)
-    s_true = pair.reduce(cw.sum(axis=0))
+    s_true = pair.reduce(_reduce_axis(np.add, cw, 0))
 
     # Reconstruct the exact unwrapped residual from simulator-side truth:
     # gamma*U_K + Z'; the wrap event is its escape from the coarse cell.
@@ -493,7 +499,7 @@ def run_trial(scheme: Scheme, trial_seed: tuple[int, int]) -> TrialOutcome:
         in_voronoi(pair.coarse, unwrapped),
         np.array_equal(t_k_hat, cw_k))
 
-    z_eff = (scheme.alpha_mod_sum - 1.0) * np.sum(u, axis=0) \
+    z_eff = (scheme.alpha_mod_sum - 1.0) * _reduce_axis(np.add, u, 0) \
         + scheme.alpha_mod_sum * unwrapped
     return TrialOutcome(
         direct_errors=direct_errors,
@@ -525,11 +531,11 @@ def _batch_trial_arrays(scheme: Scheme, key: int, lo: int, hi: int) -> dict:
     direct, interference, y_k = apply_channel(scheme, signals, signal_k,
                                               noise)
 
-    direct_errors = np.any(decode_direct(scheme, direct, dithers) != cw,
-                           axis=-1)
+    direct_errors = _reduce_axis(
+        np.logical_or, decode_direct(scheme, direct, dithers) != cw, -1)
 
     s_hat = decode_mod_sum(scheme, y_k, dithers)
-    s_true = pair.reduce(np.sum(cw, axis=1))
+    s_true = pair.reduce(_reduce_axis(np.add, cw, 1))
 
     z_prime = (y_k - interference - signal_k) / math.sqrt(scheme.aligned_power)
     unwrapped = scheme.gamma * u_k + z_prime
@@ -538,11 +544,11 @@ def _batch_trial_arrays(scheme: Scheme, key: int, lo: int, hi: int) -> dict:
     t_k_hat = decode_user_k(scheme, residual, dither_k)
 
     e1, e2, e3 = classify_events(
-        np.all(s_hat == s_true, axis=1),
+        _reduce_axis(np.logical_and, s_hat == s_true, 1),
         in_voronoi(pair.coarse, unwrapped),
-        np.all(t_k_hat == cw_k, axis=1))
+        _reduce_axis(np.logical_and, t_k_hat == cw_k, 1))
 
-    z_eff = (scheme.alpha_mod_sum - 1.0) * np.sum(u, axis=1) \
+    z_eff = (scheme.alpha_mod_sum - 1.0) * _reduce_axis(np.add, u, 1) \
         + scheme.alpha_mod_sum * unwrapped
     return {
         "direct_errors": direct_errors,

@@ -1,5 +1,6 @@
 """Lattice algebra: construction, quantization, folding, diagnostics."""
 
+import functools
 import itertools
 import math
 import os
@@ -19,6 +20,7 @@ from lsl.lattices import (
     CUBIC,
     Lattice,
     NestedPair,
+    _reduce_axis,
     _round_half_down,
     ball_normalized_second_moment,
     codebook,
@@ -117,6 +119,49 @@ class TestPairConstruction:
         out = pair.reduce(np.array(raw, dtype=dtype))
         assert out.dtype == np.int64 and out.tolist() == want
         assert pair.reduce(raw).tolist() == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+               st.integers(-2**63, 2**63 - 1),
+               st.integers(-2**63, -2**63 + 2**33),
+               st.integers(2**63 - 2**33, 2**63 - 1),
+               st.sampled_from([-2**62, 2**62, -1, 0, 1])),
+               min_size=1, max_size=8),
+           st.integers(2, 2**32))
+    @example([2**63 - 1, 2**63 - 2, -2**63, -2**63 + 1, 2**62, -2**62], 2**32)
+    @example([2**63 - 1, 2**63 - 2, -2**63, -2**63 + 1], 3)
+    @example([2**63 - 1, -2**63], 2**32 - 1)
+    def test_reduce_is_the_centered_residue_over_all_int64(self, v, q):
+        # the one coset-reduction rule is exact on every int64, within
+        # q/2 of either end too, where an offset v + (q-1)//2 would wrap
+        got = make_cubic_pair(q, 1).reduce(np.array(v, dtype=np.int64))
+        want = [x - q * ((x + (q - 1) // 2) // q) for x in v]
+        assert got.dtype == np.int64 and got.tolist() == want
+        assert all(-q < 2 * r <= q for r in got.tolist())
+
+
+class TestReduceAxis:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(1, 20), min_size=1, max_size=3),
+           st.integers(0, 2), st.integers(0, 2**32 - 1))
+    def test_adds_in_order_whatever_the_shape(self, shape, axis, seed):
+        # terms of many magnitudes, so that another order (numpy adds a
+        # contiguous run of 8 or more pairwise) gives other floats
+        axis %= len(shape)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+        want = functools.reduce(np.add, np.moveaxis(x, axis, 0))
+        got = _reduce_axis(np.add, x, axis)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        flags = x > 0
+        for ufunc, numpy_reduction in ((np.logical_and, np.all),
+                                       (np.logical_or, np.any)):
+            assert np.array_equal(_reduce_axis(ufunc, flags, axis),
+                                  numpy_reduction(flags, axis=axis))
+        ints = rng.integers(-2**40, 2**40, shape)
+        assert np.array_equal(_reduce_axis(np.add, ints, axis),
+                              np.sum(ints, axis=axis))
 
 
 class TestConstructionA:

@@ -635,6 +635,22 @@ class TestReproducibility:
             assert run_campaign(scheme, 50, 4) == report
             assert sum(sizes) == 50 and max(sizes) <= rows
 
+    @pytest.mark.parametrize("k", [9, 12])
+    def test_one_dimensional_campaign_matches_reference_trials(
+            self, k, monkeypatch):
+        # at N = 1 a trial's users lie side by side, where np.sum adds a
+        # run of 8 or more pairwise: the engine's chunks, 1 to 300 trials,
+        # and run_trial's single rows must still add them in one order
+        import lsl.simulate
+        cfg = SystemConfig(K=k, P=(10,) * k, a=(12,) * (k - 1))
+        scheme = Scheme.for_config(cfg, make_cubic_pair(5, 1))
+        report = run_campaign(scheme, 300, 31)
+        assert summary(report) == folded(
+            [run_trial(scheme, derive_trial_seed(31, i)) for i in range(300)])
+        for rows in (1, 7, 8):
+            monkeypatch.setattr(lsl.simulate, "CHUNK_DRAWS", rows * k)
+            assert run_campaign(scheme, 300, 31) == report
+
     def test_codebook_is_built_once_per_coded_scheme(self, monkeypatch):
         # a Construction-A scheme looks its codewords up in one table,
         # built with the scheme, not per chunk; a cubic one builds none
