@@ -20,7 +20,7 @@ the normalization survives round-tripping through floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,8 +40,8 @@ BOUNDARY_TOL = 1e-9
 ENUMERATION_CAP = 1 << 16
 
 #: Most entries, q^k codewords x N coordinates, a Construction-A
-#: generator may enumerate: each is held as an int64, a Python int and
-#: a tuple slot while the codewords are sorted, about 40 bytes in all.
+#: generator may enumerate: about 11 bytes each at q = 2, an int64 in the
+#: code's one array and three one-byte copies while it is built.
 _ENUMERATION_ENTRIES = 1 << 22
 
 #: Most entries a Construction-A decode holds in one array: row x codeword
@@ -113,25 +113,24 @@ def _check_vector(lat, x):
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Lattice:
     """A scaled integer lattice or Construction-A lattice in R^N.
 
     ``scale_sq`` is the squared coordinate scale; the real embedding of a
     point with integer coordinates ``v`` is ``sqrt(scale_sq) * v``.  For
     Construction-A, valid coordinate vectors are ``c + q*z`` with ``c`` a
-    codeword of the stored linear code and ``z`` integer.  ``residues``
-    holds the codewords once, as a read-only (M, N) int64 array of their
-    residues in [0, q); a cubic lattice has none.
+    codeword of the stored linear code and ``z`` integer.  ``codewords``
+    holds the code once: a read-only (M, N) int64 array, centered in
+    (-q/2, q/2] and sorted lexicographically, whatever integer rows were
+    given.  A cubic lattice has none.  Equality compares codes by row.
     """
 
     dimension: int
     family: str
     scale_sq: float
     modulus: int | None = None
-    codewords: tuple[tuple[int, ...], ...] | None = None
-    residues: np.ndarray | None = field(default=None, init=False,
-                                        repr=False, compare=False)
+    codewords: np.ndarray | None = None
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -142,24 +141,40 @@ class Lattice:
             if self.codewords is not None:
                 raise ValueError("cubic lattices carry no code")
         elif self.family == CONSTRUCTION_A:
-            if self.modulus is None or self.modulus < 2:
+            q = self.modulus
+            if q is None or q < 2:
                 raise ValueError("construction-A requires a modulus q >= 2")
-            if not self.codewords:
-                raise ValueError("construction-A requires a code")
             try:
-                words = np.array(self.codewords)
+                words = np.asarray(self.codewords)
             except ValueError:  # ragged rows
-                words = None
-            if (words is None or words.dtype.kind not in "iu"
-                    or words.shape != (len(self.codewords), self.dimension)):
-                raise ValueError(
-                    f"construction-A codewords must be {self.dimension} "
-                    "integers each")
-            residues = np.mod(words, self.modulus).astype(np.int64)
-            residues.setflags(write=False)
-            object.__setattr__(self, "residues", residues)
+                words = np.array(None)
+            if (not words.size or words.dtype.kind != "i"
+                    or words.shape[1:] != (self.dimension,)):
+                raise ValueError("construction-A requires a code: codewords "
+                                 f"must be {self.dimension} integers each")
+            # Reduced into one new array of the least signed dtype that
+            # holds q and the given one, centered in place, sorted by one
+            # gather and only then widened, so a narrow build stays small.
+            words = np.remainder(words, q, dtype=np.promote_types(
+                words.dtype, np.min_scalar_type(-q)))
+            np.subtract(words, q, out=words, where=words > q // 2)
+            words = np.take(words, np.lexsort(words.T[::-1]),
+                            axis=0).astype(np.int64, copy=False)
+            words.setflags(write=False)
+            object.__setattr__(self, "codewords", words)
         else:
             raise ValueError(f"unknown lattice family {self.family!r}")
+
+    def _key(self):
+        return (self.dimension, self.family, self.scale_sq, self.modulus,
+                np.shape(self.codewords))
+
+    def __eq__(self, other):
+        return (isinstance(other, Lattice) and self._key() == other._key()
+                and np.array_equal(self.codewords, other.codewords))
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def scale(self) -> float:
@@ -253,7 +268,7 @@ def make_construction_a_pair(q: int, dimension: int, generator) -> NestedPair:
     """
     if q < 2:
         raise ValueError("q must be an integer >= 2")
-    rows = [tuple(int(x) for x in row) for row in generator]
+    rows = [[int(x) % q for x in row] for row in generator]
     if not rows or any(len(r) != dimension for r in rows):
         raise ValueError("generator must be a k x N matrix")
     k = len(rows)
@@ -266,16 +281,21 @@ def make_construction_a_pair(q: int, dimension: int, generator) -> NestedPair:
         raise CapacityError(
             f"codeword enumeration of {q ** k}x{dimension} entries exceeds "
             f"cap {_ENUMERATION_ENTRIES}")
-    # Every message times the generator, reduced first to stay in int64.
-    messages = np.indices((q,) * k).reshape(k, -1).T
-    residues = np.array([[x % q for x in row] for row in rows], np.int64)
-    words = sorted(set(map(tuple, (messages @ residues % q).tolist())))
-    if len(words) != q ** k:
-        raise InvalidCodeError(
-            f"the {q ** k} messages give only {len(words)} distinct codewords mod q")
+    # Every message times the generator, one row at a time, in the least
+    # signed dtype that holds k*q^2; the Lattice centers and sorts them.
+    dtype = np.min_scalar_type(-k * q * q)
+    multiples = (np.arange(q, dtype=dtype)[:, None, None]
+                 * np.array(rows, dtype))
+    words = multiples[:, 0]
+    for i in range(1, k):
+        words = (multiples[:, i, None] + words).reshape(-1, dimension)
     fine = Lattice(dimension=dimension, family=CONSTRUCTION_A,
-                   scale_sq=_fine_scale_sq(q), modulus=q,
-                   codewords=tuple(words))
+                   scale_sq=_fine_scale_sq(q), modulus=q, codewords=words)
+    words = fine.codewords  # sorted: equal codewords are neighbours
+    distinct = 1 + np.count_nonzero((words[1:] != words[:-1]).any(axis=1))
+    if distinct != q ** k:
+        raise InvalidCodeError(
+            f"the {q ** k} messages give only {distinct} distinct codewords mod q")
     coarse = Lattice(dimension=dimension, family=CUBIC, scale_sq=12.0)
     return NestedPair(fine=fine, coarse=coarse, q=q)
 
@@ -316,7 +336,8 @@ def _lex_less(a, b):
 
 def _nearest_in_code(words, q, u):
     """``nearest_coords`` of the (R, N) rows ``u`` on the Construction-A
-    lattice of the (M, N) codeword residues ``words``."""
+    lattice of the (M, N) centered codewords ``words``: numpy reads an
+    entry c < 0 on the table's residue axis as q + c, which is c mod q."""
     v, d = _coset_table(u.T, q)
     n, _, rows = v.shape
     span = max(1, SCORE_BLOCK // rows)
@@ -370,7 +391,7 @@ def nearest_coords(lat: Lattice, x) -> np.ndarray:
     out = np.empty(rows.shape, dtype=np.int64)
     step = max(1, SCORE_BLOCK // (lat.dimension * lat.modulus))
     for lo in range(0, len(rows), step):
-        out[lo:lo + step] = _nearest_in_code(lat.residues, lat.modulus,
+        out[lo:lo + step] = _nearest_in_code(lat.codewords, lat.modulus,
                                              rows[lo:lo + step])
     return out.reshape(u.shape)
 
@@ -433,15 +454,10 @@ def codebook(pair: NestedPair) -> np.ndarray:
         raise CapacityError(
             f"codebook size {pair.nesting_ratio} exceeds cap {ENUMERATION_CAP}")
     if pair.fine.family == CUBIC:
-        # q consecutive centered residues; copy() makes rows contiguous.
-        grid = np.indices((pair.q,) * pair.dimension, dtype=np.int64)
-        lowest = -((pair.q - 1) // 2)
-        leaders = (grid.reshape(pair.dimension, -1) + lowest).T.copy()
-    else:
-        centered = pair.reduce(pair.fine.residues).tolist()
-        leaders = np.array(sorted(centered), dtype=np.int64)
-    leaders.setflags(write=False)
-    return leaders
+        # every residue vector: the code of the identity generator
+        pair = make_construction_a_pair(pair.q, pair.dimension,
+                                        np.eye(pair.dimension, dtype=int))
+    return pair.fine.codewords
 
 
 def _log_ball_volume(dimension: int) -> float:

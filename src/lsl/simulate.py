@@ -54,10 +54,8 @@ import numpy as np
 
 from .errors import CapacityError, InvariantViolationError
 from .lattices import (
-    CUBIC,
     NestedPair,
     _reduce_axis,
-    codebook,
     in_voronoi,
     mod_lattice,
     nearest_coords,
@@ -91,7 +89,6 @@ class Scheme:
 
     All K users share ``pair``, whose coarse lattice is unit-second-moment
     normalized, which is what makes the power accounting exact.
-    ``_table`` is a Construction-A pair's codebook; a cubic pair has none.
     """
 
     config: SystemConfig
@@ -102,7 +99,6 @@ class Scheme:
     alpha_user_k: float
     effective_noise_var: float
     interferer_amplitudes: tuple[float, ...]
-    _table: np.ndarray | None
 
     @classmethod
     def for_config(cls, cfg: SystemConfig, pair: NestedPair) -> "Scheme":
@@ -124,8 +120,7 @@ class Scheme:
             alpha_mod_sum=mmse.alpha,
             alpha_user_k=cfg.p_k / (cfg.p_k + 1.0),
             effective_noise_var=mmse.effective_noise_var,
-            interferer_amplitudes=tuple(math.sqrt(p / g) for g in cfg.a),
-            _table=None if pair.fine.family == CUBIC else codebook(pair))
+            interferer_amplitudes=tuple(math.sqrt(p / g) for g in cfg.a))
 
     @property
     def dimension(self) -> int:
@@ -207,11 +202,12 @@ def _fold_dithers(scheme: Scheme, uniforms: np.ndarray):
 
     Each uniform vector is scaled to the coarse cell's box [0, s)^N and
     folded into the cell, a measure-preserving bijection.  Returns the
-    (..., K-1, N) interferer dithers and user K's (..., N) dither, which
-    comes from the last row.
+    (..., K-1, N) interferer dithers, their (..., N) sum added user by
+    user, and user K's (..., N) dither, which comes from the last row.
     """
     coarse = scheme.pair.coarse
-    return (mod_lattice(coarse, coarse.scale * uniforms[..., :-1, :]),
+    dithers = mod_lattice(coarse, coarse.scale * uniforms[..., :-1, :])
+    return (dithers, _reduce_axis(np.add, dithers, -2),
             mod_lattice(coarse, coarse.scale * uniforms[..., -1, :]))
 
 
@@ -296,30 +292,29 @@ def decode_direct(scheme: Scheme, direct: np.ndarray,
 
 
 def decode_mod_sum(scheme: Scheme, y_k: np.ndarray,
-                   dithers: np.ndarray) -> np.ndarray:
+                   dither_sum: np.ndarray) -> np.ndarray:
     """Stage one at receiver K: decode the mod-sum of the interference.
 
     Normalizes by sqrt(P), applies the variance-minimizing alpha, strips
-    the sum over axis -2 of the (..., K-1, N) dither stack, folds and
-    quantizes.  Returns centered coset-leader coordinates (..., N).
+    ``dither_sum``, the (..., N) sum of the interferers' dithers, folds
+    and quantizes.  Returns centered coset-leader coordinates (..., N).
     """
     scaled = scheme.alpha_mod_sum * y_k / math.sqrt(scheme.aligned_power)
-    return _decode(scheme.pair,
-                   scaled - _reduce_axis(np.add, dithers, -2))
+    return _decode(scheme.pair, scaled - dither_sum)
 
 
 def subtract_interference(scheme: Scheme, y_k: np.ndarray, s_hat: np.ndarray,
-                          dithers: np.ndarray) -> np.ndarray:
+                          dither_sum: np.ndarray) -> np.ndarray:
     """Stage two: remove the decoded mod-sum from the normalized output.
 
-    ``s_hat`` holds leader coordinates as ``decode_mod_sum`` returns them.
-    When it is correct the result equals gamma*U_K + Z' modulo the coarse
-    cell, with Z' the receiver noise scaled by 1/sqrt(P).
+    ``s_hat`` and ``dither_sum`` are as in ``decode_mod_sum``.  When
+    ``s_hat`` is correct the result equals gamma*U_K + Z' modulo the
+    coarse cell, with Z' the receiver noise scaled by 1/sqrt(P).
     """
     pair = scheme.pair
     normalized = y_k / math.sqrt(scheme.aligned_power)
     return mod_lattice(pair.coarse, normalized - s_hat * pair.fine.scale
-                       - _reduce_axis(np.add, dithers, -2))
+                       - dither_sum)
 
 
 def decode_user_k(scheme: Scheme, residual: np.ndarray,
@@ -447,8 +442,8 @@ def _codeword_draws(scheme: Scheme, key: int, lo: int, hi: int):
     (most significant first), then the dither uniforms and the channel
     normals, interferers first and user K last.  A cubic codeword is its
     N digits minus (q-1)//2, with no table; a Construction-A one has
-    log_q(M) digits and is looked up in ``scheme._table``."""
-    q, n, table = scheme.pair.q, scheme.dimension, scheme._table
+    log_q(M) digits and is looked up in the pair's ``codewords``."""
+    q, n, table = scheme.pair.q, scheme.dimension, scheme.pair.fine.codewords
     d = n if table is None else round(math.log(len(table), q))
     digits, uniforms, normals = _draws(key, lo, hi, q, d, scheme.config.K, n)
     if table is None:
@@ -472,7 +467,7 @@ def run_trial(scheme: Scheme, trial_seed: tuple[int, int]) -> TrialOutcome:
     pair = scheme.pair
 
     cw, cw_k = codewords[:k - 1], codewords[k - 1]
-    dithers, dither_k = _fold_dithers(scheme, uniforms)
+    dithers, dither_sum, dither_k = _fold_dithers(scheme, uniforms)
 
     u, signals = encode_interferer(scheme, cw, dithers)
     u_k, signal_k = encode_user_k(scheme, cw_k, dither_k)
@@ -483,7 +478,7 @@ def run_trial(scheme: Scheme, trial_seed: tuple[int, int]) -> TrialOutcome:
     direct_errors = tuple(
         _reduce_axis(np.logical_or, decoded != cw, 1).tolist())
 
-    s_hat = decode_mod_sum(scheme, y_k, dithers)
+    s_hat = decode_mod_sum(scheme, y_k, dither_sum)
     s_true = pair.reduce(_reduce_axis(np.add, cw, 0))
 
     # Reconstruct the exact unwrapped residual from simulator-side truth:
@@ -491,7 +486,7 @@ def run_trial(scheme: Scheme, trial_seed: tuple[int, int]) -> TrialOutcome:
     z_prime = (y_k - interference - signal_k) / math.sqrt(scheme.aligned_power)
     unwrapped = scheme.gamma * u_k + z_prime
 
-    residual = subtract_interference(scheme, y_k, s_hat, dithers)
+    residual = subtract_interference(scheme, y_k, s_hat, dither_sum)
     t_k_hat = decode_user_k(scheme, residual, dither_k)
 
     e1, e2, e3 = classify_events(
@@ -524,7 +519,7 @@ def _batch_trial_arrays(scheme: Scheme, key: int, lo: int, hi: int) -> dict:
 
     codewords, uniforms, noise = _codeword_draws(scheme, key, lo, hi)
     cw, cw_k = codewords[:, :k1], codewords[:, k1]
-    dithers, dither_k = _fold_dithers(scheme, uniforms)
+    dithers, dither_sum, dither_k = _fold_dithers(scheme, uniforms)
 
     u, signals = encode_interferer(scheme, cw, dithers)
     u_k, signal_k = encode_user_k(scheme, cw_k, dither_k)
@@ -534,13 +529,13 @@ def _batch_trial_arrays(scheme: Scheme, key: int, lo: int, hi: int) -> dict:
     direct_errors = _reduce_axis(
         np.logical_or, decode_direct(scheme, direct, dithers) != cw, -1)
 
-    s_hat = decode_mod_sum(scheme, y_k, dithers)
+    s_hat = decode_mod_sum(scheme, y_k, dither_sum)
     s_true = pair.reduce(_reduce_axis(np.add, cw, 1))
 
     z_prime = (y_k - interference - signal_k) / math.sqrt(scheme.aligned_power)
     unwrapped = scheme.gamma * u_k + z_prime
 
-    residual = subtract_interference(scheme, y_k, s_hat, dithers)
+    residual = subtract_interference(scheme, y_k, s_hat, dither_sum)
     t_k_hat = decode_user_k(scheme, residual, dither_k)
 
     e1, e2, e3 = classify_events(

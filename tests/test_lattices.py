@@ -188,15 +188,13 @@ class TestConstructionA:
             make_construction_a_pair(2, 2, [(0, 0)])
 
     def test_codewords_are_the_sorted_residues(self):
+        # centered in (-q/2, q/2], rows in lexicographic order
         for q, gen in ((2, [(1, 1, 0), (0, 1, 1)]), (4, [(1, 2), (0, 3)]),
                        (3, [(1, 0, 1, 1), (0, 1, 1, 2)]),
                        (5, [(10 ** 20 + 1, 7, -3)])):
-            literal = {tuple(sum(m * g for m, g in zip(msg, col)) % q
-                             for col in zip(*gen))
-                       for msg in itertools.product(range(q),
-                                                    repeat=len(gen))}
             pair = make_construction_a_pair(q, len(gen[0]), gen)
-            assert pair.fine.codewords == tuple(sorted(literal))
+            assert pair.fine.codewords.tolist() == [
+                list(w) for w in reference_code(q, gen)]
 
     def test_composite_modulus_rank(self):
         with pytest.raises(InvalidCodeError):
@@ -214,13 +212,13 @@ class TestConstructionA:
                                                            monkeypatch):
         # [I16 | 1...] has 2^16 codewords: 64 coordinates are 2^22
         # entries, 65 are over the cap.  Enumerating them would cost
-        # about 2.5 MB a coordinate.
+        # about 0.7 MB a coordinate.
         def no_enumeration(*args, **kwargs):
             raise AssertionError("the messages were enumerated")
 
         gen = [[int(i == r) for i in range(16)] + [1] * 49
                for r in range(16)]
-        monkeypatch.setattr(np, "indices", no_enumeration)
+        monkeypatch.setattr(np, "arange", no_enumeration)
         with pytest.raises(CapacityError, match=(
                 r"^codeword enumeration of 65536x65 entries exceeds cap "
                 r"4194304$")):
@@ -245,6 +243,35 @@ class TestConstructionA:
         with pytest.raises(ValueError, match="modulus"):
             NestedPair(fine=fine, coarse=coarse, q=2)
 
+    def test_equal_codes_compare_and_hash_equal(self):
+        gen = [(1, 1, 0), (0, 1, 1)]
+        pair = make_construction_a_pair(2, 3, gen)
+        same = (make_construction_a_pair(2, 3, gen),
+                # another basis of the same code
+                make_construction_a_pair(2, 3, [(1, 0, 1), (0, 1, 1)]))
+        for other in same:
+            assert pair == other and hash(pair) == hash(other)
+            assert pair.fine == other.fine
+            assert hash(pair.fine) == hash(other.fine)
+        other_codes = (
+            make_construction_a_pair(2, 3, [(1, 1, 0), (0, 0, 1)]),
+            make_construction_a_pair(2, 3, [(1, 1, 1)]),
+            make_construction_a_pair(3, 3, gen),
+            make_cubic_pair(2, 3))
+        for other in other_codes:
+            assert pair != other and pair.fine != other.fine
+        assert pair.fine != pair.coarse and pair.fine != "code"
+        assert len({pair, *same, *other_codes}) == 1 + len(other_codes)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads /proc/self/status")
+    def test_large_code_build_memory_is_bounded(self):
+        # The [I16 | 1] code is one 10 MB array of 2^16 x 20 int64s; its
+        # build adds three one-byte copies of it.
+        growth = peak_growth_kb(
+            "", "pair = make_construction_a_pair(2, 20, I16_1)\n")
+        assert growth < 40 * 1024
+
     def test_too_many_rows(self):
         with pytest.raises(InvalidCodeError):
             make_construction_a_pair(2, 1, [(1,), (1,)])
@@ -257,6 +284,7 @@ class TestConstructionA:
         ((0, 0), (0.5, 1)),
         ((False, False), (True, True)),
         ((0, 0), ("1", "1")),
+        np.array([[0, 0], [1, 1]], np.uint8),
     ])
     def test_lattice_rejects_codewords_that_are_not_n_integers(self,
                                                                codewords):
@@ -264,13 +292,18 @@ class TestConstructionA:
             Lattice(dimension=2, family=CONSTRUCTION_A, scale_sq=1.0,
                     modulus=2, codewords=codewords)
 
-    def test_residues_are_one_read_only_array(self):
-        lat = Lattice(dimension=2, family=CONSTRUCTION_A, scale_sq=1.0,
-                      modulus=3, codewords=((0, 0), (4, -2), (2, 1)))
-        assert lat.residues.dtype == np.int64
-        assert lat.residues.tolist() == [[0, 0], [1, 1], [2, 1]]
-        assert not lat.residues.flags.writeable
-        assert unit_cubic(2).residues is None
+    def test_codewords_are_one_read_only_array(self):
+        # literal rows of any signed dtype are reduced to (-q/2, q/2]
+        # and sorted, also where the dtype cannot hold q
+        for q, rows in ((3, ((0, 0), (4, -2), (2, 1))),
+                        (3, np.array([[0, 0], [4, -2], [2, 1]], np.int8)),
+                        (200, np.array([[1, 1], [-1, 1], [0, 0]], np.int8))):
+            lat = Lattice(dimension=2, family=CONSTRUCTION_A, scale_sq=1.0,
+                          modulus=q, codewords=rows)
+            assert lat.codewords.dtype == np.int64
+            assert lat.codewords.tolist() == [[-1, 1], [0, 0], [1, 1]]
+            assert not lat.codewords.flags.writeable
+        assert unit_cubic(2).codewords is None
 
 
 class TestQuantize:
@@ -389,7 +422,8 @@ def brute_force_nearest(lat, x):
     distance, coordinates) and return the first, with the set of every
     candidate at its squared distance."""
     q = lat.modulus or 1
-    codewords = lat.codewords or ((0,) * lat.dimension,)
+    codewords = (np.zeros((1, lat.dimension), np.int64)
+                 if lat.codewords is None else lat.codewords)
     shifts = q * np.array(list(itertools.product(range(-5, 6),
                                                  repeat=lat.dimension)))
     cands = np.concatenate([np.array(c) + shifts for c in codewords])
@@ -435,6 +469,33 @@ def long_batch(draw, lattices, any_floats):
     if any_floats:
         kinds.append(rng.uniform(-4.0, 4.0, shape))
     return lat, np.choose(rng.integers(0, len(kinds), shape), kinds)
+
+
+def peak_growth_kb(setup, work):
+    """How far ``work`` raises the peak RSS of a fresh interpreter that
+    has run ``setup``, in kB.  VmHWM is the child's own peak RSS, without
+    what fork passes on to ru_maxrss.  Both scripts see numpy as np,
+    ``make_construction_a_pair``, ``nearest_coords`` and I16_1, the
+    generator [I16 | 1] of 2^16 codewords at N = 20."""
+    script = (
+        "import numpy as np\n"
+        "from lsl.lattices import make_construction_a_pair, "
+        "nearest_coords\n"
+        "def peak_kb():\n"
+        "    with open('/proc/self/status') as f:\n"
+        "        return next(int(l.split()[1]) for l in f\n"
+        "                    if l.startswith('VmHWM'))\n"
+        "I16_1 = [[int(i == r) for i in range(16)] + [1] * 4\n"
+        "         for r in range(16)]\n"
+        f"{setup}"
+        "before = peak_kb()\n"
+        f"{work}"
+        "print(peak_kb() - before)\n")
+    src = os.path.dirname(os.path.dirname(lsl.lattices.__file__))
+    result = subprocess.run([sys.executable, "-c", script],
+                            env={**os.environ, "PYTHONPATH": src},
+                            capture_output=True, text=True, check=True)
+    return int(result.stdout)
 
 
 class TestNearestCoords:
@@ -514,29 +575,13 @@ class TestNearestCoords:
     def test_large_code_decode_memory_is_bounded(self):
         # One chunk of direct-link rows at K=3 (546 trials x 2 links) on
         # the 2^16-codeword [I16 | 1] code: a full row x codeword table
-        # would be 1092 x 65536 floats, over half a GB.  VmHWM is the
-        # child's own peak RSS, without what fork passes on to ru_maxrss.
-        script = (
-            "import numpy as np\n"
-            "from lsl.lattices import make_construction_a_pair, "
-            "nearest_coords\n"
-            "def peak_kb():\n"
-            "    with open('/proc/self/status') as f:\n"
-            "        return next(int(l.split()[1]) for l in f\n"
-            "                    if l.startswith('VmHWM'))\n"
-            "gen = [[int(i == r) for i in range(16)] + [1] * 4\n"
-            "       for r in range(16)]\n"
-            "pair = make_construction_a_pair(2, 20, gen)\n"
-            "x = np.random.default_rng(0).uniform(-2, 2, (546, 2, 20))\n"
-            "before = peak_kb()\n"
+        # would be 1092 x 65536 floats, over half a GB.
+        growth = peak_growth_kb(
+            "pair = make_construction_a_pair(2, 20, I16_1)\n"
+            "x = np.random.default_rng(0).uniform(-2, 2, (546, 2, 20))\n",
             "coords = nearest_coords(pair.fine, x)\n"
-            "assert coords.shape == x.shape\n"
-            "print(peak_kb() - before)\n")
-        src = os.path.dirname(os.path.dirname(lsl.lattices.__file__))
-        result = subprocess.run([sys.executable, "-c", script],
-                                env={**os.environ, "PYTHONPATH": src},
-                                capture_output=True, text=True, check=True)
-        assert int(result.stdout) < 64 * 1024
+            "assert coords.shape == x.shape\n")
+        assert growth < 64 * 1024
 
     def test_leading_axes_are_kept(self):
         lat = PROPERTY_LATTICES[1]
@@ -701,11 +746,20 @@ def codebook_pairs(draw):
             sorted(tuple(centered(v, q) for v in w) for w in words))
 
 
+def reference_code(q, rows):
+    """The sorted set of the centered codewords sum_i m_i g_i mod q over
+    every message m, enumerated in Python ints."""
+    return sorted({tuple(centered(sum(m * g for m, g in zip(msg, col)), q)
+                         for col in zip(*rows))
+                   for msg in itertools.product(range(q), repeat=len(rows))})
+
+
 @st.composite
-def generators(draw):
-    """A modulus q in 2..8, composites included, and a random k x N
-    integer generator, entries unreduced and of either sign."""
-    q = draw(st.integers(2, 8))
+def generators(draw, moduli=st.integers(2, 8)):
+    """A modulus q in 2..8 (or drawn from ``moduli``), composites
+    included, and a random k x N integer generator, entries unreduced
+    and of either sign."""
+    q = draw(moduli)
     n = draw(st.integers(1, 4))
     k = draw(st.integers(1, n))
     entry = st.integers(-2 * q, 2 * q)
@@ -723,9 +777,7 @@ class TestValidityRule:
         codewords, and then its size and rate are those of the code."""
         q, n, rows = case
         k = len(rows)
-        words = {tuple(sum(m * g for m, g in zip(msg, col)) % q
-                       for col in zip(*rows))
-                 for msg in itertools.product(range(q), repeat=k)}
+        words = reference_code(q, rows)
         if len(words) < q ** k:
             with pytest.raises(InvalidCodeError):
                 make_construction_a_pair(q, n, rows)
@@ -734,6 +786,35 @@ class TestValidityRule:
         m = pair.nesting_ratio
         assert m == len(codebook(pair)) == q ** k
         assert pair.rate_per_dim == math.log2(m) / n
+
+    @settings(max_examples=200, deadline=None)
+    @given(generators(st.sampled_from((2, 3, 4, 5, 6))), st.data())
+    def test_codewords_are_the_reference_enumeration(self, case, data):
+        """The code's one array is the sorted set of centered codewords,
+        a non-injective generator is refused with its distinct count, and
+        the set's rows, shifted by multiples of q and shuffled, give the
+        same lattice."""
+        q, n, rows = case
+        words = reference_code(q, rows)
+        if len(words) < q ** len(rows):
+            with pytest.raises(InvalidCodeError, match=(
+                    rf"^the {q ** len(rows)} messages give only "
+                    rf"{len(words)} distinct codewords mod q$")):
+                make_construction_a_pair(q, n, rows)
+            return
+        fine = make_construction_a_pair(q, n, rows).fine
+        assert fine.codewords.tolist() == [list(w) for w in words]
+        shifts = data.draw(st.lists(
+            st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+            min_size=len(words), max_size=len(words)))
+        literal = data.draw(st.permutations(
+            [tuple(c + q * z for c, z in zip(w, shift))
+             for w, shift in zip(words, shifts)]))
+        lat = Lattice(dimension=n, family=CONSTRUCTION_A,
+                      scale_sq=fine.scale_sq, modulus=q,
+                      codewords=tuple(literal))
+        assert lat == fine and hash(lat) == hash(fine)
+        assert np.array_equal(lat.codewords, fine.codewords)
 
 
 class TestCodebook:

@@ -14,6 +14,7 @@ from scipy import stats
 
 from lsl.errors import InvariantViolationError
 from lsl.lattices import (
+    _reduce_axis,
     codebook,
     in_voronoi,
     make_construction_a_pair,
@@ -173,19 +174,20 @@ class TestEncoding:
             Scheme.for_config(cfg, pair)
 
     def test_leaders_are_the_codebook(self):
-        # a Construction-A scheme holds codebook(pair) as its one table; a
-        # cubic scheme holds none, and its rule, the q^N digit rows in
-        # lexicographic order minus (q-1)//2, lists the same rows in order
+        # a Construction-A codebook is the fine lattice's one array of
+        # codewords; a cubic pair holds none, and its rule, the q^N digit
+        # rows in lexicographic order minus (q-1)//2, lists the same rows
+        # in order
         for q, n in ((2, 2), (3, 3), (4, 2), (5, 2), (6, 1)):
             scheme = default_scheme(q, n)
-            assert scheme._table is None
+            assert scheme.pair.fine.codewords is None
             digits = np.array(list(itertools.product(range(q), repeat=n)),
                               dtype=np.int64)
             assert np.array_equal(digits - (q - 1) // 2,
                                   codebook(scheme.pair))
         for scheme in (coded_benchmark_scheme(), composite_scheme()):
-            assert scheme._table.dtype == np.int64
-            assert np.array_equal(scheme._table, codebook(scheme.pair))
+            assert scheme.pair.fine.codewords.dtype == np.int64
+            assert codebook(scheme.pair) is scheme.pair.fine.codewords
 
 
 class TestChannel:
@@ -252,11 +254,12 @@ class TestDecoding:
                 np.zeros((len(combos), 3, scheme.dimension)))
             assert np.array_equal(decode_direct(scheme, direct, dithers),
                                   leaders[idx])
-            s_hat = decode_mod_sum(scheme, y_k, dithers)
+            dither_sum = _reduce_axis(np.add, dithers, 1)
+            s_hat = decode_mod_sum(scheme, y_k, dither_sum)
             for row, (t1, t2) in zip(s_hat, idx):
                 assert np.array_equal(row,
                                       pair.reduce(leaders[t1] + leaders[t2]))
-            residual = subtract_interference(scheme, y_k, s_hat, dithers)
+            residual = subtract_interference(scheme, y_k, s_hat, dither_sum)
             assert np.array_equal(decode_user_k(scheme, residual, d_k),
                                   leaders[idx_k])
 
@@ -294,7 +297,8 @@ class TestDecoding:
             _, signal_k = encode_user_k(scheme, leaders[t_k], d_k)
             noise = rng.standard_normal((3, 2))
             _, _, y_k = apply_channel(scheme, signals, signal_k, noise)
-            s_hat = decode_mod_sum(scheme, y_k, dithers)
+            dither_sum = dithers[0] + dithers[1]
+            s_hat = decode_mod_sum(scheme, y_k, dither_sum)
             s_true = pair.reduce(leaders[idx[0]] + leaders[idx[1]])
             if not np.array_equal(s_hat, s_true):
                 continue
@@ -303,7 +307,7 @@ class TestDecoding:
                 - math.sqrt(scheme.config.a[1]) * signals[1] - signal_k
             unwrapped = scheme.gamma * u_k \
                 + z_k / math.sqrt(scheme.aligned_power)
-            residual = subtract_interference(scheme, y_k, s_hat, dithers)
+            residual = subtract_interference(scheme, y_k, s_hat, dither_sum)
             if in_voronoi(pair.coarse, unwrapped):
                 assert np.allclose(residual, unwrapped, atol=1e-9)
                 hits += 1
@@ -383,21 +387,24 @@ class TestStages:
         channel = apply_channel(scheme, enc[1], enc_k[1], noise)
         direct, _, y_k = channel
         decoded = decode_direct(scheme, direct, dithers)
-        s_hat = decode_mod_sum(scheme, y_k, dithers)
-        residual = subtract_interference(scheme, y_k, s_hat, dithers)
+        # the dither sum of each row is the same float whatever the batch
+        dither_sum = _reduce_axis(np.add, dithers, 1)
+        s_hat = decode_mod_sum(scheme, y_k, dither_sum)
+        residual = subtract_interference(scheme, y_k, s_hat, dither_sum)
         t_k_hat = decode_user_k(scheme, residual, d_k)
         events = classify_events(*flags)
 
         for r in range(t):
+            row_sum = _reduce_axis(np.add, dithers[r], 0)
             rows = (
                 (enc, encode_interferer(scheme, cw[r], dithers[r])),
                 (enc_k, encode_user_k(scheme, cw_k[r], d_k[r])),
                 (channel, apply_channel(scheme, enc[1][r], enc_k[1][r],
                                         noise[r])),
                 ((decoded,), (decode_direct(scheme, direct[r], dithers[r]),)),
-                ((s_hat,), (decode_mod_sum(scheme, y_k[r], dithers[r]),)),
+                ((s_hat,), (decode_mod_sum(scheme, y_k[r], row_sum),)),
                 ((residual,), (subtract_interference(
-                    scheme, y_k[r], s_hat[r], dithers[r]),)),
+                    scheme, y_k[r], s_hat[r], row_sum),)),
                 ((t_k_hat,), (decode_user_k(scheme, residual[r], d_k[r]),)),
                 (events, classify_events(*flags[:, r])),
             )
@@ -652,17 +659,21 @@ class TestReproducibility:
             assert run_campaign(scheme, 300, 31) == report
 
     def test_codebook_is_built_once_per_coded_scheme(self, monkeypatch):
-        # a Construction-A scheme looks its codewords up in one table,
-        # built with the scheme, not per chunk; a cubic one builds none
+        # a Construction-A scheme looks its codewords up in the one array
+        # its pair was built with: a campaign builds no lattice, so no
+        # code, whatever its chunks
+        import lsl.lattices
         import lsl.simulate
-        families = []
-        build = lsl.simulate.codebook
+        schemes = coded_benchmark_scheme(), default_scheme()
+        built = []
+        init = lsl.lattices.Lattice.__post_init__
 
-        def recording_codebook(pair):
-            families.append(pair.fine.family)
-            return build(pair)
+        def recording_init(lat):
+            built.append(lat.family)
+            init(lat)
 
-        monkeypatch.setattr(lsl.simulate, "codebook", recording_codebook)
+        monkeypatch.setattr(lsl.lattices.Lattice, "__post_init__",
+                            recording_init)
         # K=3: four chunks of two or three trials at N=4, three of six
         # at N=2
         monkeypatch.setattr(lsl.simulate, "CHUNK_DRAWS", 36)
@@ -675,9 +686,9 @@ class TestReproducibility:
 
         monkeypatch.setattr(lsl.simulate, "_batch_trial_arrays",
                             recording_engine)
-        run_campaign(coded_benchmark_scheme(), 10, 3)
-        run_campaign(default_scheme(), 18, 3)
-        assert families == ["construction-a"]
+        for scheme, trials in zip(schemes, (10, 18)):
+            run_campaign(scheme, trials, 3)
+        assert built == []
         assert chunks == [2, 3, 2, 3, 6, 6, 6]
 
     def test_cubic_scheme_allocates_no_codebook(self):
